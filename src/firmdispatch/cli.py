@@ -16,16 +16,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from .config import ConfigError, RunConfig, parse_config, render_manifest
 from .costing import CostBook
-from .dispatch import CapacityMix, SimParams, simulate, write_trace_csv
-from .optimizer import OptimizeOptions, SearchSpace, optimize, write_trajectory_csv
+from .dispatch import CapacityMix, DispatchTrace, SimParams, simulate, write_trace_csv
+from .optimizer import (
+    PEAK_MULTIPLES,
+    STEP_FRACTION_OF_PEAK,
+    OptimizeOptions,
+    OptimResult,
+    SearchSpace,
+    optimize,
+    write_trajectory_csv,
+)
 from .profiles import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
+    AlignedDataset,
     align,
     demand_stats,
     load_series,
@@ -35,6 +45,8 @@ from .profiles import (
 from .scenarios import (
     SCENARIO_NAMES,
     InfeasibleError,
+    RigidityReport,
+    ScenarioReport,
     build_report,
     low_storage_extra_rows,
     run_base,
@@ -87,9 +99,9 @@ def _load_dataset(config: RunConfig):
 
 def _resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
     """Fill unset search bounds from peak demand, in place on a copy."""
-    step = 0.1 * peak_gw
+    step = STEP_FRACTION_OF_PEAK * peak_gw
     updates = {}
-    for axis, peak_multiple in (("wind_gw", 3.0), ("pv_gw", 2.0), ("battery_power_gw", 1.5)):
+    for axis, peak_multiple in PEAK_MULTIPLES.items():
         if getattr(config, f"{axis}_max") is None:
             updates[f"{axis}_max"] = peak_multiple * peak_gw
         if getattr(config, f"{axis}_step") is None:
@@ -98,46 +110,21 @@ def _resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
 
 
 def _space_from(config: RunConfig) -> SearchSpace:
+    bounds = {
+        axis: tuple(getattr(config, f"{axis}_{end}") for end in ("min", "max", "step"))
+        for axis in PEAK_MULTIPLES
+    }
     return SearchSpace(
-        wind_gw=(config.wind_gw_min, config.wind_gw_max, config.wind_gw_step),
-        pv_gw=(config.pv_gw_min, config.pv_gw_max, config.pv_gw_step),
-        battery_power_gw=(
-            config.battery_power_gw_min,
-            config.battery_power_gw_max,
-            config.battery_power_gw_step,
-        ),
+        **bounds,
         battery_hours=config.battery_hours_ladder,
         baseload_gw=config.baseload_gw,
         baseload_eaf=config.baseload_eaf,
     )
 
 
-def _params_from(config: RunConfig) -> SimParams:
-    return SimParams(
-        round_trip_efficiency=config.round_trip_efficiency,
-        initial_soc_fraction=config.initial_soc_fraction,
-        battery_charges_from_dispatch=config.battery_charges_from_dispatch,
-    )
-
-
-def _book_from(config: RunConfig) -> CostBook:
-    return CostBook(
-        capex_wind_usd_per_kw=config.capex_wind_usd_per_kw,
-        capex_pv_usd_per_kw=config.capex_pv_usd_per_kw,
-        capex_dispatch_usd_per_kw=config.capex_dispatch_usd_per_kw,
-        capex_battery_usd_per_kwh=config.capex_battery_usd_per_kwh,
-        interest_rate=config.interest_rate,
-        life_wind_years=config.life_wind_years,
-        life_pv_years=config.life_pv_years,
-        life_dispatch_years=config.life_dispatch_years,
-        life_battery_years=config.life_battery_years,
-        fixed_om_wind_usd_per_kw_yr=config.fixed_om_wind_usd_per_kw_yr,
-        fixed_om_pv_usd_per_kw_yr=config.fixed_om_pv_usd_per_kw_yr,
-        fixed_om_dispatch_usd_per_kw_yr=config.fixed_om_dispatch_usd_per_kw_yr,
-        fixed_om_battery_usd_per_kw_yr=config.fixed_om_battery_usd_per_kw_yr,
-        fuel_price_usd_per_gj=config.fuel_price_usd_per_gj,
-        heat_rate_gj_per_mwh=config.heat_rate_gj_per_mwh,
-    )
+def _settings(cls, config: RunConfig):
+    """Build a settings dataclass from the configuration keys of the same names."""
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 _MIX_KEYS = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "dispatch_gw")
@@ -147,14 +134,116 @@ def _fixed_mix(config: RunConfig) -> CapacityMix | None:
     if all(getattr(config, key) is None for key in _MIX_KEYS):
         return None
     return CapacityMix(
-        wind_gw=config.wind_gw or 0.0,
-        pv_gw=config.pv_gw or 0.0,
-        battery_power_gw=config.battery_power_gw or 0.0,
-        battery_hours=config.battery_hours or 0.0,
-        dispatch_gw=config.dispatch_gw or 0.0,
+        **{key: getattr(config, key) or 0.0 for key in _MIX_KEYS},
         baseload_gw=config.baseload_gw,
         baseload_eaf=config.baseload_eaf,
     )
+
+
+class _Output(NamedTuple):
+    """A trajectory (where a search ran) and the mix to trace, named by file suffix."""
+
+    suffix: str
+    optim: OptimResult | None
+    mix: CapacityMix
+    data: AlignedDataset
+    trace: DispatchTrace | None = None  # already simulated, saves a kernel pass
+
+
+class _Outcome(NamedTuple):
+    """A run's report and, in write order, the outputs that go beside it."""
+
+    report: ScenarioReport | list[ScenarioReport] | RigidityReport
+    outputs: list[_Output]
+    extra_rows: Sequence[tuple[str, float, str]] = ()
+
+
+def _searched(optim: OptimResult, data: AlignedDataset, suffix: str = "") -> _Output:
+    return _Output(suffix, optim, optim.best.mix, data)
+
+
+def _pv_only_mix(report: ScenarioReport) -> CapacityMix:
+    return CapacityMix(
+        pv_gw=report.pv_gw,
+        battery_power_gw=report.battery_power_gw,
+        battery_hours=report.battery_hours,
+    )
+
+
+def _simulate(config, data, params, book, options) -> _Outcome:
+    mix = _fixed_mix(config)
+    if mix is None:
+        raise ConfigError(
+            "simulate needs a fixed mix: set at least one of " + ", ".join(_MIX_KEYS)
+        )
+    result = simulate(mix, data, params, keep_trace=True)
+    report = build_report(mix, result, data, label="simulate")
+    return _Outcome(report, [_Output("", None, mix, data, result.trace)])
+
+
+def _optimize(config, data, params, book, options) -> _Outcome:
+    optim = optimize(_space_from(config), data, params, book, options)
+    report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
+    return _Outcome(report, [_searched(optim, data)])
+
+
+def _base(config, data, params, book, options) -> _Outcome:
+    report, optim = run_base(data, params, book, _space_from(config), options)
+    return _Outcome(report, [_searched(optim, data)])
+
+
+def _low_storage(config, data, params, book, options) -> _Outcome:
+    report, delta, optim = run_low_storage(
+        data, params, book, _space_from(config), config.battery_price_usd_per_kwh, options
+    )
+    return _Outcome(report, [_searched(optim, data)], low_storage_extra_rows(delta))
+
+
+def _pv_only(config, data, params, book, options) -> _Outcome:
+    report = run_pv_only(data, params)
+    return _Outcome(report, [_Output("", None, _pv_only_mix(report), data)])
+
+
+def _rigidity(config, data, params, book, options) -> _Outcome:
+    mix = _fixed_mix(config)
+    if mix is None:
+        mix = _pv_only_mix(run_pv_only(data, params))
+    rigidity = run_rigidity(mix, data, params, step=config.rigidity_step)
+    sized = replace(mix, dispatch_gw=rigidity.required_dispatch_gw)
+    scaled = scale_demand(data, rigidity.failure_multiplier)
+    return _Outcome(rigidity, [_Output("", None, sized, scaled)])
+
+
+def _residual_baseload(config, data, params, book, options) -> _Outcome:
+    if config.baseload_gw <= 0.0:
+        raise ConfigError("residual-baseload needs baseload_gw > 0 in the configuration")
+    report, optim = run_residual_baseload(
+        data, params, book, _space_from(config), config.baseload_gw, config.baseload_eaf, options
+    )
+    return _Outcome(report, [_searched(optim, data)])
+
+
+def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
+    runs = run_fuel_sensitivity(
+        data, params, book, _space_from(config), config.fuel_prices_usd_per_gj, options
+    )
+    return _Outcome(
+        [report for _, report, _ in runs],
+        [_searched(optim, data, f"_fuel_{price:g}") for price, _, optim in runs],
+    )
+
+
+# One runner per command, or per scenario under the scenario command.
+_RUNNERS = {
+    "simulate": _simulate,
+    "optimize": _optimize,
+    "base": _base,
+    "low-storage": _low_storage,
+    "pv-only": _pv_only,
+    "rigidity": _rigidity,
+    "residual-baseload": _residual_baseload,
+    "fuel-sensitivity": _fuel_sensitivity,
+}
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -171,131 +260,37 @@ def _run(args: argparse.Namespace) -> int:
     else:
         config.output_dir = os.path.abspath(config.output_dir)
     config.command = args.command
-    scenario = getattr(args, "name", None)
     if args.command == "scenario":
-        config.scenario = scenario
+        config.scenario = args.name
 
     data = _load_dataset(config)
-    stats = demand_stats(data.demand)
-    config = _resolve_space(config, stats.peak_gw)
-    params = _params_from(config)
-    book = _book_from(config)
-    options = OptimizeOptions(
-        refine_tolerance_gw=config.refine_tolerance_gw,
-        refine_tolerance_hours=config.refine_tolerance_hours,
-    )
+    config = _resolve_space(config, demand_stats(data.demand).peak_gw)
+    params = _settings(SimParams, config)
+    book = _settings(CostBook, config)
+    options = _settings(OptimizeOptions, config)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
+    runner = _RUNNERS[args.name if args.command == "scenario" else args.command]
+    outcome = runner(config, data, params, book, options)
 
-    def _write_report(reports, extra_rows=()) -> None:
-        write_report_csv(out_dir / "report.csv", reports, extra_rows=extra_rows)
-        written.append("report.csv")
-
-    def _write_trajectory(optim, filename="trajectory.csv") -> None:
-        write_trajectory_csv(optim, out_dir / filename)
-        written.append(filename)
-
-    def _write_trace(mix, dataset, filename="trace.csv") -> None:
-        result = simulate(mix, dataset, params, keep_trace=True)
-        write_trace_csv(result.trace, out_dir / filename)
-        written.append(filename)
-
-    if args.command == "simulate":
-        mix = _fixed_mix(config)
-        if mix is None:
-            raise ConfigError(
-                "simulate needs a fixed mix: set at least one of "
-                + ", ".join(_MIX_KEYS)
-            )
-        result = simulate(mix, data, params, keep_trace=args.trace)
-        _write_report(build_report(mix, result, data, label="simulate"))
+    if isinstance(outcome.report, RigidityReport):
+        write_rigidity_csv(out_dir / "report.csv", outcome.report)
+    else:
+        write_report_csv(out_dir / "report.csv", outcome.report, extra_rows=outcome.extra_rows)
+    written = ["report.csv"]
+    for output in outcome.outputs:
+        if output.optim is not None:
+            name = f"trajectory{output.suffix}.csv"
+            write_trajectory_csv(output.optim, out_dir / name)
+            written.append(name)
         if args.trace:
-            write_trace_csv(result.trace, out_dir / "trace.csv")
-            written.append("trace.csv")
-
-    elif args.command == "optimize":
-        space = _space_from(config)
-        optim = optimize(space, data, params, book, options)
-        _write_report(build_report(optim.best.mix, optim.best.result, data, label="optimize"))
-        _write_trajectory(optim)
-        if args.trace:
-            _write_trace(optim.best.mix, data)
-
-    elif scenario == "base":
-        report, optim = run_base(data, params, book, _space_from(config), options)
-        _write_report(report)
-        _write_trajectory(optim)
-        if args.trace:
-            _write_trace(optim.best.mix, data)
-
-    elif scenario == "low-storage":
-        report, delta, optim = run_low_storage(
-            data, params, book, _space_from(config), config.battery_price_usd_per_kwh, options
-        )
-        _write_report(report, extra_rows=low_storage_extra_rows(delta))
-        _write_trajectory(optim)
-        if args.trace:
-            _write_trace(optim.best.mix, data)
-
-    elif scenario == "pv-only":
-        report = run_pv_only(data, params, book)
-        _write_report(report)
-        if args.trace:
-            mix = CapacityMix(
-                pv_gw=report.pv_gw,
-                battery_power_gw=report.battery_power_gw,
-                battery_hours=report.battery_hours,
-            )
-            _write_trace(mix, data)
-
-    elif scenario == "rigidity":
-        mix = _fixed_mix(config)
-        if mix is None:
-            pv_report = run_pv_only(data, params, book)
-            mix = CapacityMix(
-                pv_gw=pv_report.pv_gw,
-                battery_power_gw=pv_report.battery_power_gw,
-                battery_hours=pv_report.battery_hours,
-            )
-        rigidity = run_rigidity(mix, data, params, step=config.rigidity_step)
-        write_rigidity_csv(out_dir / "report.csv", rigidity)
-        written.append("report.csv")
-        if args.trace:
-            scaled = scale_demand(data, rigidity.failure_multiplier)
-            sized = replace(mix, dispatch_gw=rigidity.required_dispatch_gw)
-            _write_trace(sized, scaled)
-
-    elif scenario == "residual-baseload":
-        if config.baseload_gw <= 0.0:
-            raise ConfigError("residual-baseload needs baseload_gw > 0 in the configuration")
-        report, optim = run_residual_baseload(
-            data,
-            params,
-            book,
-            _space_from(config),
-            baseload_gw=config.baseload_gw,
-            eaf=config.baseload_eaf,
-            options=options,
-        )
-        _write_report(report)
-        _write_trajectory(optim)
-        if args.trace:
-            _write_trace(optim.best.mix, data)
-
-    elif scenario == "fuel-sensitivity":
-        runs = run_fuel_sensitivity(
-            data, params, book, _space_from(config), config.fuel_prices_usd_per_gj, options
-        )
-        _write_report([report for _, report, _ in runs])
-        for price, _, optim in runs:
-            _write_trajectory(optim, f"trajectory_fuel_{price:g}.csv")
-            if args.trace:
-                _write_trace(optim.best.mix, data, f"trace_fuel_{price:g}.csv")
-
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ConfigError(f"unknown command {args.command!r}")
+            trace = output.trace
+            if trace is None:
+                trace = simulate(output.mix, output.data, params, keep_trace=True).trace
+            name = f"trace{output.suffix}.csv"
+            write_trace_csv(trace, out_dir / name)
+            written.append(name)
 
     (out_dir / "run_manifest").write_text(render_manifest(config), encoding="utf-8")
     written.append("run_manifest")

@@ -14,6 +14,10 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .costing import CostBook
+from .dispatch import SimParams
+from .optimizer import DEFAULT_BATTERY_HOURS, OptimizeOptions
+
 
 class ConfigError(ValueError):
     """A configuration file is malformed or inconsistent."""
@@ -62,27 +66,27 @@ class RunConfig:
     synthetic_droughts: tuple[tuple[int, int], ...] | None = None
     seed: int = 1
 
-    # Storage model.
-    round_trip_efficiency: float = 0.85
-    initial_soc_fraction: float = 0.0
-    battery_charges_from_dispatch: bool = False
-
-    # Cost book.
-    capex_wind_usd_per_kw: float = 1200.0
-    capex_pv_usd_per_kw: float = 1000.0
-    capex_dispatch_usd_per_kw: float = 800.0
-    capex_battery_usd_per_kwh: float = 200.0
-    interest_rate: float = 0.08
-    life_wind_years: int = 30
-    life_pv_years: int = 30
-    life_dispatch_years: int = 30
-    life_battery_years: int = 15
-    fixed_om_wind_usd_per_kw_yr: float = 0.0
-    fixed_om_pv_usd_per_kw_yr: float = 0.0
-    fixed_om_dispatch_usd_per_kw_yr: float = 8.0
-    fixed_om_battery_usd_per_kw_yr: float = 0.0
-    fuel_price_usd_per_gj: float = 20.0
-    heat_rate_gj_per_mwh: float = 10.0
+    # Storage model, cost book and refinement tolerances share their keys and
+    # defaults with SimParams, CostBook and OptimizeOptions, which a run
+    # builds from this configuration by field name.
+    round_trip_efficiency: float = SimParams.round_trip_efficiency
+    initial_soc_fraction: float = SimParams.initial_soc_fraction
+    battery_charges_from_dispatch: bool = SimParams.battery_charges_from_dispatch
+    capex_wind_usd_per_kw: float = CostBook.capex_wind_usd_per_kw
+    capex_pv_usd_per_kw: float = CostBook.capex_pv_usd_per_kw
+    capex_dispatch_usd_per_kw: float = CostBook.capex_dispatch_usd_per_kw
+    capex_battery_usd_per_kwh: float = CostBook.capex_battery_usd_per_kwh
+    interest_rate: float = CostBook.interest_rate
+    life_wind_years: int = CostBook.life_wind_years
+    life_pv_years: int = CostBook.life_pv_years
+    life_dispatch_years: int = CostBook.life_dispatch_years
+    life_battery_years: int = CostBook.life_battery_years
+    fixed_om_wind_usd_per_kw_yr: float = CostBook.fixed_om_wind_usd_per_kw_yr
+    fixed_om_pv_usd_per_kw_yr: float = CostBook.fixed_om_pv_usd_per_kw_yr
+    fixed_om_dispatch_usd_per_kw_yr: float = CostBook.fixed_om_dispatch_usd_per_kw_yr
+    fixed_om_battery_usd_per_kw_yr: float = CostBook.fixed_om_battery_usd_per_kw_yr
+    fuel_price_usd_per_gj: float = CostBook.fuel_price_usd_per_gj
+    heat_rate_gj_per_mwh: float = CostBook.heat_rate_gj_per_mwh
 
     # Search space; unset bounds scale to peak demand at run time.
     wind_gw_min: float = 0.0
@@ -94,9 +98,9 @@ class RunConfig:
     battery_power_gw_min: float = 0.0
     battery_power_gw_max: float | None = None
     battery_power_gw_step: float | None = None
-    battery_hours_ladder: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
-    refine_tolerance_gw: float = 0.1
-    refine_tolerance_hours: float = 0.5
+    battery_hours_ladder: tuple[float, ...] = DEFAULT_BATTERY_HOURS
+    refine_tolerance_gw: float = OptimizeOptions.refine_tolerance_gw
+    refine_tolerance_hours: float = OptimizeOptions.refine_tolerance_hours
 
     # Fixed mix for simulate and rigidity runs.
     wind_gw: float | None = None

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -107,58 +106,14 @@ class SimParams:
             )
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Balance of a single step, all power in GW, state of charge in GWh."""
-
-    step: int
-    demand_gw: float
-    baseload_gw: float
-    renewable_to_demand_gw: float
-    battery_charge_gw: float
-    battery_discharge_gw: float
-    curtailed_gw: float
-    dispatch_gw: float
-    unserved_gw: float
-    soc_gwh: float
-
-
-class DispatchTrace(Sequence):
-    """Array-backed per-step ledger, indexable as a sequence of StepRecord."""
+class DispatchTrace:
+    """Array-backed per-step ledger, one column array per flow."""
 
     def __init__(self, demand: NDArray[np.float64], ledger: NDArray[np.float64], dt_hours: float):
         self._demand = demand
         self._ledger = ledger
         self.dt_hours = dt_hours
 
-    def __len__(self) -> int:
-        return int(self._demand.shape[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(index)
-        led = self._ledger
-        return StepRecord(
-            step=i,
-            demand_gw=float(self._demand[i]),
-            baseload_gw=float(led[_kernels.ROW_BASELOAD, i]),
-            renewable_to_demand_gw=float(led[_kernels.ROW_REN_TO_DEMAND, i]),
-            battery_charge_gw=float(
-                led[_kernels.ROW_CHARGE_FROM_REN, i] + led[_kernels.ROW_CHARGE_FROM_DISPATCH, i]
-            ),
-            battery_discharge_gw=float(led[_kernels.ROW_DISCHARGE, i]),
-            curtailed_gw=float(led[_kernels.ROW_CURTAILED, i]),
-            dispatch_gw=float(led[_kernels.ROW_DISPATCH, i]),
-            unserved_gw=float(led[_kernels.ROW_UNSERVED, i]),
-            soc_gwh=float(led[_kernels.ROW_SOC, i]),
-        )
-
-    # Column views as arrays, for vectorized checks and CSV export.
     @property
     def demand_gw(self) -> NDArray[np.float64]:
         return self._demand
@@ -359,6 +314,6 @@ def write_trace_csv(trace: DispatchTrace, path) -> None:
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for i in range(len(trace)):
+        for i in range(trace.demand_gw.shape[0]):
             row = [str(i)] + [repr(float(col[i])) for col in columns]
             fh.write(",".join(row) + "\n")

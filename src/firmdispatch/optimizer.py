@@ -35,6 +35,14 @@ TRAJECTORY_COLUMNS = (
 # Coarse storage durations in hours; refinement interpolates between rungs.
 DEFAULT_BATTERY_HOURS = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
 
+# Default search bounds: each power axis runs from 0 to a multiple of peak
+# demand in coarse steps of a fixed fraction of peak.
+PEAK_MULTIPLES = {"wind_gw": 3.0, "pv_gw": 2.0, "battery_power_gw": 1.5}
+STEP_FRACTION_OF_PEAK = 0.1
+
+# Refinement sweeps are capped so a search always ends.
+MAX_REFINE_SWEEPS = 60
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -80,13 +88,10 @@ class OptimizeOptions:
 
     refine_tolerance_gw: float = 0.1
     refine_tolerance_hours: float = 0.5
-    max_refine_sweeps: int = 60
 
     def __post_init__(self) -> None:
         if not (self.refine_tolerance_gw > 0.0 and self.refine_tolerance_hours > 0.0):
             raise ValueError("refinement tolerances must be positive")
-        if self.max_refine_sweeps < 1:
-            raise ValueError("max_refine_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -111,17 +116,15 @@ DEFAULT_OPTIONS = OptimizeOptions()
 def default_space(stats: DemandStats, baseload_gw: float = 0.0, baseload_eaf: float = 1.0) -> SearchSpace:
     """Search bounds scaled to the demand profile.
 
-    Power axes step at 10 percent of peak demand: wind up to three times
-    peak, PV up to twice, battery power up to one and a half times.
+    Each power axis runs from zero to ``PEAK_MULTIPLES[axis]`` times peak
+    demand in steps of ``STEP_FRACTION_OF_PEAK`` times peak.
     """
     peak = stats.peak_gw
     if peak <= 0.0:
         raise ValueError(f"peak demand must be positive, got {peak!r}")
-    step = 0.1 * peak
+    step = STEP_FRACTION_OF_PEAK * peak
     return SearchSpace(
-        wind_gw=(0.0, 3.0 * peak, step),
-        pv_gw=(0.0, 2.0 * peak, step),
-        battery_power_gw=(0.0, 1.5 * peak, step),
+        **{axis: (0.0, multiple * peak, step) for axis, multiple in PEAK_MULTIPLES.items()},
         baseload_gw=baseload_gw,
         baseload_eaf=baseload_eaf,
     )
@@ -244,7 +247,7 @@ def optimize(
     }
     axes = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours")
 
-    for _ in range(options.max_refine_sweeps):
+    for _ in range(MAX_REFINE_SWEEPS):
         active = [
             axis
             for axis in axes

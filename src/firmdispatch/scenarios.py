@@ -221,7 +221,6 @@ def _pv_probe_mix(pv_gw: float, power_gw: float, energy_gwh: float) -> CapacityM
 def run_pv_only(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
     pv_tol_gw: float = 0.01,
     energy_tol_gwh: float = 0.1,
     max_pv_gw: float | None = None,
@@ -229,12 +228,11 @@ def run_pv_only(
 ) -> ScenarioReport:
     """Smallest PV and battery serving all demand with no wind or firm plant.
 
-    Sizing is resource-driven, so ``book`` is accepted for signature
-    symmetry but takes no part.  Bisection on PV capacity with an
-    effectively unconstrained battery finds the least PV; bisection on
-    battery energy at that PV finds the least storage.  A probe counts as
-    feasible only if no demand goes unserved and the battery ends the
-    period no lower than it started: the initial charge
+    Sizing is resource-driven, so no cost book enters.  Bisection on PV
+    capacity with an effectively unconstrained battery finds the least PV;
+    bisection on battery energy at that PV finds the least storage.  A probe
+    counts as feasible only if no demand goes unserved and the battery ends
+    the period no lower than it started: the initial charge
     (``params.initial_soc_fraction``) bootstraps a dataset that begins at
     night, but panels, not the starting inventory, must carry the year.
     Reported battery power is the largest charge or discharge flow actually

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from firmdispatch import KIND_CAPACITY_FACTOR, KIND_DEMAND, TimeSeries, dump_series
+from firmdispatch import KIND_CAPACITY_FACTOR, KIND_DEMAND, TimeSeries, _kernels, dump_series
 from firmdispatch.cli import main
 from firmdispatch.config import ConfigError, RunConfig, parse_config, render_manifest
 
@@ -152,13 +152,73 @@ def test_cli_simulate_synthetic(tmp_path, capsys):
     assert header == "row,simulate,unit"
 
 
-def test_cli_simulate_trace(tmp_path):
+def test_cli_simulate_trace(tmp_path, monkeypatch):
+    passes = []
+    loop = _kernels.balance_loop
+    monkeypatch.setattr(_kernels, "balance_loop", lambda *args: passes.append(1) or loop(*args))
     conf = _write_conf(tmp_path, SMALL_SYNTH + "dispatch_gw: 30\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(conf), "--out", str(out), "--trace"]) == 0
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("step,")
     assert len(trace) == 1 + 48
+    # the report and the trace come from one balance pass
+    assert len(passes) == 1
+
+
+_SEARCH_FILES = ["report.csv", "trajectory.csv", "trace.csv", "run_manifest"]
+_FIXED_FILES = ["report.csv", "trace.csv", "run_manifest"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "extra", "files"),
+    [
+        (["simulate"], "dispatch_gw: 30\n", _FIXED_FILES),
+        (["optimize"], "", _SEARCH_FILES),
+        (["scenario", "base"], "", _SEARCH_FILES),
+        (["scenario", "low-storage"], "", _SEARCH_FILES),
+        (["scenario", "pv-only"], "", _FIXED_FILES),
+        (["scenario", "rigidity"], "", _FIXED_FILES),
+        (["scenario", "residual-baseload"], "baseload_gw: 6\n", _SEARCH_FILES),
+        (
+            ["scenario", "fuel-sensitivity"],
+            "fuel_prices_usd_per_gj: 20,10\n",
+            [
+                "report.csv",
+                "trajectory_fuel_20.csv",
+                "trace_fuel_20.csv",
+                "trajectory_fuel_10.csv",
+                "trace_fuel_10.csv",
+                "run_manifest",
+            ],
+        ),
+    ],
+)
+def test_cli_every_run_writes_its_files_in_order(tmp_path, capsys, argv, extra, files):
+    # half-charged storage lets the sun-only mix of pv-only and rigidity
+    # carry the first night
+    conf = _write_conf(tmp_path, SMALL_SYNTH + "initial_soc_fraction: 0.5\n" + extra)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(conf), "--out", str(out), "--trace"]) == 0
+    assert capsys.readouterr().out == f"wrote {', '.join(files)} to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["scenario", "pv-only"]])
+def test_cli_zero_demand_resolves_zero_steps(tmp_path, argv):
+    zeros = TimeSeries(np.zeros(24), 1.0, KIND_DEMAND)
+    cf = TimeSeries(np.full(24, 0.5), 1.0, KIND_CAPACITY_FACTOR)
+    (tmp_path / "d.csv").write_text(dump_series(zeros))
+    (tmp_path / "w.csv").write_text(dump_series(cf))
+    (tmp_path / "p.csv").write_text(dump_series(cf))
+    conf = _write_conf(
+        tmp_path, "demand_csv: d.csv\nwind_cf_csv: w.csv\npv_cf_csv: p.csv\nwind_gw: 5\n"
+    )
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(conf), "--out", str(out)]) == 0
+    manifest = (out / "run_manifest").read_text()
+    assert "wind_gw_max: 0.0" in manifest
+    assert "wind_gw_step: 0.0" in manifest
 
 
 def test_cli_simulate_needs_a_mix(tmp_path, capsys):

