@@ -109,7 +109,20 @@ def _resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
     return replace(config, **updates) if updates else config
 
 
-def _space_from(config: RunConfig) -> SearchSpace:
+def _space_from(config: RunConfig, data: AlignedDataset) -> SearchSpace:
+    # A zero peak resolves unset steps to 0; say so, not that a step is bad.
+    zero_steps = [axis for axis in PEAK_MULTIPLES if getattr(config, f"{axis}_step") == 0.0]
+    if zero_steps and demand_stats(data.demand).peak_gw <= 0.0:
+        keys = [
+            f"{axis}_{end}"
+            for axis in zero_steps
+            for end in ("max", "step")
+            if getattr(config, f"{axis}_{end}") == 0.0
+        ]
+        raise ConfigError(
+            "peak demand is 0 GW, so the search bounds cannot be scaled from it: "
+            "set " + ", ".join(keys) + " in the configuration"
+        )
     bounds = {
         axis: tuple(getattr(config, f"{axis}_{end}") for end in ("min", "max", "step"))
         for axis in PEAK_MULTIPLES
@@ -182,19 +195,19 @@ def _simulate(config, data, params, book, options) -> _Outcome:
 
 
 def _optimize(config, data, params, book, options) -> _Outcome:
-    optim = optimize(_space_from(config), data, params, book, options)
+    optim = optimize(_space_from(config, data), data, params, book, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
     return _Outcome(report, [_searched(optim, data)])
 
 
 def _base(config, data, params, book, options) -> _Outcome:
-    report, optim = run_base(data, params, book, _space_from(config), options)
+    report, optim = run_base(data, params, book, _space_from(config, data), options)
     return _Outcome(report, [_searched(optim, data)])
 
 
 def _low_storage(config, data, params, book, options) -> _Outcome:
     report, delta, optim = run_low_storage(
-        data, params, book, _space_from(config), config.battery_price_usd_per_kwh, options
+        data, params, book, _space_from(config, data), config.battery_price_usd_per_kwh, options
     )
     return _Outcome(report, [_searched(optim, data)], low_storage_extra_rows(delta))
 
@@ -218,14 +231,20 @@ def _residual_baseload(config, data, params, book, options) -> _Outcome:
     if config.baseload_gw <= 0.0:
         raise ConfigError("residual-baseload needs baseload_gw > 0 in the configuration")
     report, optim = run_residual_baseload(
-        data, params, book, _space_from(config), config.baseload_gw, config.baseload_eaf, options
+        data,
+        params,
+        book,
+        _space_from(config, data),
+        config.baseload_gw,
+        config.baseload_eaf,
+        options,
     )
     return _Outcome(report, [_searched(optim, data)])
 
 
 def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
     runs = run_fuel_sensitivity(
-        data, params, book, _space_from(config), config.fuel_prices_usd_per_gj, options
+        data, params, book, _space_from(config, data), config.fuel_prices_usd_per_gj, options
     )
     return _Outcome(
         [report for _, report, _ in runs],

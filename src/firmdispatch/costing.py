@@ -147,17 +147,27 @@ def fuel_cost(dispatch_energy_twh: float, book: CostBook) -> float:
 def system_cost(mix: CapacityMix, result: DispatchResult, book: CostBook) -> SystemCost:
     """Assemble the annual cost of a mix from a simulation of it.
 
-    Energy served is demand minus unserved energy.  The capacity payment is
+    Energy served is demand minus unserved energy.
+    """
+    return cost_from_energy(mix, result.served_energy_twh, result.dispatch_energy_twh, book)
+
+
+def cost_from_energy(
+    mix: CapacityMix, served_twh: float, dispatch_energy_twh: float, book: CostBook
+) -> SystemCost:
+    """Assemble the annual cost of a mix from the energy it serves and dispatches.
+
+    The capacity payment is
     the annualized capital and fixed O&M of the dispatchable plant alone,
     expressed per kW-year and spread over every MWh served.
     """
-    served_mwh = (result.demand_energy_twh - result.unserved_energy_twh) * MWH_PER_TWH
+    served_mwh = served_twh * MWH_PER_TWH
     if served_mwh <= 0.0:
         raise ValueError(f"energy served must be positive, got {served_mwh!r} MWh")
 
     capital = annualized_capital(mix, book)
     om = fixed_om(mix, book)
-    fuel = fuel_cost(result.dispatch_energy_twh, book)
+    fuel = fuel_cost(dispatch_energy_twh, book)
     total = capital + om + fuel
 
     dispatch_kw_yr = (

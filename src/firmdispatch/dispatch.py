@@ -9,12 +9,23 @@ capacity, and anything left is unserved.  The loop itself lives in
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
+
+One rule lets a sized mix cost one pass: with
+``battery_charges_from_dispatch`` off, simulating a mix at its sized
+capacity reproduces the sizing pass's ledger exactly, since no step draws
+more than the peak and nothing else depends on the cap.  So
+``size_and_simulate`` summarizes the sizing ledger itself, and
+``sized_energies`` sizes many mixes in candidate-batched passes of
+``_kernels.size_dispatch_batch`` and takes their dispatch energy straight
+from those rows.  With the flag on, spare capacity can charge the battery,
+so each sized mix is simulated once more.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -185,8 +196,20 @@ class DispatchResult:
     final_soc_gwh: float
     trace: DispatchTrace | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def served_energy_twh(self) -> float:
+        return self.demand_energy_twh - self.unserved_energy_twh
+
 
 DEFAULT_PARAMS = SimParams()
+
+# Largest candidates x steps buffer of one batched sizing pass (1 MB of
+# float64): a year runs 14 candidates a pass, a week's whole grid one pass.
+SIZING_CHUNK_ELEMENTS = 1 << 17
+
+
+def _twh(values: NDArray[np.float64], dt: float) -> float:
+    return float(np.sum(values)) * (dt / 1000.0)
 
 
 def _run_balance(
@@ -243,13 +266,23 @@ def simulate(
     out, demand = _run_balance(
         mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch
     )
+    return _summarize(mix, data, out, demand, keep_trace)
+
+
+def _summarize(
+    mix: CapacityMix,
+    data: AlignedDataset,
+    out: NDArray[np.float64],
+    demand: NDArray[np.float64],
+    keep_trace: bool = False,
+) -> DispatchResult:
+    """Aggregate a filled ledger of ``mix`` into a ``DispatchResult``."""
     dt = data.dt_hours
     to_twh = dt / 1000.0
-
     wind_energy = mix.wind_gw * float(np.sum(data.wind_cf.values)) * to_twh
     pv_energy = mix.pv_gw * float(np.sum(data.pv_cf.values)) * to_twh
     dispatch_draw = out[_kernels.ROW_DISPATCH] + out[_kernels.ROW_CHARGE_FROM_DISPATCH]
-    dispatch_energy = float(np.sum(dispatch_draw)) * to_twh
+    dispatch_energy = _twh(dispatch_draw, dt)
     peak_dispatch = float(np.max(dispatch_draw))
     total_hours = data.total_hours
 
@@ -257,7 +290,7 @@ def simulate(
     if mix.dispatch_gw > 0.0:
         dispatch_cf = dispatch_energy / (mix.dispatch_gw * total_hours / 1000.0)
     renewable_gen = wind_energy + pv_energy
-    curtailed = float(np.sum(out[_kernels.ROW_CURTAILED])) * to_twh
+    curtailed = _twh(out[_kernels.ROW_CURTAILED], dt)
     curtailed_fraction = curtailed / renewable_gen if renewable_gen > 0.0 else 0.0
 
     trace = DispatchTrace(demand, out, dt) if keep_trace else None
@@ -265,12 +298,12 @@ def simulate(
         wind_energy_twh=wind_energy,
         pv_energy_twh=pv_energy,
         renewable_gen_twh=renewable_gen,
-        baseload_energy_twh=float(np.sum(out[_kernels.ROW_BASELOAD])) * to_twh,
-        battery_discharge_twh=float(np.sum(out[_kernels.ROW_DISCHARGE])) * to_twh,
+        baseload_energy_twh=_twh(out[_kernels.ROW_BASELOAD], dt),
+        battery_discharge_twh=_twh(out[_kernels.ROW_DISCHARGE], dt),
         dispatch_energy_twh=dispatch_energy,
-        unserved_energy_twh=float(np.sum(out[_kernels.ROW_UNSERVED])) * to_twh,
+        unserved_energy_twh=_twh(out[_kernels.ROW_UNSERVED], dt),
         curtailed_twh=curtailed,
-        demand_energy_twh=float(np.sum(demand)) * to_twh,
+        demand_energy_twh=_twh(demand, dt),
         peak_dispatch_gw=peak_dispatch,
         dispatch_cf=dispatch_cf,
         wind_cf=float(np.sum(data.wind_cf.values)) * dt / total_hours,
@@ -297,6 +330,70 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     """
     out, _ = _run_balance(mix, data, params, np.inf, False)
     return float(np.max(out[_kernels.ROW_DISPATCH]))
+
+
+def size_and_simulate(
+    mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
+) -> tuple[CapacityMix, DispatchResult]:
+    """The mix with ``dispatch_gw`` from ``size_dispatch``, and its simulation.
+
+    Equal to ``size_dispatch`` followed by ``simulate`` of the sized mix, in
+    one balance pass with ``battery_charges_from_dispatch`` off and two with
+    it on.
+    """
+    out, demand = _run_balance(mix, data, params, np.inf, False)
+    sized = replace(mix, dispatch_gw=float(np.max(out[_kernels.ROW_DISPATCH])))
+    if params.battery_charges_from_dispatch:
+        return sized, simulate(sized, data, params)
+    return sized, _summarize(sized, data, out, demand)
+
+
+def sized_energies(
+    mixes: Sequence[CapacityMix], data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
+) -> Iterator[tuple[CapacityMix, float, float]]:
+    """Size many mixes; yield each sized mix with its served and dispatch energy.
+
+    Yields, in order, ``(sized mix, served TWh, dispatch TWh)``, equal bit
+    for bit to ``size_and_simulate``'s mix and its result's
+    ``served_energy_twh`` and ``dispatch_energy_twh``.  The mixes must share
+    one baseload.  They are sized in chunks of at most
+    ``SIZING_CHUNK_ELEMENTS`` candidate steps (at least one candidate).
+    """
+    baseloads = {m.baseload_gw * m.baseload_eaf for m in mixes}
+    if len(baseloads) != 1:
+        raise ValueError(f"batched sizing needs one baseload output, got {sorted(baseloads)}")
+    (baseload_out,) = baseloads
+    demand = data.demand.values
+    dt = data.dt_hours
+    served = _twh(demand, dt)
+    n = demand.shape[0]
+    chunk = max(1, SIZING_CHUNK_ELEMENTS // n)
+    buffer = np.empty((min(chunk, len(mixes)), n), dtype=np.float64)
+    for start in range(0, len(mixes), chunk):
+        batch = mixes[start : start + chunk]
+        energy_cap = np.array([m.battery_energy_gwh for m in batch])
+        rows = buffer[: len(batch)]
+        _kernels.size_dispatch_batch(
+            demand,
+            data.wind_cf.values,
+            data.pv_cf.values,
+            dt,
+            baseload_out,
+            np.array([m.wind_gw for m in batch]),
+            np.array([m.pv_gw for m in batch]),
+            np.array([m.battery_power_gw for m in batch]),
+            energy_cap,
+            params.round_trip_efficiency,
+            params.initial_soc_fraction * energy_cap,
+            rows,
+        )
+        for mix, row in zip(batch, rows):
+            sized = replace(mix, dispatch_gw=float(np.max(row)))
+            if params.battery_charges_from_dispatch:
+                result = simulate(sized, data, params)
+                yield sized, result.served_energy_twh, result.dispatch_energy_twh
+            else:
+                yield sized, served, _twh(row, dt)
 
 
 def write_trace_csv(trace: DispatchTrace, path) -> None:

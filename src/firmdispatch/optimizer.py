@@ -9,17 +9,32 @@ first, then annualized capital, then total installed GW, then the
 capacities themselves.  Evaluations are pure and independent, safe to run
 concurrently; only incumbent selection synchronizes, by reduction over that
 fixed ordering.
+
+The coarse grid is sized in candidate-batched kernel passes
+(``dispatch.sized_energies``): with ``battery_charges_from_dispatch`` off a
+point costs a share of one batched pass and nothing more, with it on one
+further ``simulate`` of its sized mix.  Each refinement point is one
+``evaluate``, one balance pass with the flag off.  The search keeps only
+each point's sized mix and cost; the returned best ``Evaluation`` comes
+from one ``simulate`` of the winner.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .costing import CostBook, SystemCost, system_cost
-from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, size_dispatch
+from .costing import CostBook, SystemCost, cost_from_energy, system_cost
+from .dispatch import (
+    DEFAULT_PARAMS,
+    CapacityMix,
+    DispatchResult,
+    SimParams,
+    simulate,
+    size_and_simulate,
+    sized_energies,
+)
 from .profiles import AlignedDataset, DemandStats
 
 TRAJECTORY_COLUMNS = (
@@ -148,17 +163,16 @@ def evaluate(
     the sized value, and its simulation serves all demand by construction.
     """
     book = book if book is not None else CostBook()
-    sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
-    result = simulate(sized, data, params)
+    sized, result = size_and_simulate(candidate, data, params)
     return Evaluation(mix=sized, result=result, cost=system_cost(sized, result, book))
 
 
-def _rank_key(ev: Evaluation) -> tuple:
-    m = ev.mix
+def _rank_key(point: tuple[CapacityMix, SystemCost]) -> tuple:
+    m, cost = point
     total_gw = m.wind_gw + m.pv_gw + m.battery_power_gw + m.dispatch_gw
     return (
-        ev.cost.unit_cost_usd_per_mwh,
-        ev.cost.annualized_capital_usd,
+        cost.unit_cost_usd_per_mwh,
+        cost.annualized_capital_usd,
         total_gw,
         m.wind_gw,
         m.pv_gw,
@@ -175,6 +189,10 @@ def _hours_refine_step(ladder: tuple[float, ...], hours: float) -> float:
     return max(left, right) / 2.0
 
 
+def _cache_key(wind: float, pv: float, bp: float, bh: float) -> tuple[float, float, float, float]:
+    return (round(wind, 9), round(pv, 9), round(bp, 9), round(bh, 9))
+
+
 def optimize(
     space: SearchSpace,
     data: AlignedDataset,
@@ -184,23 +202,26 @@ def optimize(
 ) -> OptimResult:
     """Find the least-cost mix over the search space.
 
-    Phase one evaluates the full coarse grid.  Phase two sweeps the four
-    axes in fixed order, moving the incumbent to a strictly better neighbor
-    at the current step; after a sweep with no improvement all steps halve.
+    Phase one sizes and costs the full coarse grid in grid order, many
+    candidates to a kernel pass.  Phase two sweeps the four axes in fixed
+    order, moving the incumbent to a strictly better neighbor at the
+    current step; after a sweep with no improvement all steps halve.
     Refinement ends when every active axis is below its tolerance.  The
     result is deterministic, including the evaluation count.
     """
     book = book if book is not None else CostBook()
 
-    cache: dict[tuple[float, float, float, float], Evaluation] = {}
+    # Each point searched, by rounded coordinates, with its sized mix and cost.
+    cache: dict[tuple[float, float, float, float], tuple[CapacityMix, SystemCost]] = {}
     trajectory: list[tuple[CapacityMix, float]] = []
 
-    def eval_point(wind: float, pv: float, bp: float, bh: float) -> Evaluation:
-        key = (round(wind, 9), round(pv, 9), round(bp, 9), round(bh, 9))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        candidate = CapacityMix(
+    def record(key, mix: CapacityMix, cost: SystemCost) -> tuple[CapacityMix, SystemCost]:
+        point = cache[key] = (mix, cost)
+        trajectory.append((mix, cost.unit_cost_usd_per_mwh))
+        return point
+
+    def candidate(wind: float, pv: float, bp: float, bh: float) -> CapacityMix:
+        return CapacityMix(
             wind_gw=wind,
             pv_gw=pv,
             battery_power_gw=bp,
@@ -208,24 +229,32 @@ def optimize(
             baseload_gw=space.baseload_gw,
             baseload_eaf=space.baseload_eaf,
         )
-        ev = evaluate(candidate, data, params, book)
-        cache[key] = ev
-        trajectory.append((ev.mix, ev.cost.unit_cost_usd_per_mwh))
-        return ev
 
-    wind_axis = grid_axis(*space.wind_gw)
-    pv_axis = grid_axis(*space.pv_gw)
-    bp_axis = grid_axis(*space.battery_power_gw)
-
-    best: Evaluation | None = None
-    for wind in wind_axis:
-        for pv in pv_axis:
-            for bp in bp_axis:
-                for bh in space.battery_hours:
-                    ev = eval_point(wind, pv, bp, bh)
-                    if best is None or _rank_key(ev) < _rank_key(best):
-                        best = ev
+    # A point whose coordinates round to an earlier one's is that point again.
+    grid: dict[tuple[float, float, float, float], CapacityMix] = {}
+    for coords in itertools.product(
+        grid_axis(*space.wind_gw),
+        grid_axis(*space.pv_gw),
+        grid_axis(*space.battery_power_gw),
+        space.battery_hours,
+    ):
+        grid.setdefault(_cache_key(*coords), candidate(*coords))
+    best: tuple[CapacityMix, SystemCost] | None = None
+    for key, (sized, served, energy) in zip(
+        grid, sized_energies(list(grid.values()), data, params)
+    ):
+        point = record(key, sized, cost_from_energy(sized, served, energy, book))
+        if best is None or _rank_key(point) < _rank_key(best):
+            best = point
     assert best is not None
+
+    def eval_point(wind: float, pv: float, bp: float, bh: float) -> tuple[CapacityMix, SystemCost]:
+        key = _cache_key(wind, pv, bp, bh)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        ev = evaluate(candidate(wind, pv, bp, bh), data, params, book)
+        return record(key, ev.mix, ev.cost)
 
     bounds = {
         "wind_gw": (space.wind_gw[0], space.wind_gw[1]),
@@ -237,7 +266,7 @@ def optimize(
         "wind_gw": space.wind_gw[2] / 2.0,
         "pv_gw": space.pv_gw[2] / 2.0,
         "battery_power_gw": space.battery_power_gw[2] / 2.0,
-        "battery_hours": _hours_refine_step(space.battery_hours, best.mix.battery_hours),
+        "battery_hours": _hours_refine_step(space.battery_hours, best[0].battery_hours),
     }
     tols = {
         "wind_gw": options.refine_tolerance_gw,
@@ -259,28 +288,30 @@ def optimize(
         for axis in axes:
             if axis not in active:
                 continue
-            center = getattr(best.mix, axis)
+            center = getattr(best[0], axis)
             lo, hi = bounds[axis]
             for candidate_value in (center - steps[axis], center + steps[axis]):
                 value = min(max(candidate_value, lo), hi)
                 if abs(value - center) < 1e-12:
                     continue
-                coords = {a: getattr(best.mix, a) for a in axes}
+                coords = {a: getattr(best[0], a) for a in axes}
                 coords[axis] = value
-                ev = eval_point(
+                point = eval_point(
                     coords["wind_gw"],
                     coords["pv_gw"],
                     coords["battery_power_gw"],
                     coords["battery_hours"],
                 )
-                if _rank_key(ev) < _rank_key(best):
-                    best = ev
+                if _rank_key(point) < _rank_key(best):
+                    best = point
                     improved = True
         if not improved:
             for axis in axes:
                 steps[axis] /= 2.0
 
-    return OptimResult(best=best, evaluations=len(cache), trajectory=trajectory)
+    best_mix, best_cost = best
+    winner = Evaluation(mix=best_mix, result=simulate(best_mix, data, params), cost=best_cost)
+    return OptimResult(best=winner, evaluations=len(cache), trajectory=trajectory)
 
 
 def write_trajectory_csv(result: OptimResult, path) -> None:

@@ -204,21 +204,35 @@ def test_cli_every_run_writes_its_files_in_order(tmp_path, capsys, argv, extra, 
     assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
-@pytest.mark.parametrize("argv", [["simulate"], ["scenario", "pv-only"]])
-def test_cli_zero_demand_resolves_zero_steps(tmp_path, argv):
+def _zero_demand_conf(tmp_path, extra=""):
     zeros = TimeSeries(np.zeros(24), 1.0, KIND_DEMAND)
     cf = TimeSeries(np.full(24, 0.5), 1.0, KIND_CAPACITY_FACTOR)
     (tmp_path / "d.csv").write_text(dump_series(zeros))
     (tmp_path / "w.csv").write_text(dump_series(cf))
     (tmp_path / "p.csv").write_text(dump_series(cf))
-    conf = _write_conf(
-        tmp_path, "demand_csv: d.csv\nwind_cf_csv: w.csv\npv_cf_csv: p.csv\nwind_gw: 5\n"
+    return _write_conf(
+        tmp_path, "demand_csv: d.csv\nwind_cf_csv: w.csv\npv_cf_csv: p.csv\nwind_gw: 5\n" + extra
     )
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["scenario", "pv-only"]])
+def test_cli_zero_demand_resolves_zero_steps(tmp_path, argv):
+    conf = _zero_demand_conf(tmp_path)
     out = tmp_path / "out"
     assert main(argv + ["--config", str(conf), "--out", str(out)]) == 0
     manifest = (out / "run_manifest").read_text()
     assert "wind_gw_max: 0.0" in manifest
     assert "wind_gw_step: 0.0" in manifest
+
+
+@pytest.mark.parametrize("argv", [["optimize"], ["scenario", "fuel-sensitivity"]])
+def test_cli_zero_demand_search_names_the_keys_to_set(tmp_path, capsys, argv):
+    conf = _zero_demand_conf(tmp_path, "pv_gw_step: 5\nbattery_power_gw_max: 4\n")
+    assert main(argv + ["--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: peak demand is 0 GW, so the search bounds cannot be scaled "
+        "from it: set wind_gw_max, wind_gw_step, battery_power_gw_step in the configuration\n"
+    )
 
 
 def test_cli_simulate_needs_a_mix(tmp_path, capsys):

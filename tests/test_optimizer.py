@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,19 +16,25 @@ from firmdispatch import (
     DemandStats,
     OptimizeOptions,
     SearchSpace,
+    SimParams,
     TimeSeries,
+    _kernels,
     crf,
     default_space,
     demand_stats,
+    dispatch,
     evaluate,
     grid_axis,
+    load_series,
     optimize,
     simulate,
+    size_dispatch,
     synthesize_dataset,
+    system_cost,
     write_trajectory_csv,
 )
 
-from conftest import random_dataset
+from conftest import FIXTURES, random_dataset
 
 
 def _flat_dataset(demand_gw, wind_cf, pv_cf, n=168):
@@ -240,3 +247,101 @@ def test_dispatch_is_sized_endogenously():
     result = optimize(space, data)
     assert result.best.result.unserved_energy_twh == 0.0
     assert result.best.mix.dispatch_gw <= stats.peak_gw
+
+
+def _week_fixture():
+    return AlignedDataset(
+        demand=load_series(FIXTURES / "demand.csv", KIND_DEMAND),
+        wind_cf=load_series(FIXTURES / "wind_cf.csv", KIND_CAPACITY_FACTOR),
+        pv_cf=load_series(FIXTURES / "pv_cf.csv", KIND_CAPACITY_FACTOR),
+    )
+
+
+@pytest.mark.parametrize(
+    "charge_from_dispatch, baseload_gw", [(False, 0.0), (True, 0.0), (False, 4.0), (True, 4.0)]
+)
+def test_batched_coarse_scan_matches_evaluate_point_by_point(
+    monkeypatch, charge_from_dispatch, baseload_gw
+):
+    data = _week_fixture()
+    n_steps = data.demand.values.shape[0]
+    # seven candidates a chunk: the 225-point grid runs 32 full chunks and one of 1
+    monkeypatch.setattr(dispatch, "SIZING_CHUNK_ELEMENTS", 7 * n_steps + 3)
+    chunks = []
+    batch = _kernels.size_dispatch_batch
+    monkeypatch.setattr(
+        _kernels,
+        "size_dispatch_batch",
+        lambda *args: chunks.append(args[-1].shape[0]) or batch(*args),
+    )
+    space = SearchSpace(
+        wind_gw=(0.0, 40.0, 10.0),
+        pv_gw=(0.0, 28.0, 7.0),
+        battery_power_gw=(0.0, 20.0, 10.0),
+        battery_hours=(0.0, 2.0, 8.0),
+        baseload_gw=baseload_gw,
+        baseload_eaf=0.8,
+    )
+    params = SimParams(
+        initial_soc_fraction=0.4, battery_charges_from_dispatch=charge_from_dispatch
+    )
+    options = OptimizeOptions(refine_tolerance_gw=2.5, refine_tolerance_hours=1.0)
+    result = optimize(space, data, params, options=options)
+    assert chunks == [7] * 32 + [1]
+
+    def reference(mix):
+        return evaluate(replace(mix, dispatch_gw=0.0), data, params)
+
+    grid = [
+        CapacityMix(
+            wind_gw=w,
+            pv_gw=p,
+            battery_power_gw=bp,
+            battery_hours=bh,
+            baseload_gw=baseload_gw,
+            baseload_eaf=0.8,
+        )
+        for w, p, bp, bh in itertools.product(
+            grid_axis(*space.wind_gw),
+            grid_axis(*space.pv_gw),
+            grid_axis(*space.battery_power_gw),
+            space.battery_hours,
+        )
+    ]
+    expected = [(ev.mix, ev.cost.unit_cost_usd_per_mwh) for ev in map(reference, grid)]
+    assert len(result.trajectory) > len(grid)  # refinement ran too
+    assert repr(result.trajectory[: len(grid)]) == repr(expected)
+    best = reference(result.best.mix)
+    assert repr((result.best.mix, result.best.result, result.best.cost)) == repr(
+        (best.mix, best.result, best.cost)
+    )
+
+
+@pytest.mark.parametrize("charge_from_dispatch, passes", [(False, 1), (True, 2)])
+def test_evaluate_runs_one_pass_unless_dispatch_charges_the_battery(
+    monkeypatch, charge_from_dispatch, passes
+):
+    rng = np.random.default_rng(45)
+    data = random_dataset(rng, n_steps=96)
+    params = SimParams(
+        initial_soc_fraction=0.5, battery_charges_from_dispatch=charge_from_dispatch
+    )
+    candidate = CapacityMix(
+        wind_gw=8.0,
+        pv_gw=6.0,
+        battery_power_gw=3.0,
+        battery_hours=4.0,
+        baseload_gw=2.0,
+        baseload_eaf=0.7,
+    )
+    calls = []
+    loop = _kernels.balance_loop
+    monkeypatch.setattr(_kernels, "balance_loop", lambda *args: calls.append(1) or loop(*args))
+    ev = evaluate(candidate, data, params)
+    assert len(calls) == passes
+
+    sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
+    result = simulate(sized, data, params)
+    assert repr((ev.mix, ev.result, ev.cost)) == repr(
+        (sized, result, system_cost(sized, result, CostBook()))
+    )
