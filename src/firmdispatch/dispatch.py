@@ -365,7 +365,7 @@ def sized_energies(
     (baseload_out,) = baseloads
     demand = data.demand.values
     dt = data.dt_hours
-    served = _twh(demand, dt)
+    served = _twh(demand, dt)  # a sized mix leaves nothing unserved
     n = demand.shape[0]
     chunk = max(1, SIZING_CHUNK_ELEMENTS // n)
     buffer = np.empty((min(chunk, len(mixes)), n), dtype=np.float64)
