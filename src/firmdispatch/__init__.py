@@ -6,62 +6,22 @@ storage for demand to be met every hour of the year, and what does the
 least-cost combination look like.
 """
 
-from .config import ConfigError, RunConfig, parse_config, render_manifest
-from .costing import (
-    CostBook,
-    SystemCost,
-    annualized_capital,
-    crf,
-    fixed_om,
-    fuel_cost,
-    fuel_cost_per_mwh,
-    system_cost,
-)
-from .dispatch import (
-    TRACE_COLUMNS,
-    CapacityMix,
-    DispatchResult,
-    DispatchTrace,
-    SimParams,
-    simulate,
-    size_dispatch,
-    write_trace_csv,
-)
-from .optimizer import (
-    DEFAULT_BATTERY_HOURS,
-    TRAJECTORY_COLUMNS,
-    Evaluation,
-    OptimResult,
-    OptimizeOptions,
-    SearchSpace,
-    default_space,
-    evaluate,
-    grid_axis,
-    optimize,
-    write_trajectory_csv,
-)
+from .costing import CostBook, SystemCost
+from .dispatch import CapacityMix, DispatchResult, SimParams, simulate, size_dispatch
+from .optimizer import Evaluation, OptimizeOptions, OptimResult, SearchSpace, optimize
 from .profiles import (
-    CF_CLAMP_TOL,
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
     AlignedDataset,
-    DemandStats,
     TimeSeries,
     align,
-    demand_stats,
-    dump_series,
     load_series,
-    scale_demand,
-    synthesize_dataset,
 )
 from .scenarios import (
     InfeasibleError,
     LowStorageDelta,
     RigidityReport,
-    SCENARIO_NAMES,
     ScenarioReport,
-    build_report,
-    low_storage_extra_rows,
     run_base,
     run_fuel_sensitivity,
     run_low_storage,
@@ -69,21 +29,15 @@ from .scenarios import (
     run_residual_baseload,
     run_rigidity,
     write_report_csv,
-    write_rigidity_csv,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlignedDataset",
-    "CF_CLAMP_TOL",
     "CapacityMix",
-    "ConfigError",
     "CostBook",
-    "DEFAULT_BATTERY_HOURS",
-    "DemandStats",
     "DispatchResult",
-    "DispatchTrace",
     "Evaluation",
     "InfeasibleError",
     "KIND_CAPACITY_FACTOR",
@@ -92,45 +46,21 @@ __all__ = [
     "OptimResult",
     "OptimizeOptions",
     "RigidityReport",
-    "RunConfig",
-    "SCENARIO_NAMES",
     "ScenarioReport",
     "SearchSpace",
     "SimParams",
     "SystemCost",
-    "TRACE_COLUMNS",
-    "TRAJECTORY_COLUMNS",
     "TimeSeries",
     "align",
-    "annualized_capital",
-    "build_report",
-    "crf",
-    "default_space",
-    "demand_stats",
-    "dump_series",
-    "evaluate",
-    "fixed_om",
-    "fuel_cost",
-    "fuel_cost_per_mwh",
-    "grid_axis",
     "load_series",
-    "low_storage_extra_rows",
     "optimize",
-    "parse_config",
-    "render_manifest",
     "run_base",
     "run_fuel_sensitivity",
     "run_low_storage",
     "run_pv_only",
     "run_residual_baseload",
     "run_rigidity",
-    "scale_demand",
     "simulate",
     "size_dispatch",
-    "synthesize_dataset",
-    "system_cost",
     "write_report_csv",
-    "write_rigidity_csv",
-    "write_trace_csv",
-    "write_trajectory_csv",
 ]

@@ -1,37 +1,21 @@
 """Hot inner loops of the dispatch simulation.
 
 The battery state couples every step to the one before it, so a balance
-pass cannot be vectorized across time.  ``_balance_loop`` runs one mix
-step by step.  It is written once in nopython-compatible form and compiled
-with numba when numba imports; otherwise the same function runs as plain
-Python.  ``balance_loop_python`` stays importable as the reference the
-compiled loop and the batched kernel are tested against for bitwise
-equality.
+pass cannot be vectorized across time.  ``balance_loop`` runs one mix step
+by step as plain Python; the batched kernel below is tested against it
+for bitwise equality.
 
 Candidate mixes are coupled only through time, never to each other, so
 ``size_dispatch_batch`` runs the sizing pass of many mixes at once: it
-steps through time once and is vectorized across candidates with plain
-numpy, whether or not numba imports.
+steps through time once and is vectorized across candidates with numpy.
+Each numpy step has a fixed cost, so one candidate is sized faster by
+``balance_loop``; ``dispatch.sized_energies`` picks the kernel by the
+number of candidates in a chunk.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return decorator
 
 # Row indices of the step ledger filled by the balance loop.
 ROW_BASELOAD = 0
@@ -46,7 +30,7 @@ ROW_SOC = 8
 N_ROWS = 9
 
 
-def _balance_loop(
+def balance_loop(
     demand,
     ren_gen,
     dt,
@@ -163,7 +147,7 @@ def size_dispatch_batch(
     soc0,
     out,
 ):
-    """Run the sizing pass of ``_balance_loop`` for K candidates at once.
+    """Run the sizing pass of ``balance_loop`` for K candidates at once.
 
     The sizing pass has no dispatch cap and charges the battery from
     renewables only.  ``wind``, ``pv``, ``battery_power``,
@@ -215,17 +199,3 @@ def size_dispatch_batch(
         np.subtract(soc, tmp, out=soc)
         np.maximum(0.0, soc, out=soc)
         np.subtract(residual, discharge, out=gen)
-
-
-balance_loop_python = _balance_loop
-if HAS_NUMBA:
-    balance_loop_numba = njit(cache=True)(_balance_loop)
-else:  # pragma: no cover
-    balance_loop_numba = None
-
-balance_loop = balance_loop_numba if HAS_NUMBA else balance_loop_python
-
-
-def active_backend() -> str:
-    """Name of the loop implementation selected at import time."""
-    return "numba" if HAS_NUMBA else "numpy"

@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .config import ConfigError, RunConfig, parse_config, render_manifest
+from .config import ConfigError, RunConfig, parse_config, render_manifest, validate
 from .costing import CostBook
 from .dispatch import CapacityMix, DispatchTrace, SimParams, simulate, write_trace_csv
 from .optimizer import (
@@ -274,6 +274,7 @@ def _run(args: argparse.Namespace) -> int:
         if config.synthetic_hours is None:
             raise ConfigError("--seed applies only to synthetic datasets")
         config.seed = args.seed
+        validate(config)
     if args.out is not None:
         config.output_dir = os.path.abspath(args.out)
     else:

@@ -193,11 +193,16 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
             current = getattr(config, key)
             if current is not None and not os.path.isabs(current):
                 setattr(config, key, str(base / current))
-    _validate(config)
+    validate(config)
     return config
 
 
-def _validate(config: RunConfig) -> None:
+def validate(config: RunConfig) -> None:
+    """Raise ``ConfigError`` if the configuration breaks a rule.
+
+    ``parse_config`` runs it; run it again after changing a parsed
+    configuration.
+    """
     csv_keys = ("demand_csv", "wind_cf_csv", "pv_cf_csv")
     given = [k for k in csv_keys if getattr(config, k) is not None]
     if config.synthetic_hours is not None:
@@ -211,6 +216,10 @@ def _validate(config: RunConfig) -> None:
 
     if config.dt_hours not in (1.0, 0.5):
         raise ConfigError(f"dt_hours must be 1.0 or 0.5, got {config.dt_hours!r}")
+    if config.synthetic_hours is not None and config.dt_hours != 1.0:
+        raise ConfigError(
+            f"synthetic datasets are hourly, dt_hours must be 1.0, got {config.dt_hours!r}"
+        )
     if config.synthetic_hours is not None and config.synthetic_hours < 24:
         raise ConfigError(f"synthetic_hours must be at least 24, got {config.synthetic_hours}")
     if config.seed < 0:

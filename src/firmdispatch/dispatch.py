@@ -5,20 +5,22 @@ availability factor, wind and PV serve what remains, surplus renewables
 charge the battery (round-trip losses booked on the way in) and the rest is
 curtailed, deficits draw first on the battery and then on firm dispatchable
 capacity, and anything left is unserved.  The loop itself lives in
-``_kernels`` so it can run compiled.
+``_kernels``.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
+``sized_energies`` is how ``optimize`` and ``run_rigidity`` size mixes: it
+sizes a run of them and yields each sized mix with the energy it serves and
+dispatches.  A chunk of one mix takes one ``_kernels.balance_loop`` pass,
+a chunk of several one candidate-batched ``_kernels.size_dispatch_batch``
+pass; both give the same dispatch row bit for bit.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized
 capacity reproduces the sizing pass's ledger exactly, since no step draws
-more than the peak and nothing else depends on the cap.  So
-``size_and_simulate`` summarizes the sizing ledger itself, and
-``sized_energies`` sizes many mixes in candidate-batched passes of
-``_kernels.size_dispatch_batch`` and takes their dispatch energy straight
-from those rows.  With the flag on, spare capacity can charge the battery,
-so each sized mix is simulated once more.
+more than the peak and nothing else depends on the cap.  So the dispatch
+energy is taken straight from the sizing row.  With the flag on, spare
+capacity can charge the battery, so each sized mix is simulated once more.
 """
 
 from __future__ import annotations
@@ -266,17 +268,6 @@ def simulate(
     out, demand = _run_balance(
         mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch
     )
-    return _summarize(mix, data, out, demand, keep_trace)
-
-
-def _summarize(
-    mix: CapacityMix,
-    data: AlignedDataset,
-    out: NDArray[np.float64],
-    demand: NDArray[np.float64],
-    keep_trace: bool = False,
-) -> DispatchResult:
-    """Aggregate a filled ledger of ``mix`` into a ``DispatchResult``."""
     dt = data.dt_hours
     to_twh = dt / 1000.0
     wind_energy = mix.wind_gw * float(np.sum(data.wind_cf.values)) * to_twh
@@ -314,6 +305,14 @@ def _summarize(
     )
 
 
+def _uncapped_dispatch(
+    mix: CapacityMix, data: AlignedDataset, params: SimParams
+) -> NDArray[np.float64]:
+    """Dispatch row of one sizing pass: no cap, battery charged from renewables only."""
+    out, _ = _run_balance(mix, data, params, np.inf, False)
+    return out[_kernels.ROW_DISPATCH]
+
+
 def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> float:
     """Smallest dispatchable capacity in GW that serves all demand.
 
@@ -328,24 +327,7 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     bound but may exceed the minimum, since spare dispatch can pre-charge
     the battery ahead of the worst deficit.
     """
-    out, _ = _run_balance(mix, data, params, np.inf, False)
-    return float(np.max(out[_kernels.ROW_DISPATCH]))
-
-
-def size_and_simulate(
-    mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
-) -> tuple[CapacityMix, DispatchResult]:
-    """The mix with ``dispatch_gw`` from ``size_dispatch``, and its simulation.
-
-    Equal to ``size_dispatch`` followed by ``simulate`` of the sized mix, in
-    one balance pass with ``battery_charges_from_dispatch`` off and two with
-    it on.
-    """
-    out, demand = _run_balance(mix, data, params, np.inf, False)
-    sized = replace(mix, dispatch_gw=float(np.max(out[_kernels.ROW_DISPATCH])))
-    if params.battery_charges_from_dispatch:
-        return sized, simulate(sized, data, params)
-    return sized, _summarize(sized, data, out, demand)
+    return float(np.max(_uncapped_dispatch(mix, data, params)))
 
 
 def sized_energies(
@@ -354,10 +336,11 @@ def sized_energies(
     """Size many mixes; yield each sized mix with its served and dispatch energy.
 
     Yields, in order, ``(sized mix, served TWh, dispatch TWh)``, equal bit
-    for bit to ``size_and_simulate``'s mix and its result's
-    ``served_energy_twh`` and ``dispatch_energy_twh``.  The mixes must share
-    one baseload.  They are sized in chunks of at most
-    ``SIZING_CHUNK_ELEMENTS`` candidate steps (at least one candidate).
+    for bit to the mix with ``dispatch_gw`` from ``size_dispatch`` and the
+    ``served_energy_twh`` and ``dispatch_energy_twh`` of its ``simulate``.
+    The mixes must share one baseload.  They are sized in chunks of at most
+    ``SIZING_CHUNK_ELEMENTS`` candidate steps (at least one candidate); a
+    chunk of one runs the plain loop, a larger one the batched kernel.
     """
     baseloads = {m.baseload_gw * m.baseload_eaf for m in mixes}
     if len(baseloads) != 1:
@@ -371,22 +354,25 @@ def sized_energies(
     buffer = np.empty((min(chunk, len(mixes)), n), dtype=np.float64)
     for start in range(0, len(mixes), chunk):
         batch = mixes[start : start + chunk]
-        energy_cap = np.array([m.battery_energy_gwh for m in batch])
-        rows = buffer[: len(batch)]
-        _kernels.size_dispatch_batch(
-            demand,
-            data.wind_cf.values,
-            data.pv_cf.values,
-            dt,
-            baseload_out,
-            np.array([m.wind_gw for m in batch]),
-            np.array([m.pv_gw for m in batch]),
-            np.array([m.battery_power_gw for m in batch]),
-            energy_cap,
-            params.round_trip_efficiency,
-            params.initial_soc_fraction * energy_cap,
-            rows,
-        )
+        if len(batch) == 1:
+            rows = _uncapped_dispatch(batch[0], data, params)[np.newaxis]
+        else:
+            energy_cap = np.array([m.battery_energy_gwh for m in batch])
+            rows = buffer[: len(batch)]
+            _kernels.size_dispatch_batch(
+                demand,
+                data.wind_cf.values,
+                data.pv_cf.values,
+                dt,
+                baseload_out,
+                np.array([m.wind_gw for m in batch]),
+                np.array([m.pv_gw for m in batch]),
+                np.array([m.battery_power_gw for m in batch]),
+                energy_cap,
+                params.round_trip_efficiency,
+                params.initial_soc_fraction * energy_cap,
+                rows,
+            )
         for mix, row in zip(batch, rows):
             sized = replace(mix, dispatch_gw=float(np.max(row)))
             if params.battery_charges_from_dispatch:

@@ -10,20 +10,21 @@ capacities themselves.  Evaluations are pure and independent, safe to run
 concurrently; only incumbent selection synchronizes, by reduction over that
 fixed ordering.
 
-The coarse grid is sized in candidate-batched kernel passes
-(``dispatch.sized_energies``): with ``battery_charges_from_dispatch`` off a
-point costs a share of one batched pass and nothing more, with it on one
-further ``simulate`` of its sized mix.  Each refinement point is one
-``evaluate``, one balance pass with the flag off.  The search keeps only
-each point's sized mix and cost; the returned best ``Evaluation`` comes
-from one ``simulate`` of the winner.
+Every point, coarse or refined, is sized and costed the same way: through
+``dispatch.sized_energies`` and ``costing.cost_from_energy``.  The coarse
+grid goes in candidate-batched kernel passes and each refinement point in
+one plain balance pass; with ``battery_charges_from_dispatch`` on, each
+sized mix is simulated once more.  The search keeps only each point's
+sized mix and cost; the returned best ``Evaluation`` comes from one
+``simulate`` of the winner.  ``evaluate`` is the plain reference for one
+point: ``size_dispatch``, then ``simulate``, then ``system_cost``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .costing import CostBook, SystemCost, cost_from_energy, system_cost
 from .dispatch import (
@@ -32,7 +33,7 @@ from .dispatch import (
     DispatchResult,
     SimParams,
     simulate,
-    size_and_simulate,
+    size_dispatch,
     sized_energies,
 )
 from .profiles import AlignedDataset, DemandStats
@@ -161,9 +162,13 @@ def evaluate(
 
     The candidate's own ``dispatch_gw`` is ignored; the returned mix carries
     the sized value, and its simulation serves all demand by construction.
+    It makes two balance passes; ``optimize`` gets the same mix and cost
+    from ``sized_energies``, in one pass with ``battery_charges_from_dispatch``
+    off.
     """
     book = book if book is not None else CostBook()
-    sized, result = size_and_simulate(candidate, data, params)
+    sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
+    result = simulate(sized, data, params)
     return Evaluation(mix=sized, result=result, cost=system_cost(sized, result, book))
 
 
@@ -239,11 +244,15 @@ def optimize(
         space.battery_hours,
     ):
         grid.setdefault(_cache_key(*coords), candidate(*coords))
+
+    # Every point, coarse or refined, is sized and then costed from its energies.
+    def priced(mixes: list[CapacityMix]):
+        for sized, served, energy in sized_energies(mixes, data, params):
+            yield sized, cost_from_energy(sized, served, energy, book)
+
     best: tuple[CapacityMix, SystemCost] | None = None
-    for key, (sized, served, energy) in zip(
-        grid, sized_energies(list(grid.values()), data, params)
-    ):
-        point = record(key, sized, cost_from_energy(sized, served, energy, book))
+    for key, (sized, cost) in zip(grid, priced(list(grid.values()))):
+        point = record(key, sized, cost)
         if best is None or _rank_key(point) < _rank_key(best):
             best = point
     assert best is not None
@@ -253,8 +262,7 @@ def optimize(
         hit = cache.get(key)
         if hit is not None:
             return hit
-        ev = evaluate(candidate(wind, pv, bp, bh), data, params, book)
-        return record(key, ev.mix, ev.cost)
+        return record(key, *next(priced([candidate(wind, pv, bp, bh)])))
 
     bounds = {
         "wind_gw": (space.wind_gw[0], space.wind_gw[1]),

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .costing import CostBook
-from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, size_dispatch
+from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, sized_energies
 from .optimizer import (
     DEFAULT_OPTIONS,
     OptimResult,
@@ -371,9 +371,9 @@ def run_rigidity(
             break
         k += 1
 
-    required = size_dispatch(mix, scaled, params)
-    sized = replace(mix, dispatch_gw=required)
-    energy_gwh = simulate(sized, scaled, params).dispatch_energy_twh * 1000.0
+    ((sized, _, dispatch_twh),) = sized_energies([mix], scaled, params)
+    required = sized.dispatch_gw
+    energy_gwh = dispatch_twh * 1000.0
     scaled_stats = demand_stats(scaled.demand)
     return RigidityReport(
         annual_demand_twh=demand_stats(data.demand).annual_energy_twh,

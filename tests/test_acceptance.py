@@ -22,22 +22,18 @@ from firmdispatch import (
     SearchSpace,
     SimParams,
     TimeSeries,
-    build_report,
-    crf,
-    demand_stats,
-    evaluate,
-    fuel_cost_per_mwh,
-    grid_axis,
     load_series,
     optimize,
     run_pv_only,
     run_rigidity,
     simulate,
     size_dispatch,
-    synthesize_dataset,
-    system_cost,
 )
 from firmdispatch.cli import main
+from firmdispatch.costing import crf, fuel_cost_per_mwh, system_cost
+from firmdispatch.optimizer import evaluate, grid_axis
+from firmdispatch.profiles import demand_stats, synthesize_dataset
+from firmdispatch.scenarios import build_report
 
 from conftest import FIXTURES, random_dataset, random_mix, random_params
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from firmdispatch import KIND_CAPACITY_FACTOR, KIND_DEMAND, TimeSeries, _kernels, dump_series
+from firmdispatch import KIND_CAPACITY_FACTOR, KIND_DEMAND, TimeSeries, _kernels
 from firmdispatch.cli import main
 from firmdispatch.config import ConfigError, RunConfig, parse_config, render_manifest
+from firmdispatch.profiles import dump_series
 
 from conftest import FIXTURES
 
@@ -97,6 +98,13 @@ def test_parse_config_semantic_errors(line, match):
     base = "synthetic_hours: 48\n" if "synthetic_hours" not in line else ""
     with pytest.raises(ConfigError, match=match):
         parse_config(base + line + "\n")
+
+
+def test_parse_config_synthetic_dataset_is_hourly():
+    with pytest.raises(ConfigError, match="synthetic datasets are hourly, dt_hours must be 1.0"):
+        parse_config("synthetic_hours: 48\ndt_hours: 0.5\n")
+    config = parse_config("demand_csv: d.csv\nwind_cf_csv: w.csv\npv_cf_csv: p.csv\ndt_hours: 0.5\n")
+    assert config.dt_hours == 0.5
 
 
 def test_parse_config_resolves_relative_paths(tmp_path):
@@ -278,6 +286,22 @@ def test_cli_seed_changes_synthetic_data(tmp_path):
     assert main(["simulate", "--config", str(conf), "--out", str(out_b), "--seed", "6"]) == 0
     assert (out_a / "report.csv").read_bytes() != (out_b / "report.csv").read_bytes()
     assert "seed: 6" in (out_b / "run_manifest").read_text()
+
+
+def test_cli_negative_seed_is_a_configuration_error(tmp_path, capsys):
+    conf = _write_conf(tmp_path, SMALL_SYNTH + "dispatch_gw: 30\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "configuration error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_cli_synthetic_half_hour_step_is_a_configuration_error(tmp_path, capsys):
+    conf = _write_conf(tmp_path, SMALL_SYNTH + "dt_hours: 0.5\ndispatch_gw: 30\n")
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: synthetic datasets are hourly, dt_hours must be 1.0, got 0.5\n"
+    )
 
 
 def test_cli_seed_rejected_for_csv_datasets(tmp_path, capsys):

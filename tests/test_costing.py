@@ -3,18 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from firmdispatch import (
-    CapacityMix,
-    CostBook,
+from firmdispatch import CapacityMix, CostBook, simulate
+from firmdispatch.costing import (
     annualized_capital,
     crf,
     fixed_om,
     fuel_cost,
     fuel_cost_per_mwh,
-    scale_demand,
-    simulate,
     system_cost,
 )
+from firmdispatch.profiles import scale_demand
 
 from conftest import random_dataset, random_mix
 

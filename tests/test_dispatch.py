@@ -6,16 +6,16 @@ import pytest
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
-    TRACE_COLUMNS,
     AlignedDataset,
     CapacityMix,
     SimParams,
     TimeSeries,
-    scale_demand,
+    _kernels,
     simulate,
     size_dispatch,
-    write_trace_csv,
 )
+from firmdispatch.dispatch import TRACE_COLUMNS, sized_energies, write_trace_csv
+from firmdispatch.profiles import scale_demand
 
 from conftest import random_dataset, random_mix, random_params
 
@@ -289,6 +289,43 @@ def test_size_dispatch_trivial_bounds():
     covered = _dataset([1.0, 1.0], [0.5, 0.5], [0.0, 0.0])
     assert size_dispatch(CapacityMix(wind_gw=4.0), covered) == 0.0
     assert size_dispatch(generous, covered) == 0.0
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+def test_sized_energies_alone_matches_batched(monkeypatch, charge_from_dispatch):
+    batches = []
+    batch = _kernels.size_dispatch_batch
+    monkeypatch.setattr(
+        _kernels, "size_dispatch_batch", lambda *args: batches.append(1) or batch(*args)
+    )
+    rng = np.random.default_rng(61 + charge_from_dispatch)
+    for i in range(10):
+        data = random_dataset(rng, dt_hours=(1.0, 0.5)[i % 2])
+        params = SimParams(
+            round_trip_efficiency=float(rng.uniform(0.5, 1.0)),
+            initial_soc_fraction=float(rng.choice([0.0, rng.random()])),
+            battery_charges_from_dispatch=charge_from_dispatch,
+        )
+        baseload_gw = float(rng.choice([0.0, rng.uniform(0.0, 6.0)]))
+        mixes = [
+            CapacityMix(
+                wind_gw=float(rng.uniform(0.0, 30.0)),
+                pv_gw=float(rng.uniform(0.0, 30.0)),
+                # zero power, and zero-hour rungs with power
+                battery_power_gw=float(rng.choice([0.0, rng.uniform(0.0, 10.0)])),
+                battery_hours=float(rng.choice([0.0, 1.0, 4.0, 12.0])),
+                dispatch_gw=float(rng.uniform(0.0, 20.0)),  # ignored by sizing
+                baseload_gw=baseload_gw,
+                baseload_eaf=0.8,
+            )
+            for _ in range(int(rng.integers(2, 9)))
+        ]
+        batches.clear()
+        batched = list(sized_energies(mixes, data, params))
+        assert len(batches) == 1
+        alone = [next(sized_energies([mix], data, params)) for mix in mixes]
+        assert len(batches) == 1  # each mix alone took the plain loop
+        assert repr(alone) == repr(batched)
 
 
 def test_drought_window_forces_dispatch_floor():

@@ -3,16 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from firmdispatch._kernels import (
-    HAS_NUMBA,
-    N_ROWS,
-    ROW_DISPATCH,
-    ROW_SOC,
-    active_backend,
-    balance_loop_numba,
-    balance_loop_python,
-    size_dispatch_batch,
-)
+from firmdispatch._kernels import N_ROWS, ROW_DISPATCH, ROW_SOC, balance_loop, size_dispatch_batch
 
 
 def _random_call(rng):
@@ -36,26 +27,13 @@ def _random_call(rng):
     )
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_compiled_loop_matches_python_bitwise():
-    rng = np.random.default_rng(101)
-    for _ in range(60):
-        args = _random_call(rng)
-        n = args[0].shape[0]
-        out_py = np.empty((N_ROWS, n))
-        out_nb = np.empty((N_ROWS, n))
-        balance_loop_python(*args, out_py)
-        balance_loop_numba(*args, out_nb)
-        assert np.array_equal(out_py, out_nb), "backends diverged"
-
-
 def test_python_loop_soc_stays_bounded():
     rng = np.random.default_rng(55)
     for _ in range(30):
         args = _random_call(rng)
         n = args[0].shape[0]
         out = np.empty((N_ROWS, n))
-        balance_loop_python(*args, out)
+        balance_loop(*args, out)
         cap = args[5]
         assert np.all(out[ROW_SOC] >= 0.0)
         assert np.all(out[ROW_SOC] <= cap)
@@ -95,7 +73,7 @@ def test_batched_sizing_matches_python_loop_bitwise(k):
         )
         for j in range(k):
             ledger = np.empty((N_ROWS, n))
-            balance_loop_python(
+            balance_loop(
                 demand,
                 wind[j] * wind_cf + pv[j] * pv_cf,
                 dt,
@@ -113,6 +91,3 @@ def test_batched_sizing_matches_python_loop_bitwise(k):
             assert float(np.max(out[j])) == float(np.max(row))
             assert float(np.sum(out[j])) == float(np.sum(row))
 
-
-def test_active_backend_reports_a_known_name():
-    assert active_backend() in ("numba", "numpy")

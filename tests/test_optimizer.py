@@ -9,30 +9,28 @@ import pytest
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
-    TRAJECTORY_COLUMNS,
     AlignedDataset,
     CapacityMix,
     CostBook,
-    DemandStats,
     OptimizeOptions,
     SearchSpace,
     SimParams,
     TimeSeries,
     _kernels,
-    crf,
-    default_space,
-    demand_stats,
     dispatch,
-    evaluate,
-    grid_axis,
     load_series,
     optimize,
     simulate,
-    size_dispatch,
-    synthesize_dataset,
-    system_cost,
+)
+from firmdispatch.costing import crf
+from firmdispatch.optimizer import (
+    TRAJECTORY_COLUMNS,
+    default_space,
+    evaluate,
+    grid_axis,
     write_trajectory_csv,
 )
+from firmdispatch.profiles import DemandStats, demand_stats, synthesize_dataset
 
 from conftest import FIXTURES, random_dataset
 
@@ -267,13 +265,20 @@ def test_batched_coarse_scan_matches_evaluate_point_by_point(
     n_steps = data.demand.values.shape[0]
     # seven candidates a chunk: the 225-point grid runs 32 full chunks and one of 1
     monkeypatch.setattr(dispatch, "SIZING_CHUNK_ELEMENTS", 7 * n_steps + 3)
-    chunks = []
-    batch = _kernels.size_dispatch_batch
+    sizing = []  # ("batch", K) per batched chunk, ("loop", 1) per uncapped loop pass
+    batch, loop = _kernels.size_dispatch_batch, _kernels.balance_loop
     monkeypatch.setattr(
         _kernels,
         "size_dispatch_batch",
-        lambda *args: chunks.append(args[-1].shape[0]) or batch(*args),
+        lambda *args: sizing.append(("batch", args[-1].shape[0])) or batch(*args),
     )
+
+    def counted_loop(*args):
+        if args[8] == np.inf:  # no dispatch cap: a sizing pass
+            sizing.append(("loop", 1))
+        return loop(*args)
+
+    monkeypatch.setattr(_kernels, "balance_loop", counted_loop)
     space = SearchSpace(
         wind_gw=(0.0, 40.0, 10.0),
         pv_gw=(0.0, 28.0, 7.0),
@@ -287,7 +292,10 @@ def test_batched_coarse_scan_matches_evaluate_point_by_point(
     )
     options = OptimizeOptions(refine_tolerance_gw=2.5, refine_tolerance_hours=1.0)
     result = optimize(space, data, params, options=options)
-    assert chunks == [7] * 32 + [1]
+    # the ragged chunk of one, and then every refinement point, runs the plain loop
+    refined = result.evaluations - 225
+    assert refined > 0
+    assert sizing == [("batch", 7)] * 32 + [("loop", 1)] * (1 + refined)
 
     def reference(mix):
         return evaluate(replace(mix, dispatch_gw=0.0), data, params)
@@ -318,7 +326,7 @@ def test_batched_coarse_scan_matches_evaluate_point_by_point(
 
 
 @pytest.mark.parametrize("charge_from_dispatch, passes", [(False, 1), (True, 2)])
-def test_evaluate_runs_one_pass_unless_dispatch_charges_the_battery(
+def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     monkeypatch, charge_from_dispatch, passes
 ):
     rng = np.random.default_rng(45)
@@ -326,22 +334,22 @@ def test_evaluate_runs_one_pass_unless_dispatch_charges_the_battery(
     params = SimParams(
         initial_soc_fraction=0.5, battery_charges_from_dispatch=charge_from_dispatch
     )
-    candidate = CapacityMix(
-        wind_gw=8.0,
-        pv_gw=6.0,
-        battery_power_gw=3.0,
-        battery_hours=4.0,
+    space = SearchSpace(
+        wind_gw=(0.0, 16.0, 8.0),
+        pv_gw=(0.0, 12.0, 6.0),
+        battery_power_gw=(0.0, 6.0, 3.0),
+        battery_hours=(0.0, 4.0),
         baseload_gw=2.0,
         baseload_eaf=0.7,
     )
+    options = OptimizeOptions(refine_tolerance_gw=1.0, refine_tolerance_hours=1.0)
+    n_coarse = 3 * 3 * 3 * 2
     calls = []
     loop = _kernels.balance_loop
     monkeypatch.setattr(_kernels, "balance_loop", lambda *args: calls.append(1) or loop(*args))
-    ev = evaluate(candidate, data, params)
-    assert len(calls) == passes
-
-    sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
-    result = simulate(sized, data, params)
-    assert repr((ev.mix, ev.result, ev.cost)) == repr(
-        (sized, result, system_cost(sized, result, CostBook()))
-    )
+    result = optimize(space, data, params, options=options)
+    refined = result.evaluations - n_coarse
+    assert refined > 0
+    # the flag costs each coarse point one simulation; the winner is simulated once
+    coarse = n_coarse if charge_from_dispatch else 0
+    assert len(calls) == coarse + passes * refined + 1

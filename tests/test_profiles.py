@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from firmdispatch import (
-    CF_CLAMP_TOL,
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
     AlignedDataset,
     TimeSeries,
     align,
+    load_series,
+)
+from firmdispatch.profiles import (
+    CF_CLAMP_TOL,
     demand_stats,
     dump_series,
-    load_series,
     scale_demand,
     synthesize_dataset,
 )

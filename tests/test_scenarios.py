@@ -14,14 +14,9 @@ from firmdispatch import (
     CostBook,
     InfeasibleError,
     OptimizeOptions,
-    SCENARIO_NAMES,
     SearchSpace,
     SimParams,
     TimeSeries,
-    build_report,
-    demand_stats,
-    evaluate,
-    low_storage_extra_rows,
     run_base,
     run_fuel_sensitivity,
     run_low_storage,
@@ -29,8 +24,14 @@ from firmdispatch import (
     run_residual_baseload,
     run_rigidity,
     simulate,
-    synthesize_dataset,
     write_report_csv,
+)
+from firmdispatch.optimizer import evaluate
+from firmdispatch.profiles import demand_stats, synthesize_dataset
+from firmdispatch.scenarios import (
+    SCENARIO_NAMES,
+    build_report,
+    low_storage_extra_rows,
     write_rigidity_csv,
 )
 

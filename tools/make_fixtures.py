@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from firmdispatch import dump_series, synthesize_dataset
+from firmdispatch.profiles import dump_series, synthesize_dataset
 
 FIXTURE_SEED = 7
 FIXTURE_HOURS = 168
