@@ -2,15 +2,18 @@
 
 The battery state couples every step to the one before it, so a balance
 pass cannot be vectorized across time.  ``balance_loop`` runs one mix step
-by step as plain Python; the batched kernel below is tested against it
-for bitwise equality.
+by step as plain Python on Python floats, about three times faster than
+stepping on numpy scalars and bit for bit the same.  The batched kernel
+below is tested against it for bitwise equality.
 
 Candidate mixes are coupled only through time, never to each other, so
 ``size_dispatch_batch`` runs the sizing pass of many mixes at once: it
 steps through time once and is vectorized across candidates with numpy.
 Each numpy step has a fixed cost, so one candidate is sized faster by
-``balance_loop``; ``dispatch.sized_energies`` picks the kernel by the
-number of candidates in a chunk.
+``balance_loop`` (on a synthetic hourly year, 2-vCPU VM: about 0.009 s
+in the loop, 0.24 s in a batched pass of one, 0.16 s in a batched pass
+of 14); ``dispatch.sized_energies`` picks the kernel by the number of
+candidates in a chunk.
 """
 
 from __future__ import annotations
@@ -48,20 +51,40 @@ def balance_loop(
     Per step: baseload first, then renewables, surplus renewables charge the
     battery (losses applied on the way in), remaining surplus is curtailed,
     deficits draw the battery and then dispatchable capacity, and whatever
-    is left goes unserved.  ``out`` must be a float64 array of shape
+    is left goes unserved.  ``demand`` and ``ren_gen`` must be float64
+    vectors of one length, and ``out`` a float64 array of shape
     (N_ROWS, n_steps).  All power values are GW, state of charge is GWh.
-    """
-    n = demand.shape[0]
-    soc = soc0
-    for t in range(n):
-        d = demand[t]
 
+    Inputs are read and rows written through memoryviews, so the steps
+    run on Python floats: indexing a numpy array yields numpy scalars,
+    whose arithmetic costs several times more, and a 2-D store per row and
+    step costs more again.  The float operations and their order are those
+    of element-indexed numpy code, so the ledger is the same bit for bit.
+    """
+    dt = float(dt)
+    baseload_out = float(baseload_out)
+    battery_power = float(battery_power)
+    battery_energy_cap = float(battery_energy_cap)
+    efficiency = float(efficiency)
+    dispatch_cap = float(dispatch_cap)
+    charge_from_dispatch = bool(charge_from_dispatch)
+    base_row = memoryview(out[ROW_BASELOAD])
+    to_demand_row = memoryview(out[ROW_REN_TO_DEMAND])
+    charge_row = memoryview(out[ROW_CHARGE_FROM_REN])
+    charge_extra_row = memoryview(out[ROW_CHARGE_FROM_DISPATCH])
+    discharge_row = memoryview(out[ROW_DISCHARGE])
+    curtailed_row = memoryview(out[ROW_CURTAILED])
+    dispatch_row = memoryview(out[ROW_DISPATCH])
+    unserved_row = memoryview(out[ROW_UNSERVED])
+    soc_row = memoryview(out[ROW_SOC])
+
+    soc = float(soc0)
+    for t, (d, gen) in enumerate(zip(memoryview(demand), memoryview(ren_gen), strict=True)):
         base = baseload_out
         if base > d:
             base = d
         residual = d - base
 
-        gen = ren_gen[t]
         to_demand = gen
         if to_demand > residual:
             to_demand = residual
@@ -122,15 +145,15 @@ def balance_loop(
                 if soc > battery_energy_cap:
                     soc = battery_energy_cap
 
-        out[ROW_BASELOAD, t] = base
-        out[ROW_REN_TO_DEMAND, t] = to_demand
-        out[ROW_CHARGE_FROM_REN, t] = charge
-        out[ROW_CHARGE_FROM_DISPATCH, t] = charge_extra
-        out[ROW_DISCHARGE, t] = discharge
-        out[ROW_CURTAILED, t] = curtailed
-        out[ROW_DISPATCH, t] = dispatched
-        out[ROW_UNSERVED, t] = residual
-        out[ROW_SOC, t] = soc
+        base_row[t] = base
+        to_demand_row[t] = to_demand
+        charge_row[t] = charge
+        charge_extra_row[t] = charge_extra
+        discharge_row[t] = discharge
+        curtailed_row[t] = curtailed
+        dispatch_row[t] = dispatched
+        unserved_row[t] = residual
+        soc_row[t] = soc
 
 
 def size_dispatch_batch(

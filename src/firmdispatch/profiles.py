@@ -145,8 +145,9 @@ def load_series(
 ) -> TimeSeries:
     """Read one series from CSV.
 
-    The CSV must have a header row including a ``value`` column.  A
-    ``timestamp`` column, if present, is carried as opaque text and ignored.
+    The CSV must have a header row including exactly one ``value`` column;
+    spaces around header names are ignored.  A ``timestamp`` column, if
+    present, is carried as opaque text and ignored.
     Capacity factors within ``CF_CLAMP_TOL`` of the [0, 1] bounds are clamped
     to the bound; demand gets no such tolerance.
 
@@ -169,8 +170,8 @@ def load_series(
     Raises
     ------
     ValueError
-        On malformed CSV, a missing ``value`` column, empty input, non-finite
-        or out-of-range values.
+        On malformed CSV, a missing or repeated ``value`` column, empty
+        input, non-finite or out-of-range values.
     """
     if isinstance(source, bytes):
         raw = source
@@ -190,10 +191,14 @@ def load_series(
     fields = [f.strip() for f in reader.fieldnames]
     if "value" not in fields:
         raise ValueError(f"{name}: no 'value' column in header {reader.fieldnames!r}")
+    if fields.count("value") > 1:
+        raise ValueError(f"{name}: more than one 'value' column in header {reader.fieldnames!r}")
+    # rows are keyed by the header's own spelling, spaces included
+    value_key = reader.fieldnames[fields.index("value")]
 
     values: list[float] = []
     for row_no, row in enumerate(reader, start=2):
-        cell = row.get("value")
+        cell = row.get(value_key)
         if cell is None or cell.strip() == "":
             raise ValueError(f"{name}: missing value on line {row_no}")
         try:

@@ -14,7 +14,8 @@ from firmdispatch import (
     simulate,
     size_dispatch,
 )
-from firmdispatch.dispatch import TRACE_COLUMNS, sized_energies, write_trace_csv
+from firmdispatch import dispatch
+from firmdispatch.dispatch import TRACE_COLUMNS, DispatchTrace, sized_energies, write_trace_csv
 from firmdispatch.profiles import scale_demand
 
 from conftest import random_dataset, random_mix, random_params
@@ -436,6 +437,29 @@ def test_trace_sequence_interface_and_csv(tmp_path):
     assert float(cells[1]) == trace.demand_gw[4]
     assert float(cells[7]) == trace.dispatch_gw[4]
     assert float(cells[9]) == trace.soc_gwh[4]
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 1024])
+def test_write_trace_csv_matches_per_cell_repr(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(dispatch, "TRACE_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(32)
+    n = 10
+    # -0.0, subnormals, huge magnitudes and values that need 17 digits
+    specials = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300]
+    specials += [0.1 + 0.2, 1.0 / 3.0, 12345.678901234567, 9.999999999999998]
+    ledger = rng.permutation(np.array(specials * _kernels.N_ROWS)).reshape(_kernels.N_ROWS, n)
+    demand = rng.permutation(np.array(specials))
+    trace = DispatchTrace(demand, ledger, 1.0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
+    expected = [",".join(TRACE_COLUMNS)]
+    for i in range(n):
+        expected.append(",".join([str(i)] + [repr(float(col[i])) for col in columns]))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    cells = {cell for line in expected[1:] for cell in line.split(",")}
+    assert {"-0.0", "5e-324", "1e+300", "0.30000000000000004"} <= cells
 
 
 def test_simulate_without_trace_by_default():

@@ -3,7 +3,114 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from firmdispatch._kernels import N_ROWS, ROW_DISPATCH, ROW_SOC, balance_loop, size_dispatch_batch
+from firmdispatch._kernels import (
+    N_ROWS,
+    ROW_BASELOAD,
+    ROW_CHARGE_FROM_DISPATCH,
+    ROW_CHARGE_FROM_REN,
+    ROW_CURTAILED,
+    ROW_DISCHARGE,
+    ROW_DISPATCH,
+    ROW_REN_TO_DEMAND,
+    ROW_SOC,
+    ROW_UNSERVED,
+    balance_loop,
+    size_dispatch_batch,
+)
+
+
+def reference_loop(
+    demand,
+    ren_gen,
+    dt,
+    baseload_out,
+    battery_power,
+    battery_energy_cap,
+    efficiency,
+    soc0,
+    dispatch_cap,
+    charge_from_dispatch,
+    out,
+):
+    """Frozen element-indexed balance loop: the oracle ``balance_loop`` must match bit for bit."""
+    n = demand.shape[0]
+    soc = soc0
+    for t in range(n):
+        d = demand[t]
+
+        base = baseload_out
+        if base > d:
+            base = d
+        residual = d - base
+
+        gen = ren_gen[t]
+        to_demand = gen
+        if to_demand > residual:
+            to_demand = residual
+        residual -= to_demand
+        surplus = gen - to_demand
+
+        charge = 0.0
+        if surplus > 0.0 and battery_power > 0.0:
+            charge = surplus
+            if charge > battery_power:
+                charge = battery_power
+            headroom = (battery_energy_cap - soc) / (efficiency * dt)
+            if charge > headroom:
+                charge = headroom
+            if charge < 0.0:
+                charge = 0.0
+            soc += efficiency * charge * dt
+            if soc > battery_energy_cap:
+                soc = battery_energy_cap
+        curtailed = surplus - charge
+
+        discharge = 0.0
+        if residual > 0.0 and battery_power > 0.0:
+            discharge = residual
+            if discharge > battery_power:
+                discharge = battery_power
+            available = soc / dt
+            if discharge > available:
+                discharge = available
+            if discharge < 0.0:
+                discharge = 0.0
+            soc -= discharge * dt
+            if soc < 0.0:
+                soc = 0.0
+            residual -= discharge
+
+        dispatched = residual
+        if dispatched > dispatch_cap:
+            dispatched = dispatch_cap
+        residual -= dispatched
+
+        charge_extra = 0.0
+        if charge_from_dispatch and discharge == 0.0:
+            spare = dispatch_cap - dispatched
+            power_left = battery_power - charge
+            if spare > 0.0 and power_left > 0.0:
+                charge_extra = spare
+                if charge_extra > power_left:
+                    charge_extra = power_left
+                headroom = (battery_energy_cap - soc) / (efficiency * dt)
+                if charge_extra > headroom:
+                    charge_extra = headroom
+                if charge_extra < 0.0:
+                    charge_extra = 0.0
+                soc += efficiency * charge_extra * dt
+                if soc > battery_energy_cap:
+                    soc = battery_energy_cap
+
+        out[ROW_BASELOAD, t] = base
+        out[ROW_REN_TO_DEMAND, t] = to_demand
+        out[ROW_CHARGE_FROM_REN, t] = charge
+        out[ROW_CHARGE_FROM_DISPATCH, t] = charge_extra
+        out[ROW_DISCHARGE, t] = discharge
+        out[ROW_CURTAILED, t] = curtailed
+        out[ROW_DISPATCH, t] = dispatched
+        out[ROW_UNSERVED, t] = residual
+        out[ROW_SOC, t] = soc
 
 
 def _random_call(rng):
@@ -37,6 +144,52 @@ def test_python_loop_soc_stays_bounded():
         cap = args[5]
         assert np.all(out[ROW_SOC] >= 0.0)
         assert np.all(out[ROW_SOC] <= cap)
+
+
+def _oracle_case(rng, n, dt, cap, charge_from_dispatch, scalar, strided):
+    """Inputs of one randomized ``balance_loop`` call, varied as the oracle test needs."""
+    # a fifth of demand equals the baseload and 30 % of steps have no
+    # renewables, so ties and zero flows reach every clamp
+    stride = 3 if strided else 1
+    demand = (20.0 * rng.random(n * stride))[::stride]
+    ren = 25.0 * rng.random(n) * (rng.random(n) < 0.7)
+    baseload_out = float(rng.choice([0.0, rng.uniform(0.0, 6.0)]))
+    demand[rng.random(n) < 0.2] = baseload_out
+    battery_power = float(rng.choice([0.0, rng.uniform(0.0, 8.0)]))
+    battery_energy = battery_power * float(rng.choice([0.0, 1.0, 4.0, 12.0]))
+    soc0 = battery_energy * float(rng.choice([0.0, 1.0, rng.random()]))
+    efficiency = float(rng.uniform(0.5, 1.0))
+    params = [dt, baseload_out, battery_power, battery_energy, efficiency, soc0, cap]
+    if scalar:
+        params = [np.float64(p) for p in params]
+    return (demand, ren, *params, charge_from_dispatch)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("scalar", [False, True])
+def test_balance_loop_matches_element_indexed_loop_bitwise(scalar, strided):
+    rng = np.random.default_rng(900 + 2 * scalar + strided)
+    for dt in (1.0, 0.5):
+        for cap in (0.0, 3.0, 8.0, np.inf):
+            for charge_from_dispatch in (False, True):
+                for n in (1, 2, int(rng.integers(8, 300))):
+                    for _ in range(3):
+                        args = _oracle_case(rng, n, dt, cap, charge_from_dispatch, scalar, strided)
+                        assert args[0].strides == ((24,) if strided else (8,))
+                        inputs = [a.copy() for a in args[:2]]
+                        got = np.full((N_ROWS, n), 7.0)
+                        want = np.full((N_ROWS, n), -7.0)
+                        balance_loop(*args, got)
+                        reference_loop(*args, want)
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64)), args
+                        for before, after in zip(inputs, args[:2]):
+                            assert np.array_equal(before.view(np.int64), after.view(np.int64))
+
+
+def test_balance_loop_rejects_series_of_unequal_length():
+    out = np.empty((N_ROWS, 4))
+    with pytest.raises(ValueError):
+        balance_loop(np.ones(4), np.ones(3), 1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False, out)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 15])

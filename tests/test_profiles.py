@@ -93,6 +93,21 @@ def test_load_series_reads_value_column_and_ignores_timestamp():
     assert ts.label == "sa"
 
 
+def test_load_series_reads_value_column_of_spaced_header():
+    text = b"timestamp, value \n2019-01-01T00:00,3.5\n2019-01-01T01:00, 4.0\n"
+    ts = load_series(text, KIND_DEMAND)
+    assert np.array_equal(ts.values, [3.5, 4.0])
+
+
+def test_load_series_rejects_two_value_columns():
+    for header in ("value,value", "timestamp,value, value"):
+        text = f"{header}\n1.0,2.0,3.0\n".encode()
+        with pytest.raises(ValueError, match="more than one 'value' column") as err:
+            load_series(text, KIND_DEMAND, label="d.csv")
+        assert repr(header.split(",")) in str(err.value)
+        assert str(err.value).startswith("d.csv: ")
+
+
 def test_load_series_accepts_bom_and_crlf():
     text = "﻿value\r\n1.0\r\n2.0\r\n"
     ts = load_series(text.encode("utf-8"), KIND_DEMAND)
