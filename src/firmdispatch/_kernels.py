@@ -1,24 +1,14 @@
-"""Hot inner loops of the dispatch simulation.
+"""Hot inner loop of the dispatch simulation.
 
 The battery state couples every step to the one before it, so a balance
 pass cannot be vectorized across time.  ``balance_loop`` runs one mix step
 by step as plain Python on Python floats, about three times faster than
-stepping on numpy scalars and bit for bit the same.  The batched kernel
-below is tested against it for bitwise equality.
-
-Candidate mixes are coupled only through time, never to each other, so
-``size_dispatch_batch`` runs the sizing pass of many mixes at once: it
-steps through time once and is vectorized across candidates with numpy.
-Each numpy step has a fixed cost, so one candidate is sized faster by
-``balance_loop`` (on a synthetic hourly year, 2-vCPU VM: about 0.009 s
-in the loop, 0.24 s in a batched pass of one, 0.16 s in a batched pass
-of 14); ``dispatch.sized_energies`` picks the kernel by the number of
-candidates in a chunk.
+stepping on numpy scalars and bit for bit the same.  It is the only step
+loop: a mix without battery energy needs none, and ``dispatch.sized_energy``
+sizes such a mix in closed form.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # Row indices of the step ledger filled by the balance loop.
 ROW_BASELOAD = 0
@@ -155,70 +145,3 @@ def balance_loop(
         unserved_row[t] = residual
         soc_row[t] = soc
 
-
-def size_dispatch_batch(
-    demand,
-    wind_cf,
-    pv_cf,
-    dt,
-    baseload_out,
-    wind,
-    pv,
-    battery_power,
-    battery_energy_cap,
-    efficiency,
-    soc0,
-    out,
-):
-    """Run the sizing pass of ``balance_loop`` for K candidates at once.
-
-    The sizing pass has no dispatch cap and charges the battery from
-    renewables only.  ``wind``, ``pv``, ``battery_power``,
-    ``battery_energy_cap`` and ``soc0`` are float64 vectors of length K;
-    baseload output and efficiency are shared.  ``out`` must be a C-ordered
-    float64 array of shape (K, n_steps).  It first holds each candidate's
-    renewable generation, and step ``t`` of it is overwritten with the
-    dispatch draw once step ``t`` is done.
-
-    Each element takes the loop's floating-point operations in the loop's
-    order, so every row equals the loop's dispatch row bit for bit.  The
-    loop's guards (charge only from a surplus, discharge only into a
-    deficit, both only with battery power) need no masks here: where a
-    guard fails, the clamps already give a zero flow, and a zero flow
-    leaves the state of charge and the residual as they were.  The loop's
-    clamps of a flow to at least zero never act here, since headroom and
-    stored energy are never negative.  numpy's ``minimum`` and ``maximum``
-    return their second argument on a tie, so the value being clamped goes
-    second, as the loop keeps its current value on a tie.
-    """
-    for k in range(out.shape[0]):
-        np.multiply(wind_cf, wind[k], out=out[k])
-        out[k] += pv[k] * pv_cf
-    residual0 = demand - np.where(baseload_out > demand, demand, baseload_out)
-    soc = np.array(soc0, dtype=np.float64)
-    headroom_scale = efficiency * dt
-    to_demand, residual, surplus, headroom, charge, discharge, tmp = np.empty(
-        (7, out.shape[0]), dtype=np.float64
-    )
-    for t in range(demand.shape[0]):
-        gen = out[:, t]
-        np.minimum(residual0[t], gen, out=to_demand)
-        np.subtract(residual0[t], to_demand, out=residual)
-        np.subtract(gen, to_demand, out=surplus)
-
-        np.subtract(battery_energy_cap, soc, out=headroom)
-        np.divide(headroom, headroom_scale, out=headroom)
-        np.minimum(battery_power, surplus, out=charge)
-        np.minimum(headroom, charge, out=charge)
-        np.multiply(efficiency, charge, out=tmp)
-        np.multiply(tmp, dt, out=tmp)
-        np.add(soc, tmp, out=soc)
-        np.minimum(battery_energy_cap, soc, out=soc)
-
-        np.minimum(battery_power, residual, out=discharge)
-        np.divide(soc, dt, out=tmp)
-        np.minimum(tmp, discharge, out=discharge)
-        np.multiply(discharge, dt, out=tmp)
-        np.subtract(soc, tmp, out=soc)
-        np.maximum(0.0, soc, out=soc)
-        np.subtract(residual, discharge, out=gen)

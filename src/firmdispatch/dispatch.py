@@ -9,14 +9,11 @@ capacity, and anything left is unserved.  The loop itself lives in
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
-``sized_energies`` is how ``optimize`` and ``run_rigidity`` size mixes: it
-sizes a run of them and yields each sized mix with the energy it serves and
-dispatches.  A chunk of one mix takes one ``_kernels.balance_loop`` pass,
-a chunk of several one candidate-batched ``_kernels.size_dispatch_batch``
-pass; both give the same dispatch row bit for bit.  The loop steps on
-Python floats through memoryviews, which costs a third of numpy-scalar
-steps: on a synthetic hourly year one mix takes about 0.009 s in it, and
-about 0.24 s in a batched pass of one, so single mixes go through it.
+``sized_energy`` is how ``optimize`` and ``run_rigidity`` size a mix: it
+returns the sized mix with the energy it serves and dispatches.  A mix
+with battery energy takes one ``_kernels.balance_loop`` pass; a mix
+without needs no step loop (see ``_sizing_row``).  ``size_dispatch`` and
+``simulate`` always run the loop, so tests hold the closed form to them.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized
@@ -29,7 +26,6 @@ capacity can charge the battery, so each sized mix is simulated once more.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,16 +204,16 @@ class DispatchResult:
 
 DEFAULT_PARAMS = SimParams()
 
-# Largest candidates x steps buffer of one batched sizing pass (1 MB of
-# float64): a year runs 14 candidates a pass, a week's whole grid one pass.
-SIZING_CHUNK_ELEMENTS = 1 << 17
-
 # Rows of a trace formatted per chunk by ``write_trace_csv``.
 TRACE_CHUNK_ROWS = 1024
 
 
 def _twh(values: NDArray[np.float64], dt: float) -> float:
     return float(np.sum(values)) * (dt / 1000.0)
+
+
+def _renewable_gen(mix: CapacityMix, data: AlignedDataset) -> NDArray[np.float64]:
+    return mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
 
 
 def _run_balance(
@@ -228,11 +224,10 @@ def _run_balance(
     charge_from_dispatch: bool,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     demand = data.demand.values
-    ren_gen = mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
     out = np.empty((_kernels.N_ROWS, demand.shape[0]), dtype=np.float64)
     _kernels.balance_loop(
         demand,
-        ren_gen,
+        _renewable_gen(mix, data),
         data.dt_hours,
         mix.baseload_gw * mix.baseload_eaf,
         mix.battery_power_gw,
@@ -338,56 +333,40 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     return float(np.max(_uncapped_dispatch(mix, data, params)))
 
 
-def sized_energies(
-    mixes: Sequence[CapacityMix], data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
-) -> Iterator[tuple[CapacityMix, float, float]]:
-    """Size many mixes; yield each sized mix with its served and dispatch energy.
+def _sizing_row(mix: CapacityMix, data: AlignedDataset, params: SimParams) -> NDArray[np.float64]:
+    """Dispatch row of a sizing pass, in closed form for a mix without battery energy.
 
-    Yields, in order, ``(sized mix, served TWh, dispatch TWh)``, equal bit
-    for bit to the mix with ``dispatch_gw`` from ``size_dispatch`` and the
-    ``served_energy_twh`` and ``dispatch_energy_twh`` of its ``simulate``.
-    The mixes must share one baseload.  They are sized in chunks of at most
-    ``SIZING_CHUNK_ELEMENTS`` candidate steps (at least one candidate); a
-    chunk of one runs the plain loop, a larger one the batched kernel.
+    Such a mix has no headroom and nothing stored, so at every step the
+    loop clamps its charge and discharge to zero and leaves the residual as
+    it was.  Its row is then what baseload and renewables leave of demand,
+    computed with the loop's operations in the loop's order, bit for bit
+    the loop's row.  ``np.minimum`` returns its second argument on a tie,
+    as the loop keeps the generation on a tie.
     """
-    baseloads = {m.baseload_gw * m.baseload_eaf for m in mixes}
-    if len(baseloads) != 1:
-        raise ValueError(f"batched sizing needs one baseload output, got {sorted(baseloads)}")
-    (baseload_out,) = baseloads
+    if mix.battery_energy_gwh > 0.0:
+        return _uncapped_dispatch(mix, data, params)
     demand = data.demand.values
-    dt = data.dt_hours
-    served = _twh(demand, dt)  # a sized mix leaves nothing unserved
-    n = demand.shape[0]
-    chunk = max(1, SIZING_CHUNK_ELEMENTS // n)
-    buffer = np.empty((min(chunk, len(mixes)), n), dtype=np.float64)
-    for start in range(0, len(mixes), chunk):
-        batch = mixes[start : start + chunk]
-        if len(batch) == 1:
-            rows = _uncapped_dispatch(batch[0], data, params)[np.newaxis]
-        else:
-            energy_cap = np.array([m.battery_energy_gwh for m in batch])
-            rows = buffer[: len(batch)]
-            _kernels.size_dispatch_batch(
-                demand,
-                data.wind_cf.values,
-                data.pv_cf.values,
-                dt,
-                baseload_out,
-                np.array([m.wind_gw for m in batch]),
-                np.array([m.pv_gw for m in batch]),
-                np.array([m.battery_power_gw for m in batch]),
-                energy_cap,
-                params.round_trip_efficiency,
-                params.initial_soc_fraction * energy_cap,
-                rows,
-            )
-        for mix, row in zip(batch, rows):
-            sized = replace(mix, dispatch_gw=float(np.max(row)))
-            if params.battery_charges_from_dispatch:
-                result = simulate(sized, data, params)
-                yield sized, result.served_energy_twh, result.dispatch_energy_twh
-            else:
-                yield sized, served, _twh(row, dt)
+    baseload = mix.baseload_gw * mix.baseload_eaf
+    residual = demand - np.where(baseload > demand, demand, baseload)
+    return residual - np.minimum(residual, _renewable_gen(mix, data))
+
+
+def sized_energy(
+    mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
+) -> tuple[CapacityMix, float, float]:
+    """Size one mix; return ``(sized mix, served TWh, dispatch TWh)``.
+
+    The result equals bit for bit the mix with ``dispatch_gw`` from
+    ``size_dispatch`` and the ``served_energy_twh`` and
+    ``dispatch_energy_twh`` of its ``simulate``.
+    """
+    row = _sizing_row(mix, data, params)
+    sized = replace(mix, dispatch_gw=float(np.max(row)))
+    if params.battery_charges_from_dispatch:
+        result = simulate(sized, data, params)
+        return sized, result.served_energy_twh, result.dispatch_energy_twh
+    # a sized mix leaves nothing unserved
+    return sized, _twh(data.demand.values, data.dt_hours), _twh(row, data.dt_hours)
 
 
 def write_trace_csv(trace: DispatchTrace, path) -> None:

@@ -11,13 +11,13 @@ concurrently; only incumbent selection synchronizes, by reduction over that
 fixed ordering.
 
 Every point, coarse or refined, is sized and costed the same way: through
-``dispatch.sized_energies`` and ``costing.cost_from_energy``.  The coarse
-grid goes in candidate-batched kernel passes and each refinement point in
-one plain balance pass; with ``battery_charges_from_dispatch`` on, each
-sized mix is simulated once more.  The search keeps only each point's
-sized mix and cost; the returned best ``Evaluation`` comes from one
-``simulate`` of the winner.  ``evaluate`` is the plain reference for one
-point: ``size_dispatch``, then ``simulate``, then ``system_cost``.
+``dispatch.sized_energy`` and ``costing.cost_from_energy``.  A point with
+battery energy takes one balance pass, a point without none; with
+``battery_charges_from_dispatch`` on, each sized mix is simulated once
+more.  The search keeps only each point's sized mix and cost; the
+returned best ``Evaluation`` comes from one ``simulate`` of the winner.
+``evaluate`` is the plain reference for one point: ``size_dispatch``, then
+``simulate``, then ``system_cost``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .dispatch import (
     SimParams,
     simulate,
     size_dispatch,
-    sized_energies,
+    sized_energy,
 )
 from .profiles import AlignedDataset, DemandStats
 
@@ -163,8 +163,8 @@ def evaluate(
     The candidate's own ``dispatch_gw`` is ignored; the returned mix carries
     the sized value, and its simulation serves all demand by construction.
     It makes two balance passes; ``optimize`` gets the same mix and cost
-    from ``sized_energies``, in one pass with ``battery_charges_from_dispatch``
-    off.
+    from ``sized_energy``, in one pass or none with
+    ``battery_charges_from_dispatch`` off.
     """
     book = book if book is not None else CostBook()
     sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
@@ -207,12 +207,12 @@ def optimize(
 ) -> OptimResult:
     """Find the least-cost mix over the search space.
 
-    Phase one sizes and costs the full coarse grid in grid order, many
-    candidates to a kernel pass.  Phase two sweeps the four axes in fixed
-    order, moving the incumbent to a strictly better neighbor at the
-    current step; after a sweep with no improvement all steps halve.
-    Refinement ends when every active axis is below its tolerance.  The
-    result is deterministic, including the evaluation count.
+    Phase one sizes and costs the full coarse grid in grid order.  Phase
+    two sweeps the four axes in fixed order, moving the incumbent to a
+    strictly better neighbor at the current step; after a sweep with no
+    improvement all steps halve.  Refinement ends when every active axis
+    is below its tolerance.  The result is deterministic, including the
+    evaluation count.
     """
     book = book if book is not None else CostBook()
 
@@ -246,13 +246,13 @@ def optimize(
         grid.setdefault(_cache_key(*coords), candidate(*coords))
 
     # Every point, coarse or refined, is sized and then costed from its energies.
-    def priced(mixes: list[CapacityMix]):
-        for sized, served, energy in sized_energies(mixes, data, params):
-            yield sized, cost_from_energy(sized, served, energy, book)
+    def priced(mix: CapacityMix) -> tuple[CapacityMix, SystemCost]:
+        sized, served, energy = sized_energy(mix, data, params)
+        return sized, cost_from_energy(sized, served, energy, book)
 
     best: tuple[CapacityMix, SystemCost] | None = None
-    for key, (sized, cost) in zip(grid, priced(list(grid.values()))):
-        point = record(key, sized, cost)
+    for key, mix in grid.items():
+        point = record(key, *priced(mix))
         if best is None or _rank_key(point) < _rank_key(best):
             best = point
     assert best is not None
@@ -262,7 +262,7 @@ def optimize(
         hit = cache.get(key)
         if hit is not None:
             return hit
-        return record(key, *next(priced([candidate(wind, pv, bp, bh)])))
+        return record(key, *priced(candidate(wind, pv, bp, bh)))
 
     bounds = {
         "wind_gw": (space.wind_gw[0], space.wind_gw[1]),

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .costing import CostBook
-from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, sized_energies
+from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, sized_energy
 from .optimizer import (
     DEFAULT_OPTIONS,
     OptimResult,
@@ -371,7 +371,7 @@ def run_rigidity(
             break
         k += 1
 
-    ((sized, _, dispatch_twh),) = sized_energies([mix], scaled, params)
+    sized, _, dispatch_twh = sized_energy(mix, scaled, params)
     required = sized.dispatch_gw
     energy_gwh = dispatch_twh * 1000.0
     scaled_stats = demand_stats(scaled.demand)

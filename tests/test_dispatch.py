@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
@@ -15,7 +20,7 @@ from firmdispatch import (
     size_dispatch,
 )
 from firmdispatch import dispatch
-from firmdispatch.dispatch import TRACE_COLUMNS, DispatchTrace, sized_energies, write_trace_csv
+from firmdispatch.dispatch import TRACE_COLUMNS, DispatchTrace, sized_energy, write_trace_csv
 from firmdispatch.profiles import scale_demand
 
 from conftest import random_dataset, random_mix, random_params
@@ -293,12 +298,7 @@ def test_size_dispatch_trivial_bounds():
 
 
 @pytest.mark.parametrize("charge_from_dispatch", [False, True])
-def test_sized_energies_alone_matches_batched(monkeypatch, charge_from_dispatch):
-    batches = []
-    batch = _kernels.size_dispatch_batch
-    monkeypatch.setattr(
-        _kernels, "size_dispatch_batch", lambda *args: batches.append(1) or batch(*args)
-    )
+def test_sized_energy_matches_size_dispatch_and_simulate(charge_from_dispatch):
     rng = np.random.default_rng(61 + charge_from_dispatch)
     for i in range(10):
         data = random_dataset(rng, dt_hours=(1.0, 0.5)[i % 2])
@@ -307,26 +307,92 @@ def test_sized_energies_alone_matches_batched(monkeypatch, charge_from_dispatch)
             initial_soc_fraction=float(rng.choice([0.0, rng.random()])),
             battery_charges_from_dispatch=charge_from_dispatch,
         )
-        baseload_gw = float(rng.choice([0.0, rng.uniform(0.0, 6.0)]))
-        mixes = [
-            CapacityMix(
+        for _ in range(int(rng.integers(2, 9))):
+            mix = CapacityMix(
                 wind_gw=float(rng.uniform(0.0, 30.0)),
                 pv_gw=float(rng.uniform(0.0, 30.0)),
                 # zero power, and zero-hour rungs with power
                 battery_power_gw=float(rng.choice([0.0, rng.uniform(0.0, 10.0)])),
                 battery_hours=float(rng.choice([0.0, 1.0, 4.0, 12.0])),
                 dispatch_gw=float(rng.uniform(0.0, 20.0)),  # ignored by sizing
-                baseload_gw=baseload_gw,
+                # mixes of one draw differ in baseload too
+                baseload_gw=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
                 baseload_eaf=0.8,
             )
-            for _ in range(int(rng.integers(2, 9)))
-        ]
-        batches.clear()
-        batched = list(sized_energies(mixes, data, params))
-        assert len(batches) == 1
-        alone = [next(sized_energies([mix], data, params)) for mix in mixes]
-        assert len(batches) == 1  # each mix alone took the plain loop
-        assert repr(alone) == repr(batched)
+            sized = replace(mix, dispatch_gw=size_dispatch(mix, data, params))
+            result = simulate(sized, data, params)
+            expected = (sized, result.served_energy_twh, result.dispatch_energy_twh)
+            assert repr(sized_energy(mix, data, params)) == repr(expected)
+
+
+@st.composite
+def _sizing_cases(draw):
+    """A mix, a dataset and storage parameters for one sizing pass."""
+    n = draw(st.integers(1, 48))
+    dt = draw(st.sampled_from([1.0, 0.5]))
+    demand = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
+    cf = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    data = _dataset(demand, draw(cf), draw(cf), dt)
+    # baseload off, above demand at some steps, or tied to one step's demand
+    baseload = draw(st.one_of(st.just(0.0), st.floats(0.0, 25.0), st.sampled_from(demand)))
+    some_power = st.floats(0.01, 10.0)
+    power, hours = draw(
+        st.sampled_from(
+            [
+                (st.just(0.0), st.sampled_from([0.0, 1.0, 4.0])),  # zero power
+                (some_power, st.just(0.0)),  # zero hours
+                (some_power, st.floats(0.1, 24.0)),  # ordinary
+            ]
+        )
+    )
+    capacity = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+    mix = CapacityMix(
+        wind_gw=draw(capacity),
+        pv_gw=draw(capacity),
+        battery_power_gw=draw(power),
+        battery_hours=draw(hours),
+        baseload_gw=baseload,
+    )
+    params = SimParams(
+        round_trip_efficiency=draw(st.floats(0.5, 1.0)),
+        initial_soc_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    )
+    return mix, data, params
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sizing_cases())
+def test_sizing_matches_balance_loop_bitwise(case):
+    mix, data, params = case
+    demand = data.demand.values
+    ledger = np.empty((_kernels.N_ROWS, demand.shape[0]))
+    _kernels.balance_loop(
+        demand,
+        mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
+        data.dt_hours,
+        mix.baseload_gw * mix.baseload_eaf,
+        mix.battery_power_gw,
+        mix.battery_energy_gwh,
+        params.round_trip_efficiency,
+        params.initial_soc_fraction * mix.battery_energy_gwh,
+        np.inf,  # sizing: no dispatch cap
+        False,  # and no charging from dispatch
+        ledger,
+    )
+    want = ledger[_kernels.ROW_DISPATCH]
+    with mock.patch.object(_kernels, "balance_loop", wraps=_kernels.balance_loop) as loop:
+        row = dispatch._sizing_row(mix, data, params)
+        sized, served, energy = sized_energy(mix, data, params)
+    # a mix without battery energy takes the closed form, any other the loop
+    assert loop.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
+    assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    assert _bits(sized.dispatch_gw) == _bits(np.max(want))
+    assert _bits(energy) == _bits(float(np.sum(want)) * (data.dt_hours / 1000.0))
+    assert _bits(served) == _bits(float(np.sum(demand)) * (data.dt_hours / 1000.0))
 
 
 def test_drought_window_forces_dispatch_floor():

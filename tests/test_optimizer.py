@@ -17,7 +17,6 @@ from firmdispatch import (
     SimParams,
     TimeSeries,
     _kernels,
-    dispatch,
     load_series,
     optimize,
     simulate,
@@ -258,27 +257,10 @@ def _week_fixture():
 @pytest.mark.parametrize(
     "charge_from_dispatch, baseload_gw", [(False, 0.0), (True, 0.0), (False, 4.0), (True, 4.0)]
 )
-def test_batched_coarse_scan_matches_evaluate_point_by_point(
-    monkeypatch, charge_from_dispatch, baseload_gw
-):
+def test_coarse_scan_matches_evaluate_point_by_point(charge_from_dispatch, baseload_gw):
+    # 125 of the 225 grid points have no battery energy and are sized in
+    # closed form; evaluate sizes every point through the loop
     data = _week_fixture()
-    n_steps = data.demand.values.shape[0]
-    # seven candidates a chunk: the 225-point grid runs 32 full chunks and one of 1
-    monkeypatch.setattr(dispatch, "SIZING_CHUNK_ELEMENTS", 7 * n_steps + 3)
-    sizing = []  # ("batch", K) per batched chunk, ("loop", 1) per uncapped loop pass
-    batch, loop = _kernels.size_dispatch_batch, _kernels.balance_loop
-    monkeypatch.setattr(
-        _kernels,
-        "size_dispatch_batch",
-        lambda *args: sizing.append(("batch", args[-1].shape[0])) or batch(*args),
-    )
-
-    def counted_loop(*args):
-        if args[8] == np.inf:  # no dispatch cap: a sizing pass
-            sizing.append(("loop", 1))
-        return loop(*args)
-
-    monkeypatch.setattr(_kernels, "balance_loop", counted_loop)
     space = SearchSpace(
         wind_gw=(0.0, 40.0, 10.0),
         pv_gw=(0.0, 28.0, 7.0),
@@ -292,10 +274,6 @@ def test_batched_coarse_scan_matches_evaluate_point_by_point(
     )
     options = OptimizeOptions(refine_tolerance_gw=2.5, refine_tolerance_hours=1.0)
     result = optimize(space, data, params, options=options)
-    # the ragged chunk of one, and then every refinement point, runs the plain loop
-    refined = result.evaluations - 225
-    assert refined > 0
-    assert sizing == [("batch", 7)] * 32 + [("loop", 1)] * (1 + refined)
 
     def reference(mix):
         return evaluate(replace(mix, dispatch_gw=0.0), data, params)
@@ -338,7 +316,8 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
         wind_gw=(0.0, 16.0, 8.0),
         pv_gw=(0.0, 12.0, 6.0),
         battery_power_gw=(0.0, 6.0, 3.0),
-        battery_hours=(0.0, 4.0),
+        # the winner has no battery power, so refinement reaches both kinds of point
+        battery_hours=(1.0, 4.0),
         baseload_gw=2.0,
         baseload_eaf=0.7,
     )
@@ -348,8 +327,13 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     loop = _kernels.balance_loop
     monkeypatch.setattr(_kernels, "balance_loop", lambda *args: calls.append(1) or loop(*args))
     result = optimize(space, data, params, options=options)
-    refined = result.evaluations - n_coarse
-    assert refined > 0
-    # the flag costs each coarse point one simulation; the winner is simulated once
-    coarse = n_coarse if charge_from_dispatch else 0
-    assert len(calls) == coarse + passes * refined + 1
+    points = [mix for mix, _ in result.trajectory]
+    assert len(points) == result.evaluations
+    storage_free = [m.battery_energy_gwh == 0.0 for m in points]
+    # both kinds of point occur, coarse and refined
+    assert {False, True} <= set(storage_free[:n_coarse])
+    assert {False, True} <= set(storage_free[n_coarse:])
+    # a point with battery energy takes one sizing pass, one without none;
+    # the flag adds one simulation per point, and the winner is simulated once
+    free = sum(storage_free)
+    assert len(calls) == passes * (len(points) - free) + (passes - 1) * free + 1
