@@ -1,14 +1,29 @@
 """Hot inner loop of the dispatch simulation.
 
-The battery state couples every step to the one before it, so a balance
-pass cannot be vectorized across time.  ``balance_loop`` runs one mix step
-by step as plain Python on Python floats, about three times faster than
-stepping on numpy scalars and bit for bit the same.  It is the only step
-loop: a mix without battery energy needs none, and ``dispatch.sized_energy``
-sizes such a mix in closed form.
+The battery state couples every step to the one before it, so its charge
+and discharge cannot be vectorized across time.  Everything else in a step
+can: ``balance_loop`` runs a pass in three stages.
+
+1. Baseload, renewables to demand, the surplus and the residual demand
+   depend only on the step's inputs, so they are whole-array numpy
+   expressions.
+2. ``_battery_steps`` walks only the surplus and the residual, step by
+   step as plain Python on Python floats, and writes the charge, the
+   discharge and the state of charge.
+3. Curtailment, dispatch and unserved demand follow from those rows as
+   whole arrays again.
+
+Each stage uses the float operations of the element-indexed loop in its
+order, so the ledger is the same bit for bit.  A battery that cannot act
+(no power, or no energy and an empty start) leaves stage 2 with nothing to
+do, so it is skipped and the pass is pure numpy.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 # Row indices of the step ledger filled by the balance loop.
 ROW_BASELOAD = 0
@@ -21,6 +36,24 @@ ROW_DISPATCH = 6
 ROW_UNSERVED = 7
 ROW_SOC = 8
 N_ROWS = 9
+
+
+def _battery_is_idle(battery_power, battery_energy_cap, soc0):
+    """Whether every battery flow of the step loop would be +0.0 and its SOC ``soc0``.
+
+    A battery without power takes no branch of the loop.  One with power
+    but no energy that starts empty clamps every flow to a headroom or a
+    stored charge of zero; those zeros are +0.0 only when the capacity and
+    the start are +0.0 (a -0.0 capacity signs the clamped charge).
+    """
+    if not battery_power > 0.0:
+        return True
+    return (
+        battery_energy_cap == 0.0
+        and soc0 == 0.0
+        and math.copysign(1.0, battery_energy_cap) > 0.0
+        and math.copysign(1.0, soc0) > 0.0
+    )
 
 
 def balance_loop(
@@ -41,52 +74,87 @@ def balance_loop(
     Per step: baseload first, then renewables, surplus renewables charge the
     battery (losses applied on the way in), remaining surplus is curtailed,
     deficits draw the battery and then dispatchable capacity, and whatever
-    is left goes unserved.  ``demand`` and ``ren_gen`` must be float64
-    vectors of one length, and ``out`` a float64 array of shape
-    (N_ROWS, n_steps).  All power values are GW, state of charge is GWh.
-
-    Inputs are read and rows written through memoryviews, so the steps
-    run on Python floats: indexing a numpy array yields numpy scalars,
-    whose arithmetic costs several times more, and a 2-D store per row and
-    step costs more again.  The float operations and their order are those
-    of element-indexed numpy code, so the ledger is the same bit for bit.
+    is left goes unserved.  ``demand`` and ``ren_gen`` must be finite
+    float64 vectors of one length, and ``out`` a float64 array of shape
+    (N_ROWS, n_steps); ``efficiency`` and ``dt`` must be positive.  All
+    power values are GW, state of charge is GWh.
     """
-    dt = float(dt)
-    baseload_out = float(baseload_out)
-    battery_power = float(battery_power)
-    battery_energy_cap = float(battery_energy_cap)
-    efficiency = float(efficiency)
+    if demand.shape[0] != ren_gen.shape[0]:
+        raise ValueError(
+            f"demand has {demand.shape[0]} steps but generation has {ren_gen.shape[0]}"
+        )
     dispatch_cap = float(dispatch_cap)
-    charge_from_dispatch = bool(charge_from_dispatch)
-    base_row = memoryview(out[ROW_BASELOAD])
-    to_demand_row = memoryview(out[ROW_REN_TO_DEMAND])
+    soc0 = float(soc0)
+
+    base = np.where(baseload_out > demand, demand, baseload_out)
+    residual = demand - base
+    to_demand = np.where(ren_gen > residual, residual, ren_gen)
+    residual -= to_demand
+    surplus = ren_gen - to_demand
+    out[ROW_BASELOAD] = base
+    out[ROW_REN_TO_DEMAND] = to_demand
+    out[[ROW_CHARGE_FROM_REN, ROW_CHARGE_FROM_DISPATCH, ROW_DISCHARGE]] = 0.0
+
+    if _battery_is_idle(battery_power, battery_energy_cap, soc0):
+        out[ROW_SOC] = soc0
+    else:
+        _battery_steps(
+            surplus,
+            residual,
+            float(dt),
+            float(battery_power),
+            float(battery_energy_cap),
+            float(efficiency),
+            soc0,
+            dispatch_cap,
+            bool(charge_from_dispatch),
+            out,
+        )
+        residual -= out[ROW_DISCHARGE]
+
+    np.subtract(surplus, out[ROW_CHARGE_FROM_REN], out=out[ROW_CURTAILED])
+    dispatched = np.where(residual > dispatch_cap, dispatch_cap, residual)
+    out[ROW_DISPATCH] = dispatched
+    np.subtract(residual, dispatched, out=out[ROW_UNSERVED])
+
+
+def _battery_steps(
+    surplus,
+    residual,
+    dt,
+    battery_power,
+    battery_energy_cap,
+    efficiency,
+    soc,
+    dispatch_cap,
+    charge_from_dispatch,
+    out,
+):
+    """Step the battery through the surplus and the residual demand.
+
+    Writes the charge, top-up and discharge rows, which the caller zeroes,
+    only in steps the battery acts, and the state of charge at every step.
+    A step with surplus has no residual demand left, so it charges or it
+    discharges, never both.  ``battery_power`` is positive.
+
+    Inputs are read and rows written through memoryviews, so the steps run
+    on Python floats: indexing a numpy array yields numpy scalars, whose
+    arithmetic costs several times more.
+    """
     charge_row = memoryview(out[ROW_CHARGE_FROM_REN])
     charge_extra_row = memoryview(out[ROW_CHARGE_FROM_DISPATCH])
     discharge_row = memoryview(out[ROW_DISCHARGE])
-    curtailed_row = memoryview(out[ROW_CURTAILED])
-    dispatch_row = memoryview(out[ROW_DISPATCH])
-    unserved_row = memoryview(out[ROW_UNSERVED])
     soc_row = memoryview(out[ROW_SOC])
+    efficiency_dt = efficiency * dt
 
-    soc = float(soc0)
-    for t, (d, gen) in enumerate(zip(memoryview(demand), memoryview(ren_gen), strict=True)):
-        base = baseload_out
-        if base > d:
-            base = d
-        residual = d - base
-
-        to_demand = gen
-        if to_demand > residual:
-            to_demand = residual
-        residual -= to_demand
-        surplus = gen - to_demand
-
+    for t, (excess, deficit) in enumerate(zip(memoryview(surplus), memoryview(residual))):
         charge = 0.0
-        if surplus > 0.0 and battery_power > 0.0:
-            charge = surplus
+        discharge = 0.0
+        if excess > 0.0:
+            charge = excess
             if charge > battery_power:
                 charge = battery_power
-            headroom = (battery_energy_cap - soc) / (efficiency * dt)
+            headroom = (battery_energy_cap - soc) / efficiency_dt
             if charge > headroom:
                 charge = headroom
             if charge < 0.0:
@@ -94,11 +162,9 @@ def balance_loop(
             soc += efficiency * charge * dt
             if soc > battery_energy_cap:
                 soc = battery_energy_cap
-        curtailed = surplus - charge
-
-        discharge = 0.0
-        if residual > 0.0 and battery_power > 0.0:
-            discharge = residual
+            charge_row[t] = charge
+        elif deficit > 0.0:
+            discharge = deficit
             if discharge > battery_power:
                 discharge = battery_power
             available = soc / dt
@@ -109,24 +175,22 @@ def balance_loop(
             soc -= discharge * dt
             if soc < 0.0:
                 soc = 0.0
-            residual -= discharge
+            deficit -= discharge
+            discharge_row[t] = discharge
 
-        dispatched = residual
-        if dispatched > dispatch_cap:
-            dispatched = dispatch_cap
-        residual -= dispatched
-
-        charge_extra = 0.0
         # top up from spare dispatch only in steps the battery is not
         # discharging; simultaneous charge and discharge would be churn
         if charge_from_dispatch and discharge == 0.0:
+            dispatched = deficit
+            if dispatched > dispatch_cap:
+                dispatched = dispatch_cap
             spare = dispatch_cap - dispatched
             power_left = battery_power - charge
             if spare > 0.0 and power_left > 0.0:
                 charge_extra = spare
                 if charge_extra > power_left:
                     charge_extra = power_left
-                headroom = (battery_energy_cap - soc) / (efficiency * dt)
+                headroom = (battery_energy_cap - soc) / efficiency_dt
                 if charge_extra > headroom:
                     charge_extra = headroom
                 if charge_extra < 0.0:
@@ -134,14 +198,6 @@ def balance_loop(
                 soc += efficiency * charge_extra * dt
                 if soc > battery_energy_cap:
                     soc = battery_energy_cap
+                charge_extra_row[t] = charge_extra
 
-        base_row[t] = base
-        to_demand_row[t] = to_demand
-        charge_row[t] = charge
-        charge_extra_row[t] = charge_extra
-        discharge_row[t] = discharge
-        curtailed_row[t] = curtailed
-        dispatch_row[t] = dispatched
-        unserved_row[t] = residual
         soc_row[t] = soc
-

@@ -4,16 +4,17 @@ Each step serves demand in a fixed order: baseload runs flat at its energy
 availability factor, wind and PV serve what remains, surplus renewables
 charge the battery (round-trip losses booked on the way in) and the rest is
 curtailed, deficits draw first on the battery and then on firm dispatchable
-capacity, and anything left is unserved.  The loop itself lives in
-``_kernels``.
+capacity, and anything left is unserved.  ``_kernels.balance_loop`` runs
+that order over a dataset in one pass: every flow that does not depend on
+the state of charge is a whole-array numpy expression, and only the
+battery is stepped in Python.  A mix without battery power or energy skips
+that step loop, so its pass is numpy alone.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
 ``sized_energy`` is how ``optimize`` and ``run_rigidity`` size a mix: it
-returns the sized mix with the energy it serves and dispatches.  A mix
-with battery energy takes one ``_kernels.balance_loop`` pass; a mix
-without needs no step loop (see ``_sizing_row``).  ``size_dispatch`` and
-``simulate`` always run the loop, so tests hold the closed form to them.
+returns the sized mix with the energy it serves and dispatches, from one
+such pass for every mix.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized
@@ -333,24 +334,6 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     return float(np.max(_uncapped_dispatch(mix, data, params)))
 
 
-def _sizing_row(mix: CapacityMix, data: AlignedDataset, params: SimParams) -> NDArray[np.float64]:
-    """Dispatch row of a sizing pass, in closed form for a mix without battery energy.
-
-    Such a mix has no headroom and nothing stored, so at every step the
-    loop clamps its charge and discharge to zero and leaves the residual as
-    it was.  Its row is then what baseload and renewables leave of demand,
-    computed with the loop's operations in the loop's order, bit for bit
-    the loop's row.  ``np.minimum`` returns its second argument on a tie,
-    as the loop keeps the generation on a tie.
-    """
-    if mix.battery_energy_gwh > 0.0:
-        return _uncapped_dispatch(mix, data, params)
-    demand = data.demand.values
-    baseload = mix.baseload_gw * mix.baseload_eaf
-    residual = demand - np.where(baseload > demand, demand, baseload)
-    return residual - np.minimum(residual, _renewable_gen(mix, data))
-
-
 def sized_energy(
     mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
 ) -> tuple[CapacityMix, float, float]:
@@ -360,7 +343,7 @@ def sized_energy(
     ``size_dispatch`` and the ``served_energy_twh`` and
     ``dispatch_energy_twh`` of its ``simulate``.
     """
-    row = _sizing_row(mix, data, params)
+    row = _uncapped_dispatch(mix, data, params)
     sized = replace(mix, dispatch_gw=float(np.max(row)))
     if params.battery_charges_from_dispatch:
         result = simulate(sized, data, params)

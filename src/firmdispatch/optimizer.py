@@ -163,7 +163,7 @@ def evaluate(
     The candidate's own ``dispatch_gw`` is ignored; the returned mix carries
     the sized value, and its simulation serves all demand by construction.
     It makes two balance passes; ``optimize`` gets the same mix and cost
-    from ``sized_energy``, in one pass or none with
+    from ``sized_energy``, in one pass with
     ``battery_charges_from_dispatch`` off.
     """
     book = book if book is not None else CostBook()

@@ -147,7 +147,8 @@ def load_series(
 
     The CSV must have a header row including exactly one ``value`` column;
     spaces around header names are ignored.  A ``timestamp`` column, if
-    present, is carried as opaque text and ignored.
+    present, is carried as opaque text and ignored.  Blank lines are
+    skipped, and error messages give the line number in the file.
     Capacity factors within ``CF_CLAMP_TOL`` of the [0, 1] bounds are clamped
     to the bound; demand gets no such tolerance.
 
@@ -185,28 +186,32 @@ def load_series(
         name = label or getattr(source, "name", "<stream>")
 
     text = raw.decode("utf-8-sig")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
         raise ValueError(f"{name}: empty input, expected a CSV header row")
-    fields = [f.strip() for f in reader.fieldnames]
+    fields = [f.strip() for f in header]
     if "value" not in fields:
-        raise ValueError(f"{name}: no 'value' column in header {reader.fieldnames!r}")
+        raise ValueError(f"{name}: no 'value' column in header {header!r}")
     if fields.count("value") > 1:
-        raise ValueError(f"{name}: more than one 'value' column in header {reader.fieldnames!r}")
-    # rows are keyed by the header's own spelling, spaces included
-    value_key = reader.fieldnames[fields.index("value")]
+        raise ValueError(f"{name}: more than one 'value' column in header {header!r}")
+    column = fields.index("value")
 
     values: list[float] = []
-    for row_no, row in enumerate(reader, start=2):
-        cell = row.get(value_key)
-        if cell is None or cell.strip() == "":
-            raise ValueError(f"{name}: missing value on line {row_no}")
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        cell = row[column] if column < len(row) else ""
+        if cell.strip() == "":
+            raise ValueError(f"{name}: missing value on line {reader.line_num}")
         try:
             x = float(cell)
         except ValueError:
-            raise ValueError(f"{name}: unparseable value {cell!r} on line {row_no}") from None
+            raise ValueError(
+                f"{name}: unparseable value {cell!r} on line {reader.line_num}"
+            ) from None
         if not math.isfinite(x):
-            raise ValueError(f"{name}: non-finite value on line {row_no}")
+            raise ValueError(f"{name}: non-finite value on line {reader.line_num}")
         values.append(x)
     if not values:
         raise ValueError(f"{name}: no data rows")

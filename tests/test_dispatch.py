@@ -384,11 +384,11 @@ def test_sizing_matches_balance_loop_bitwise(case):
         ledger,
     )
     want = ledger[_kernels.ROW_DISPATCH]
-    with mock.patch.object(_kernels, "balance_loop", wraps=_kernels.balance_loop) as loop:
-        row = dispatch._sizing_row(mix, data, params)
+    with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
+        row = dispatch._uncapped_dispatch(mix, data, params)
         sized, served, energy = sized_energy(mix, data, params)
-    # a mix without battery energy takes the closed form, any other the loop
-    assert loop.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
+    # a mix without battery energy skips the step loop, any other runs it
+    assert steps.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
     assert np.array_equal(row.view(np.int64), want.view(np.int64))
     assert _bits(sized.dispatch_gw) == _bits(np.max(want))
     assert _bits(energy) == _bits(float(np.sum(want)) * (data.dt_hours / 1000.0))

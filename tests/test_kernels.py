@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmdispatch._kernels import (
     N_ROWS,
@@ -190,3 +192,55 @@ def test_balance_loop_rejects_series_of_unequal_length():
     with pytest.raises(ValueError):
         balance_loop(np.ones(4), np.ones(3), 1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False, out)
 
+
+@st.composite
+def _kernel_calls(draw):
+    """One ``balance_loop`` call whose draws reach the loop's ties and clamps.
+
+    Steps may tie baseload to demand, or generation to the demand baseload
+    leaves.  The battery may have no power, or power and no hours (-0.0
+    hours too, whose signed zeros the step loop must keep), and it may
+    start empty, full, part full, or one charge short of full: the first
+    step then has no residual demand and a surplus of exactly the headroom.
+    """
+    n = draw(st.integers(1, 40))
+    dt = draw(st.sampled_from([1.0, 0.5]))
+    baseload = draw(st.one_of(st.just(0.0), st.floats(0.0, 25.0)))
+    demand = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
+    gen = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n)))
+    tie_kinds = st.sampled_from(["none", "none", "base", "gen", "both"])
+    ties = draw(st.lists(tie_kinds, min_size=n, max_size=n))
+    for t, tie in enumerate(ties):
+        if tie in ("base", "both"):
+            demand[t] = baseload
+        if tie in ("gen", "both"):
+            gen[t] = demand[t] - (demand[t] if baseload > demand[t] else baseload)
+
+    power = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(1.0, 10.0)))
+    hours = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 4.0]), st.floats(0.0, 24.0)))
+    capacity = power * hours
+    efficiency = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    start = draw(st.sampled_from(["empty", "full", "part", "fill"]))
+    if start == "fill":
+        short = efficiency * dt * power * draw(st.floats(0.0, 1.0))
+        soc0 = capacity - short if capacity > short else 0.0
+        demand[0] = baseload
+        gen[0] = (capacity - soc0) / (efficiency * dt)
+    elif start == "part":
+        soc0 = draw(st.floats(0.0, 1.0)) * capacity
+    else:
+        soc0 = (0.0 if start == "empty" else 1.0) * capacity
+    cap = draw(st.one_of(st.sampled_from([0.0, np.inf]), st.floats(0.0, 25.0)))
+    charge_from_dispatch = draw(st.booleans())
+    return (demand, gen, dt, baseload, power, capacity, efficiency, soc0, cap, charge_from_dispatch)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_kernel_calls())
+def test_balance_loop_matches_reference_loop_on_drawn_ties(args):
+    n = args[0].shape[0]
+    got = np.full((N_ROWS, n), 7.0)
+    want = np.full((N_ROWS, n), -7.0)
+    balance_loop(*args, got)
+    reference_loop(*args, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

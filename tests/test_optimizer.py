@@ -258,8 +258,8 @@ def _week_fixture():
     "charge_from_dispatch, baseload_gw", [(False, 0.0), (True, 0.0), (False, 4.0), (True, 4.0)]
 )
 def test_coarse_scan_matches_evaluate_point_by_point(charge_from_dispatch, baseload_gw):
-    # 125 of the 225 grid points have no battery energy and are sized in
-    # closed form; evaluate sizes every point through the loop
+    # 125 of the 225 grid points have no battery energy and skip the step
+    # loop; the scan sizes each point in one pass, evaluate in two
     data = _week_fixture()
     space = SearchSpace(
         wind_gw=(0.0, 40.0, 10.0),
@@ -324,8 +324,8 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     options = OptimizeOptions(refine_tolerance_gw=1.0, refine_tolerance_hours=1.0)
     n_coarse = 3 * 3 * 3 * 2
     calls = []
-    loop = _kernels.balance_loop
-    monkeypatch.setattr(_kernels, "balance_loop", lambda *args: calls.append(1) or loop(*args))
+    steps = _kernels._battery_steps
+    monkeypatch.setattr(_kernels, "_battery_steps", lambda *args: calls.append(1) or steps(*args))
     result = optimize(space, data, params, options=options)
     points = [mix for mix, _ in result.trajectory]
     assert len(points) == result.evaluations
@@ -333,7 +333,8 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     # both kinds of point occur, coarse and refined
     assert {False, True} <= set(storage_free[:n_coarse])
     assert {False, True} <= set(storage_free[n_coarse:])
-    # a point with battery energy takes one sizing pass, one without none;
-    # the flag adds one simulation per point, and the winner is simulated once
-    free = sum(storage_free)
-    assert len(calls) == passes * (len(points) - free) + (passes - 1) * free + 1
+    # only a point with battery energy steps its battery: once to size it,
+    # and once more to simulate it with the flag on; the winner has no
+    # battery power, so its final simulation steps nothing
+    assert result.best.mix.battery_power_gw == 0.0
+    assert len(calls) == passes * (len(points) - sum(storage_free))

@@ -138,6 +138,17 @@ def test_load_series_error_messages_carry_line_numbers():
         load_series(b"timestamp,value\n2019-01-01,\n", KIND_DEMAND)
     with pytest.raises(ValueError, match="non-finite value on line 2"):
         load_series(b"value\ninf\n", KIND_DEMAND)
+    # skipped blank lines still count, and a row too short for the value
+    # column has no value
+    with pytest.raises(ValueError, match="unparseable value 'bogus' on line 5"):
+        load_series(b"value\n1.0\n\n\nbogus\n", KIND_DEMAND)
+    with pytest.raises(ValueError, match="missing value on line 4"):
+        load_series(b"timestamp,value\nt0,1.0\n\nt2\n", KIND_DEMAND)
+
+
+def test_load_series_skips_blank_lines():
+    ts = load_series(b"value\n\n1.0\n\n2.0\n\n", KIND_DEMAND)
+    assert ts.values.tolist() == [1.0, 2.0]
 
 
 def test_load_series_clamps_rounding_noise_only():
