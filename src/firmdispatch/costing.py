@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dispatch import CapacityMix, DispatchResult
+from .dispatch import CapacityMix
 
 KW_PER_GW = 1e6
 MWH_PER_TWH = 1e6
@@ -142,14 +142,6 @@ def fuel_cost(dispatch_energy_twh: float, book: CostBook) -> float:
             f"dispatch_energy_twh must be finite and >= 0, got {dispatch_energy_twh!r}"
         )
     return dispatch_energy_twh * MWH_PER_TWH * fuel_cost_per_mwh(book)
-
-
-def system_cost(mix: CapacityMix, result: DispatchResult, book: CostBook) -> SystemCost:
-    """Assemble the annual cost of a mix from a simulation of it.
-
-    Energy served is demand minus unserved energy.
-    """
-    return cost_from_energy(mix, result.served_energy_twh, result.dispatch_energy_twh, book)
 
 
 def cost_from_energy(

@@ -4,36 +4,36 @@ A candidate is a wind, PV, and battery combination; its dispatchable
 capacity is not searched but sized endogenously so every candidate serves
 all demand.  The search scans a coarse full grid, then refines the incumbent
 one coordinate at a time with step halving.  Selection uses a total
-ordering, so the outcome does not depend on evaluation order: unit cost
-first, then annualized capital, then total installed GW, then the
-capacities themselves.  Evaluations are pure and independent, safe to run
-concurrently; only incumbent selection synchronizes, by reduction over that
-fixed ordering.
+ordering: unit cost first, then annualized capital, then total installed
+GW, then the capacities themselves.  The search runs sequentially in one
+fixed order, so the trajectory, the winner and the evaluation count are
+the same on every run.
 
-Every point, coarse or refined, is sized and costed the same way: through
-``dispatch.sized_energy`` and ``costing.cost_from_energy``.  A point with
-battery energy takes one balance pass, a point without none; with
-``battery_charges_from_dispatch`` on, each sized mix is simulated once
-more.  The search keeps only each point's sized mix and cost; the
-returned best ``Evaluation`` comes from one ``simulate`` of the winner.
-``evaluate`` is the plain reference for one point: ``size_dispatch``, then
-``simulate``, then ``system_cost``.
+Every point, coarse or refined, goes through one memoized point function,
+keyed by its coordinates rounded to 1e-9: a point met again, in the grid
+or in refinement, is a cache hit and is neither sized nor recorded twice.
+A new point is sized with ``dispatch.sized_energy`` and priced with
+``costing.cost_from_energy``.  A point with battery energy takes one
+balance pass, a point without none; with ``battery_charges_from_dispatch``
+on, each sized mix is simulated once more.  The search keeps only each
+point's sized mix and cost; the returned best ``Evaluation`` comes from
+one ``simulate`` of the winner.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 
-from .costing import CostBook, SystemCost, cost_from_energy, system_cost
+from .costing import CostBook, SystemCost, cost_from_energy
 from .dispatch import (
     DEFAULT_PARAMS,
     CapacityMix,
     DispatchResult,
     SimParams,
     simulate,
-    size_dispatch,
     sized_energy,
 )
 from .profiles import AlignedDataset, DemandStats
@@ -55,6 +55,10 @@ DEFAULT_BATTERY_HOURS = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
 # demand in coarse steps of a fixed fraction of peak.
 PEAK_MULTIPLES = {"wind_gw": 3.0, "pv_gw": 2.0, "battery_power_gw": 1.5}
 STEP_FRACTION_OF_PEAK = 0.1
+
+# The searched coordinates of a mix, in grid and refinement order.
+AXES = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours")
+_coords = operator.attrgetter(*AXES)
 
 # Refinement sweeps are capped so a search always ends.
 MAX_REFINE_SWEEPS = 60
@@ -149,27 +153,7 @@ def default_space(stats: DemandStats, baseload_gw: float = 0.0, baseload_eaf: fl
 def grid_axis(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive arithmetic grid from lo by step, never exceeding hi."""
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(n)]
-
-
-def evaluate(
-    candidate: CapacityMix,
-    data: AlignedDataset,
-    params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
-) -> Evaluation:
-    """Size dispatch for a candidate, simulate it, and cost the system.
-
-    The candidate's own ``dispatch_gw`` is ignored; the returned mix carries
-    the sized value, and its simulation serves all demand by construction.
-    It makes two balance passes; ``optimize`` gets the same mix and cost
-    from ``sized_energy``, in one pass with
-    ``battery_charges_from_dispatch`` off.
-    """
-    book = book if book is not None else CostBook()
-    sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
-    result = simulate(sized, data, params)
-    return Evaluation(mix=sized, result=result, cost=system_cost(sized, result, book))
+    return [min(lo + k * step, hi) for k in range(n)]
 
 
 def _rank_key(point: tuple[CapacityMix, SystemCost]) -> tuple:
@@ -220,102 +204,51 @@ def optimize(
     cache: dict[tuple[float, float, float, float], tuple[CapacityMix, SystemCost]] = {}
     trajectory: list[tuple[CapacityMix, float]] = []
 
-    def record(key, mix: CapacityMix, cost: SystemCost) -> tuple[CapacityMix, SystemCost]:
-        point = cache[key] = (mix, cost)
-        trajectory.append((mix, cost.unit_cost_usd_per_mwh))
-        return point
-
-    def candidate(wind: float, pv: float, bp: float, bh: float) -> CapacityMix:
-        return CapacityMix(
-            wind_gw=wind,
-            pv_gw=pv,
-            battery_power_gw=bp,
-            battery_hours=bh,
-            baseload_gw=space.baseload_gw,
-            baseload_eaf=space.baseload_eaf,
-        )
-
-    # A point whose coordinates round to an earlier one's is that point again.
-    grid: dict[tuple[float, float, float, float], CapacityMix] = {}
-    for coords in itertools.product(
-        grid_axis(*space.wind_gw),
-        grid_axis(*space.pv_gw),
-        grid_axis(*space.battery_power_gw),
-        space.battery_hours,
-    ):
-        grid.setdefault(_cache_key(*coords), candidate(*coords))
-
-    # Every point, coarse or refined, is sized and then costed from its energies.
-    def priced(mix: CapacityMix) -> tuple[CapacityMix, SystemCost]:
-        sized, served, energy = sized_energy(mix, data, params)
-        return sized, cost_from_energy(sized, served, energy, book)
-
-    best: tuple[CapacityMix, SystemCost] | None = None
-    for key, mix in grid.items():
-        point = record(key, *priced(mix))
-        if best is None or _rank_key(point) < _rank_key(best):
-            best = point
-    assert best is not None
-
-    def eval_point(wind: float, pv: float, bp: float, bh: float) -> tuple[CapacityMix, SystemCost]:
-        key = _cache_key(wind, pv, bp, bh)
+    def point(coords: tuple[float, float, float, float]) -> tuple[CapacityMix, SystemCost]:
+        key = _cache_key(*coords)
         hit = cache.get(key)
-        if hit is not None:
-            return hit
-        return record(key, *priced(candidate(wind, pv, bp, bh)))
+        if hit is None:
+            mix = CapacityMix(
+                **dict(zip(AXES, coords)),
+                baseload_gw=space.baseload_gw,
+                baseload_eaf=space.baseload_eaf,
+            )
+            sized, served, energy = sized_energy(mix, data, params)
+            hit = cache[key] = (sized, cost_from_energy(sized, served, energy, book))
+            trajectory.append((sized, hit[1].unit_cost_usd_per_mwh))
+        return hit
 
-    bounds = {
-        "wind_gw": (space.wind_gw[0], space.wind_gw[1]),
-        "pv_gw": (space.pv_gw[0], space.pv_gw[1]),
-        "battery_power_gw": (space.battery_power_gw[0], space.battery_power_gw[1]),
-        "battery_hours": (space.battery_hours[0], space.battery_hours[-1]),
-    }
-    steps = {
-        "wind_gw": space.wind_gw[2] / 2.0,
-        "pv_gw": space.pv_gw[2] / 2.0,
-        "battery_power_gw": space.battery_power_gw[2] / 2.0,
-        "battery_hours": _hours_refine_step(space.battery_hours, best[0].battery_hours),
-    }
-    tols = {
-        "wind_gw": options.refine_tolerance_gw,
-        "pv_gw": options.refine_tolerance_gw,
-        "battery_power_gw": options.refine_tolerance_gw,
-        "battery_hours": options.refine_tolerance_hours,
-    }
-    axes = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours")
+    # min keeps the first of equal points, so grid order breaks exact ties.
+    axes = (space.wind_gw, space.pv_gw, space.battery_power_gw)
+    best = min(
+        map(point, itertools.product(*(grid_axis(*axis) for axis in axes), space.battery_hours)),
+        key=_rank_key,
+    )
+
+    ladder = space.battery_hours
+    bounds = [axis[:2] for axis in axes] + [(ladder[0], ladder[-1])]
+    steps = [axis[2] / 2.0 for axis in axes] + [_hours_refine_step(ladder, best[0].battery_hours)]
+    tols = [options.refine_tolerance_gw] * len(axes) + [options.refine_tolerance_hours]
 
     for _ in range(MAX_REFINE_SWEEPS):
-        active = [
-            axis
-            for axis in axes
-            if bounds[axis][0] < bounds[axis][1] and steps[axis] >= tols[axis]
-        ]
+        active = [i for i, (lo, hi) in enumerate(bounds) if lo < hi and steps[i] >= tols[i]]
         if not active:
             break
         improved = False
-        for axis in axes:
-            if axis not in active:
-                continue
-            center = getattr(best[0], axis)
-            lo, hi = bounds[axis]
-            for candidate_value in (center - steps[axis], center + steps[axis]):
-                value = min(max(candidate_value, lo), hi)
+        for i in active:
+            center = _coords(best[0])[i]
+            lo, hi = bounds[i]
+            for value in (center - steps[i], center + steps[i]):
+                value = min(max(value, lo), hi)
                 if abs(value - center) < 1e-12:
                     continue
-                coords = {a: getattr(best[0], a) for a in axes}
-                coords[axis] = value
-                point = eval_point(
-                    coords["wind_gw"],
-                    coords["pv_gw"],
-                    coords["battery_power_gw"],
-                    coords["battery_hours"],
-                )
-                if _rank_key(point) < _rank_key(best):
-                    best = point
+                coords = _coords(best[0])  # the incumbent may have moved
+                neighbor = point(coords[:i] + (value,) + coords[i + 1 :])
+                if _rank_key(neighbor) < _rank_key(best):
+                    best = neighbor
                     improved = True
         if not improved:
-            for axis in axes:
-                steps[axis] /= 2.0
+            steps = [step / 2.0 for step in steps]
 
     best_mix, best_cost = best
     winner = Evaluation(mix=best_mix, result=simulate(best_mix, data, params), cost=best_cost)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -218,6 +218,18 @@ def _pv_probe_mix(pv_gw: float, power_gw: float, energy_gwh: float) -> CapacityM
     )
 
 
+def _bisect(lo: float, hi: float, tol: float, feasible: Callable[[float], bool]) -> float:
+    """Halve an infeasible ``lo`` / feasible ``hi`` bracket to within
+    ``tol``; return its feasible end."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def run_pv_only(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
@@ -281,35 +293,24 @@ def run_pv_only(
                     "within the battery bound"
                 )
             hi = pv_cap
-        lo = 0.0
-        while hi - lo > pv_tol_gw:
-            mid = 0.5 * (lo + hi)
-            if feasible_pv(mid):
-                hi = mid
-            else:
-                lo = mid
-        pv_star = hi
+        pv_star = _bisect(0.0, hi, pv_tol_gw, feasible_pv)
 
     # Least battery energy at the sized PV.  With no initial charge the
     # unconstrained run bounds it tightly: a cap at the highest state of
     # charge ever reached never binds.  With an initial charge the starting
     # inventory scales with capacity, so the tight bound must be re-probed
     # and falls back to the unconstrained size.
+    def feasible_energy(energy_gwh: float) -> bool:
+        return probe(pv_star, energy_gwh)[1]
+
     unconstrained, _ = probe(pv_star, huge_energy)
     energy_hi = float(np.max(unconstrained.trace.soc_gwh)) * (1.0 + 1e-9) + 1e-9
     energy_hi = min(energy_hi, huge_energy)
-    if not probe(pv_star, energy_hi)[1]:
+    if not feasible_energy(energy_hi):
         energy_hi = huge_energy
-    lo, hi = 0.0, energy_hi
-    if probe(pv_star, 0.0)[1]:
-        hi = 0.0
-    while hi - lo > energy_tol_gwh:
-        mid = 0.5 * (lo + hi)
-        if probe(pv_star, mid)[1]:
-            hi = mid
-        else:
-            lo = mid
-    energy_star = hi
+    if feasible_energy(0.0):
+        energy_hi = 0.0
+    energy_star = _bisect(0.0, energy_hi, energy_tol_gwh, feasible_energy)
 
     final, _ = probe(pv_star, energy_star)
     flows = max(

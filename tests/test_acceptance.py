@@ -30,12 +30,13 @@ from firmdispatch import (
     size_dispatch,
 )
 from firmdispatch.cli import main
-from firmdispatch.costing import crf, fuel_cost_per_mwh, system_cost
-from firmdispatch.optimizer import evaluate, grid_axis
+from firmdispatch.costing import crf, fuel_cost_per_mwh
+from firmdispatch.optimizer import grid_axis
 from firmdispatch.profiles import demand_stats, synthesize_dataset
 from firmdispatch.scenarios import build_report
 
 from conftest import FIXTURES, random_dataset, random_mix, random_params
+from oracle import evaluate, system_cost
 
 
 def _week_fixture():

@@ -10,11 +10,11 @@ from firmdispatch.costing import (
     fixed_om,
     fuel_cost,
     fuel_cost_per_mwh,
-    system_cost,
 )
 from firmdispatch.profiles import scale_demand
 
 from conftest import random_dataset, random_mix
+from oracle import system_cost
 
 
 def test_crf_known_values():

@@ -25,13 +25,13 @@ from firmdispatch.costing import crf
 from firmdispatch.optimizer import (
     TRAJECTORY_COLUMNS,
     default_space,
-    evaluate,
     grid_axis,
     write_trajectory_csv,
 )
 from firmdispatch.profiles import DemandStats, demand_stats, synthesize_dataset
 
 from conftest import FIXTURES, random_dataset
+from oracle import evaluate
 
 
 def _flat_dataset(demand_gw, wind_cf, pv_cf, n=168):
@@ -47,6 +47,13 @@ def test_grid_axis_inclusive_bounds():
     assert grid_axis(0.0, 1.0, 0.3) == pytest.approx([0.0, 0.3, 0.6, 0.9])
     assert grid_axis(5.0, 5.0, 1.0) == [5.0]
     assert max(grid_axis(0.0, 17.3, 2.0)) <= 17.3
+    # the top rung is clamped to hi where lo + k * step rounds above it
+    assert grid_axis(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
+    assert grid_axis(0.0, 0.7, 0.1)[-1] == 0.7
+    peak = 13.531406977426041  # the week fixture's peak demand, GW
+    for hi in (3.0 * peak, 1.5 * peak):
+        axis = grid_axis(0.0, hi, 0.1 * peak)
+        assert axis[-1] == hi and max(axis) <= hi
 
 
 def test_default_space_scales_with_peak():
@@ -338,3 +345,60 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     # battery power, so its final simulation steps nothing
     assert result.best.mix.battery_power_gw == 0.0
     assert len(calls) == passes * (len(points) - sum(storage_free))
+
+
+def test_refinement_path_is_pinned():
+    # Cheap wind and storage, dear fuel: refinement walks wind, PV, battery
+    # power and hours, clamps at the 40 GW wind bound, halves its steps and
+    # meets earlier points again.  Every coordinate is an exact binary
+    # fraction, so the sequence is the same on every platform.
+    data = _week_fixture()
+    space = SearchSpace(
+        wind_gw=(0.0, 40.0, 10.0),
+        pv_gw=(0.0, 28.0, 7.0),
+        battery_power_gw=(0.0, 20.0, 10.0),
+        battery_hours=(0.0, 2.0, 8.0),
+    )
+    book = CostBook(
+        capex_wind_usd_per_kw=100,
+        capex_pv_usd_per_kw=60,
+        capex_battery_usd_per_kwh=10,
+        fuel_price_usd_per_gj=60,
+    )
+    options = OptimizeOptions(refine_tolerance_gw=1.0, refine_tolerance_hours=0.5)
+    result = optimize(space, data, book=book, options=options)
+    refined = [
+        (m.wind_gw, m.pv_gw, m.battery_power_gw, m.battery_hours)
+        for m, _ in result.trajectory[225:]
+    ]
+    assert refined == [
+        (35.0, 0.0, 20.0, 2.0),
+        (40.0, 3.5, 20.0, 2.0),
+        (40.0, 0.0, 15.0, 2.0),
+        (40.0, 0.0, 15.0, 0.0),
+        (40.0, 0.0, 15.0, 5.0),
+        (35.0, 0.0, 15.0, 2.0),
+        (40.0, 3.5, 15.0, 2.0),
+        (37.5, 0.0, 15.0, 2.0),
+        (40.0, 1.75, 15.0, 2.0),
+        (40.0, 0.0, 12.5, 2.0),
+        (40.0, 0.0, 17.5, 2.0),
+        (40.0, 0.0, 15.0, 0.5),
+        (40.0, 0.0, 15.0, 3.5),
+        (38.75, 0.0, 15.0, 2.0),
+        (38.75, 0.0, 13.75, 2.0),
+        (38.75, 0.0, 16.25, 2.0),
+        (38.75, 0.0, 16.25, 1.25),
+        (38.75, 0.0, 16.25, 2.75),
+        (37.5, 0.0, 16.25, 2.0),
+        (40.0, 0.0, 16.25, 2.0),
+        (38.75, 0.0, 17.5, 2.0),
+    ]
+    assert result.evaluations == len(result.trajectory) == 225 + 21
+    best = result.best.mix
+    assert (best.wind_gw, best.pv_gw, best.battery_power_gw, best.battery_hours) == (
+        38.75,
+        0.0,
+        16.25,
+        2.0,
+    )

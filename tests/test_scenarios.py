@@ -26,7 +26,6 @@ from firmdispatch import (
     simulate,
     write_report_csv,
 )
-from firmdispatch.optimizer import evaluate
 from firmdispatch.profiles import demand_stats, synthesize_dataset
 from firmdispatch.scenarios import (
     SCENARIO_NAMES,
@@ -36,6 +35,7 @@ from firmdispatch.scenarios import (
 )
 
 from conftest import random_dataset, random_mix
+from oracle import evaluate
 
 # stop after the coarse grid so two runs share an identical candidate set
 COARSE_ONLY = OptimizeOptions(refine_tolerance_gw=1e9, refine_tolerance_hours=1e9)
