@@ -18,9 +18,9 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .config import ConfigError, RunConfig, parse_config, render_manifest, validate
+from .config import MIX_KEYS, ConfigError, RunConfig, parse_config, render_manifest, validate
 from .costing import CostBook
 from .dispatch import CapacityMix, DispatchTrace, SimParams, simulate, write_trace_csv
 from .optimizer import (
@@ -140,27 +140,22 @@ def _settings(cls, config: RunConfig):
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
-_MIX_KEYS = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "dispatch_gw")
-
-
 def _fixed_mix(config: RunConfig) -> CapacityMix | None:
-    if all(getattr(config, key) is None for key in _MIX_KEYS):
+    if all(getattr(config, key) is None for key in MIX_KEYS):
         return None
     return CapacityMix(
-        **{key: getattr(config, key) or 0.0 for key in _MIX_KEYS},
+        **{key: getattr(config, key) or 0.0 for key in MIX_KEYS},
         baseload_gw=config.baseload_gw,
         baseload_eaf=config.baseload_eaf,
     )
 
 
 class _Output(NamedTuple):
-    """A trajectory (where a search ran) and the mix to trace, named by file suffix."""
+    """A trajectory (where a search ran) and the ledger to trace, named by file suffix."""
 
     suffix: str
     optim: OptimResult | None
-    mix: CapacityMix
-    data: AlignedDataset
-    trace: DispatchTrace | None = None  # already simulated, saves a kernel pass
+    trace: Callable[[], DispatchTrace]  # called only under --trace
 
 
 class _Outcome(NamedTuple):
@@ -171,8 +166,9 @@ class _Outcome(NamedTuple):
     extra_rows: Sequence[tuple[str, float, str]] = ()
 
 
-def _searched(optim: OptimResult, data: AlignedDataset, suffix: str = "") -> _Output:
-    return _Output(suffix, optim, optim.best.mix, data)
+def _searched(optim: OptimResult, suffix: str = "") -> _Output:
+    # the search already simulated its winner
+    return _Output(suffix, optim, lambda: optim.best.result.trace)
 
 
 def _pv_only_mix(report: ScenarioReport) -> CapacityMix:
@@ -187,34 +183,35 @@ def _simulate(config, data, params, book, options) -> _Outcome:
     mix = _fixed_mix(config)
     if mix is None:
         raise ConfigError(
-            "simulate needs a fixed mix: set at least one of " + ", ".join(_MIX_KEYS)
+            "simulate needs a fixed mix: set at least one of " + ", ".join(MIX_KEYS)
         )
-    result = simulate(mix, data, params, keep_trace=True)
+    result = simulate(mix, data, params)
     report = build_report(mix, result, data, label="simulate")
-    return _Outcome(report, [_Output("", None, mix, data, result.trace)])
+    return _Outcome(report, [_Output("", None, lambda: result.trace)])
 
 
 def _optimize(config, data, params, book, options) -> _Outcome:
     optim = optimize(_space_from(config, data), data, params, book, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
-    return _Outcome(report, [_searched(optim, data)])
+    return _Outcome(report, [_searched(optim)])
 
 
 def _base(config, data, params, book, options) -> _Outcome:
     report, optim = run_base(data, params, book, _space_from(config, data), options)
-    return _Outcome(report, [_searched(optim, data)])
+    return _Outcome(report, [_searched(optim)])
 
 
 def _low_storage(config, data, params, book, options) -> _Outcome:
     report, delta, optim = run_low_storage(
         data, params, book, _space_from(config, data), config.battery_price_usd_per_kwh, options
     )
-    return _Outcome(report, [_searched(optim, data)], low_storage_extra_rows(delta))
+    return _Outcome(report, [_searched(optim)], low_storage_extra_rows(delta))
 
 
 def _pv_only(config, data, params, book, options) -> _Outcome:
     report = run_pv_only(data, params)
-    return _Outcome(report, [_Output("", None, _pv_only_mix(report), data)])
+    mix = _pv_only_mix(report)
+    return _Outcome(report, [_Output("", None, lambda: simulate(mix, data, params).trace)])
 
 
 def _rigidity(config, data, params, book, options) -> _Outcome:
@@ -224,7 +221,7 @@ def _rigidity(config, data, params, book, options) -> _Outcome:
     rigidity = run_rigidity(mix, data, params, step=config.rigidity_step)
     sized = replace(mix, dispatch_gw=rigidity.required_dispatch_gw)
     scaled = scale_demand(data, rigidity.failure_multiplier)
-    return _Outcome(rigidity, [_Output("", None, sized, scaled)])
+    return _Outcome(rigidity, [_Output("", None, lambda: simulate(sized, scaled, params).trace)])
 
 
 def _residual_baseload(config, data, params, book, options) -> _Outcome:
@@ -239,7 +236,7 @@ def _residual_baseload(config, data, params, book, options) -> _Outcome:
         config.baseload_eaf,
         options,
     )
-    return _Outcome(report, [_searched(optim, data)])
+    return _Outcome(report, [_searched(optim)])
 
 
 def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
@@ -248,7 +245,7 @@ def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
     )
     return _Outcome(
         [report for _, report, _ in runs],
-        [_searched(optim, data, f"_fuel_{price:g}") for price, _, optim in runs],
+        [_searched(optim, f"_fuel_{price:g}") for price, _, optim in runs],
     )
 
 
@@ -305,11 +302,8 @@ def _run(args: argparse.Namespace) -> int:
             write_trajectory_csv(output.optim, out_dir / name)
             written.append(name)
         if args.trace:
-            trace = output.trace
-            if trace is None:
-                trace = simulate(output.mix, output.data, params, keep_trace=True).trace
             name = f"trace{output.suffix}.csv"
-            write_trace_csv(trace, out_dir / name)
+            write_trace_csv(output.trace(), out_dir / name)
             written.append(name)
 
     (out_dir / "run_manifest").write_text(render_manifest(config), encoding="utf-8")

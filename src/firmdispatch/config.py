@@ -122,6 +122,9 @@ class RunConfig:
     output_dir: str = "out"
 
 
+# The fixed mix of simulate and rigidity runs, in CapacityMix field order.
+MIX_KEYS = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "dispatch_gw")
+
 _INT_KEYS = {
     "synthetic_hours",
     "seed",
@@ -225,13 +228,10 @@ def validate(config: RunConfig) -> None:
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
-    for name in ("rigidity_step",):
-        value = getattr(config, name)
-        if not (0.0 < value < 1.0):
-            raise ConfigError(f"{name} must be in (0, 1), got {value!r}")
+    if not (0.0 < config.rigidity_step < 1.0):
+        raise ConfigError(f"rigidity_step must be in (0, 1), got {config.rigidity_step!r}")
 
-    mix_keys = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "dispatch_gw")
-    for name in mix_keys:
+    for name in MIX_KEYS:
         value = getattr(config, name)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")

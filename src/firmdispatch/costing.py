@@ -74,6 +74,9 @@ class CostBook:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+DEFAULT_BOOK = CostBook()
+
+
 @dataclass(frozen=True)
 class SystemCost:
     """Annual cost components in USD per year, plus the per-MWh figures."""

@@ -8,7 +8,10 @@ capacity, and anything left is unserved.  ``_kernels.balance_loop`` runs
 that order over a dataset in one pass: every flow that does not depend on
 the state of charge is a whole-array numpy expression, and only the
 battery is stepped in Python.  A mix without battery power or energy skips
-that step loop, so its pass is numpy alone.
+that step loop, so its pass is numpy alone.  ``simulate`` returns the
+energy totals of one pass with its per-step ledger attached as a
+``DispatchTrace``; ``write_trace_csv`` writes that ledger under the
+header ``TRACE_COLUMNS``.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
@@ -120,55 +123,25 @@ class SimParams:
 
 
 class DispatchTrace:
-    """Array-backed per-step ledger, one column array per flow."""
+    """Per-step ledger, one array per ``TRACE_COLUMNS[1:]`` name plus
+    ``charge_from_dispatch_gw``; only ``battery_charge_gw`` is not a view."""
 
     def __init__(self, demand: NDArray[np.float64], ledger: NDArray[np.float64], dt_hours: float):
-        self._demand = demand
         self._ledger = ledger
         self.dt_hours = dt_hours
-
-    @property
-    def demand_gw(self) -> NDArray[np.float64]:
-        return self._demand
-
-    @property
-    def baseload_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_BASELOAD]
-
-    @property
-    def renewable_to_demand_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_REN_TO_DEMAND]
+        self.demand_gw = demand
+        self.baseload_gw = ledger[_kernels.ROW_BASELOAD]
+        self.renewable_to_demand_gw = ledger[_kernels.ROW_REN_TO_DEMAND]
+        self.charge_from_dispatch_gw = ledger[_kernels.ROW_CHARGE_FROM_DISPATCH]
+        self.battery_discharge_gw = ledger[_kernels.ROW_DISCHARGE]
+        self.curtailed_gw = ledger[_kernels.ROW_CURTAILED]
+        self.dispatch_gw = ledger[_kernels.ROW_DISPATCH]
+        self.unserved_gw = ledger[_kernels.ROW_UNSERVED]
+        self.soc_gwh = ledger[_kernels.ROW_SOC]
 
     @property
     def battery_charge_gw(self) -> NDArray[np.float64]:
-        return (
-            self._ledger[_kernels.ROW_CHARGE_FROM_REN]
-            + self._ledger[_kernels.ROW_CHARGE_FROM_DISPATCH]
-        )
-
-    @property
-    def charge_from_dispatch_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_CHARGE_FROM_DISPATCH]
-
-    @property
-    def battery_discharge_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_DISCHARGE]
-
-    @property
-    def curtailed_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_CURTAILED]
-
-    @property
-    def dispatch_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_DISPATCH]
-
-    @property
-    def unserved_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_UNSERVED]
-
-    @property
-    def soc_gwh(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_SOC]
+        return self._ledger[_kernels.ROW_CHARGE_FROM_REN] + self.charge_from_dispatch_gw
 
 
 @dataclass(frozen=True)
@@ -178,7 +151,7 @@ class DispatchResult:
     Wind and PV energy are total generation (installed capacity times
     resource), not the share delivered to demand.  Dispatch energy includes
     any battery charging from dispatchable plant, since that output burns
-    fuel too.  ``trace`` is populated only when requested.
+    fuel too.  ``trace`` is the per-step ledger of the same pass.
     """
 
     wind_energy_twh: float
@@ -196,7 +169,7 @@ class DispatchResult:
     pv_cf: float
     curtailed_fraction: float
     final_soc_gwh: float
-    trace: DispatchTrace | None = field(default=None, compare=False, repr=False)
+    trace: DispatchTrace = field(compare=False, repr=False)
 
     @property
     def served_energy_twh(self) -> float:
@@ -246,7 +219,6 @@ def simulate(
     mix: CapacityMix,
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    keep_trace: bool = False,
 ) -> DispatchResult:
     """Run the merit-order balance for one capacity mix over one dataset.
 
@@ -260,8 +232,6 @@ def simulate(
         Demand and resource series on a common step grid.
     params : SimParams
         Storage model settings.
-    keep_trace : bool
-        Attach the full per-step ledger to the result.
 
     Returns
     -------
@@ -288,7 +258,6 @@ def simulate(
     curtailed = _twh(out[_kernels.ROW_CURTAILED], dt)
     curtailed_fraction = curtailed / renewable_gen if renewable_gen > 0.0 else 0.0
 
-    trace = DispatchTrace(demand, out, dt) if keep_trace else None
     return DispatchResult(
         wind_energy_twh=wind_energy,
         pv_energy_twh=pv_energy,
@@ -305,7 +274,7 @@ def simulate(
         pv_cf=pv_cf_sum * dt / total_hours,
         curtailed_fraction=curtailed_fraction,
         final_soc_gwh=float(out[_kernels.ROW_SOC, -1]),
-        trace=trace,
+        trace=DispatchTrace(demand, out, dt),
     )
 
 
@@ -360,17 +329,7 @@ def write_trace_csv(trace: DispatchTrace, path) -> None:
     ``tolist``, which costs less than converting one numpy scalar per cell
     and holds only a chunk of cells at once.
     """
-    columns = (
-        trace.demand_gw,
-        trace.baseload_gw,
-        trace.renewable_to_demand_gw,
-        trace.battery_charge_gw,
-        trace.battery_discharge_gw,
-        trace.curtailed_gw,
-        trace.dispatch_gw,
-        trace.unserved_gw,
-        trace.soc_gwh,
-    )
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
     n = trace.demand_gw.shape[0]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")

@@ -17,7 +17,7 @@ A new point is sized with ``dispatch.sized_energy`` and priced with
 balance pass, a point without none; with ``battery_charges_from_dispatch``
 on, each sized mix is simulated once more.  The search keeps only each
 point's sized mix and cost; the returned best ``Evaluation`` comes from
-one ``simulate`` of the winner.
+one ``simulate`` of the winner, per-step ledger included.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .costing import CostBook, SystemCost, cost_from_energy
+from .costing import DEFAULT_BOOK, CostBook, SystemCost, cost_from_energy
 from .dispatch import (
     DEFAULT_PARAMS,
     CapacityMix,
@@ -133,8 +133,8 @@ class OptimResult:
 DEFAULT_OPTIONS = OptimizeOptions()
 
 
-def default_space(stats: DemandStats, baseload_gw: float = 0.0, baseload_eaf: float = 1.0) -> SearchSpace:
-    """Search bounds scaled to the demand profile.
+def default_space(stats: DemandStats) -> SearchSpace:
+    """Search bounds scaled to the demand profile, with no baseload.
 
     Each power axis runs from zero to ``PEAK_MULTIPLES[axis]`` times peak
     demand in steps of ``STEP_FRACTION_OF_PEAK`` times peak.
@@ -144,9 +144,7 @@ def default_space(stats: DemandStats, baseload_gw: float = 0.0, baseload_eaf: fl
         raise ValueError(f"peak demand must be positive, got {peak!r}")
     step = STEP_FRACTION_OF_PEAK * peak
     return SearchSpace(
-        **{axis: (0.0, multiple * peak, step) for axis, multiple in PEAK_MULTIPLES.items()},
-        baseload_gw=baseload_gw,
-        baseload_eaf=baseload_eaf,
+        **{axis: (0.0, multiple * peak, step) for axis, multiple in PEAK_MULTIPLES.items()}
     )
 
 
@@ -186,7 +184,7 @@ def optimize(
     space: SearchSpace,
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
+    book: CostBook = DEFAULT_BOOK,
     options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> OptimResult:
     """Find the least-cost mix over the search space.
@@ -198,8 +196,6 @@ def optimize(
     is below its tolerance.  The result is deterministic, including the
     evaluation count.
     """
-    book = book if book is not None else CostBook()
-
     # Each point searched, by rounded coordinates, with its sized mix and cost.
     cache: dict[tuple[float, float, float, float], tuple[CapacityMix, SystemCost]] = {}
     trajectory: list[tuple[CapacityMix, float]] = []

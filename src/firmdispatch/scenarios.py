@@ -7,6 +7,11 @@ need (pv-only), how close to its limit does such a system run (rigidity),
 what changes when legacy baseload stays online (residual-baseload), and how
 does the answer move with fuel price (fuel-sensitivity).
 
+The pv-only bisections stop at fixed resolutions, ``PV_TOL_GW`` of PV and
+``ENERGY_TOL_GWH`` of battery energy, and search PV up to a million times
+peak demand.  Rigidity raises demand up to ``RIGIDITY_MAX_MULTIPLIER``
+times its level; a mix that still serves it there is not storage-limited.
+
 Reports render to CSV with one row per figure, using the conventional table
 row labels, values at full precision.
 """
@@ -14,12 +19,13 @@ row labels, values at full precision.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .costing import CostBook
+from .costing import DEFAULT_BOOK, CostBook
 from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, sized_energy
 from .optimizer import (
     DEFAULT_OPTIONS,
@@ -39,6 +45,10 @@ SCENARIO_NAMES = (
     "residual-baseload",
     "fuel-sensitivity",
 )
+
+PV_TOL_GW = 0.01
+ENERGY_TOL_GWH = 0.1
+RIGIDITY_MAX_MULTIPLIER = 2.0
 
 
 class InfeasibleError(Exception):
@@ -160,12 +170,11 @@ def build_report(
 def run_base(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
+    book: CostBook = DEFAULT_BOOK,
     space: SearchSpace | None = None,
     options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> tuple[ScenarioReport, OptimResult]:
     """Least-cost wind, PV, battery, and firm capacity with no baseload."""
-    book = book if book is not None else CostBook()
     if space is None:
         space = default_space(demand_stats(data.demand))
     if space.baseload_gw != 0.0:
@@ -178,7 +187,7 @@ def run_base(
 def run_low_storage(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
+    book: CostBook = DEFAULT_BOOK,
     space: SearchSpace | None = None,
     battery_price: float = 10.0,
     options: OptimizeOptions = DEFAULT_OPTIONS,
@@ -188,20 +197,21 @@ def run_low_storage(
     With ``battery_price`` equal to the book value this reproduces the base
     optimum exactly.
     """
-    book = book if book is not None else CostBook()
     if not (math.isfinite(battery_price) and battery_price >= 0.0):
         raise ValueError(f"battery_price must be finite and >= 0, got {battery_price!r}")
     _, base_optim = run_base(data, params, book, space, options)
+    base_gw = base_optim.best.mix.dispatch_gw
+    base_twh = base_optim.best.result.dispatch_energy_twh
+    del base_optim  # its winner's ledger need not live through the second search
     cheap_book = replace(book, capex_battery_usd_per_kwh=battery_price)
     _, optim = run_base(data, params, cheap_book, space, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="low-storage")
-    base_mix = base_optim.best.mix
     delta = LowStorageDelta(
         battery_price_usd_per_kwh=battery_price,
-        base_dispatch_gw=base_mix.dispatch_gw,
+        base_dispatch_gw=base_gw,
         dispatch_gw=optim.best.mix.dispatch_gw,
-        dispatch_delta_gw=optim.best.mix.dispatch_gw - base_mix.dispatch_gw,
-        base_dispatch_energy_twh=base_optim.best.result.dispatch_energy_twh,
+        dispatch_delta_gw=optim.best.mix.dispatch_gw - base_gw,
+        base_dispatch_energy_twh=base_twh,
         dispatch_energy_twh=optim.best.result.dispatch_energy_twh,
     )
     return report, delta, optim
@@ -230,19 +240,13 @@ def _bisect(lo: float, hi: float, tol: float, feasible: Callable[[float], bool])
     return hi
 
 
-def run_pv_only(
-    data: AlignedDataset,
-    params: SimParams = DEFAULT_PARAMS,
-    pv_tol_gw: float = 0.01,
-    energy_tol_gwh: float = 0.1,
-    max_pv_gw: float | None = None,
-    max_battery_energy_gwh: float | None = None,
-) -> ScenarioReport:
+def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> ScenarioReport:
     """Smallest PV and battery serving all demand with no wind or firm plant.
 
     Sizing is resource-driven, so no cost book enters.  Bisection on PV
-    capacity with an effectively unconstrained battery finds the least PV;
-    bisection on battery energy at that PV finds the least storage.  A probe
+    capacity with an effectively unconstrained battery finds the least PV
+    to ``PV_TOL_GW``; bisection on battery energy at that PV finds the
+    least storage to ``ENERGY_TOL_GWH``.  A probe
     counts as feasible only if no demand goes unserved and the battery ends
     the period no lower than it started: the initial charge
     (``params.initial_soc_fraction``) bootstraps a dataset that begins at
@@ -253,8 +257,7 @@ def run_pv_only(
     Raises
     ------
     InfeasibleError
-        If no PV within bounds serves all demand, or the battery energy
-        bound is too small.
+        If no PV up to a million times peak demand serves all demand.
     """
     stats = demand_stats(data.demand)
     peak = stats.peak_gw
@@ -262,17 +265,13 @@ def run_pv_only(
         zero = _pv_probe_mix(0.0, 0.0, 0.0)
         return build_report(zero, simulate(zero, data, params), data, label="pv-only")
 
-    pv_cap = max_pv_gw if max_pv_gw is not None else 1e6 * peak
+    pv_cap = 1e6 * peak
     huge_energy = 1e9 * max(peak, 1.0)
-    if max_battery_energy_gwh is not None:
-        huge_energy = min(huge_energy, max_battery_energy_gwh)
 
     def probe(pv_gw: float, energy_gwh: float) -> tuple[DispatchResult, bool]:
-        if max_battery_energy_gwh is not None:
-            energy_gwh = min(energy_gwh, max_battery_energy_gwh)
         power = max(peak, pv_gw) if energy_gwh > 0.0 else 0.0
         mix = _pv_probe_mix(pv_gw, power, energy_gwh)
-        result = simulate(mix, data, params, keep_trace=True)
+        result = simulate(mix, data, params)
         initial_soc = params.initial_soc_fraction * mix.battery_energy_gwh
         closed = result.final_soc_gwh + 1e-9 >= initial_soc
         return result, result.unserved_energy_twh == 0.0 and closed
@@ -287,13 +286,11 @@ def run_pv_only(
         while hi <= pv_cap and not feasible_pv(hi):
             hi *= 2.0
         if hi > pv_cap:
-            if not (max_pv_gw is not None and feasible_pv(pv_cap)):
-                raise InfeasibleError(
-                    f"no PV capacity up to {pv_cap:g} GW serves all demand "
-                    "within the battery bound"
-                )
-            hi = pv_cap
-        pv_star = _bisect(0.0, hi, pv_tol_gw, feasible_pv)
+            raise InfeasibleError(
+                f"no PV capacity up to {pv_cap:g} GW serves all demand "
+                "within the battery bound"
+            )
+        pv_star = _bisect(0.0, hi, PV_TOL_GW, feasible_pv)
 
     # Least battery energy at the sized PV.  With no initial charge the
     # unconstrained run bounds it tightly: a cap at the highest state of
@@ -310,26 +307,14 @@ def run_pv_only(
         energy_hi = huge_energy
     if feasible_energy(0.0):
         energy_hi = 0.0
-    energy_star = _bisect(0.0, energy_hi, energy_tol_gwh, feasible_energy)
+    energy_star = _bisect(0.0, energy_hi, ENERGY_TOL_GWH, feasible_energy)
 
     final, _ = probe(pv_star, energy_star)
     flows = max(
         float(np.max(final.trace.battery_charge_gw)),
         float(np.max(final.trace.battery_discharge_gw)),
     )
-    if energy_star > 0.0 and flows > 0.0:
-        power_star = flows
-        hours_star = energy_star / power_star
-    else:
-        power_star, hours_star, energy_star = 0.0, 0.0, 0.0
-
-    mix = CapacityMix(
-        wind_gw=0.0,
-        pv_gw=pv_star,
-        battery_power_gw=power_star,
-        battery_hours=hours_star,
-        dispatch_gw=0.0,
-    )
+    mix = _pv_probe_mix(pv_star, flows if energy_star > 0.0 else 0.0, energy_star)
     result = simulate(mix, data, params)
     if result.unserved_energy_twh != 0.0:
         raise RuntimeError("sized PV-only mix failed to reproduce a served system")
@@ -341,7 +326,6 @@ def run_rigidity(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
     step: float = 0.01,
-    max_multiplier: float = 2.0,
 ) -> RigidityReport:
     """Scale demand up until the mix fails, then size the firm gap.
 
@@ -353,7 +337,7 @@ def run_rigidity(
     ------
     ValueError
         If the mix does not serve the unscaled demand, or no failure occurs
-        up to ``max_multiplier`` (a mix with firm backup does not fail).
+        up to ``RIGIDITY_MAX_MULTIPLIER`` (a mix with firm backup does not fail).
     """
     if not (0.0 < step < 1.0):
         raise ValueError(f"step must be in (0, 1), got {step!r}")
@@ -363,9 +347,9 @@ def run_rigidity(
     k = 1
     while True:
         multiplier = 1.0 + k * step
-        if multiplier > max_multiplier:
+        if multiplier > RIGIDITY_MAX_MULTIPLIER:
             raise ValueError(
-                f"no failure up to multiplier {max_multiplier}, mix is not storage-limited"
+                f"no failure up to multiplier {RIGIDITY_MAX_MULTIPLIER}, mix is not storage-limited"
             )
         scaled = scale_demand(data, multiplier)
         if simulate(mix, data=scaled, params=params).unserved_energy_twh > 0.0:
@@ -389,7 +373,7 @@ def run_rigidity(
 def run_residual_baseload(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
+    book: CostBook = DEFAULT_BOOK,
     space: SearchSpace | None = None,
     baseload_gw: float = 10.0,
     eaf: float = 0.70,
@@ -400,7 +384,6 @@ def run_residual_baseload(
     Baseload is must-run and free in the objective; only the wind, PV,
     battery, and firm additions are costed and searched.
     """
-    book = book if book is not None else CostBook()
     if not (math.isfinite(baseload_gw) and baseload_gw >= 0.0):
         raise ValueError(f"baseload_gw must be finite and >= 0, got {baseload_gw!r}")
     if not (0.0 <= eaf <= 1.0):
@@ -416,19 +399,28 @@ def run_residual_baseload(
 def run_fuel_sensitivity(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
+    book: CostBook = DEFAULT_BOOK,
     space: SearchSpace | None = None,
     fuel_prices: Sequence[float] = (20.0, 10.0),
     options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> list[tuple[float, ScenarioReport, OptimResult]]:
-    """One full optimization per fuel price, cheapest-last order preserved."""
-    book = book if book is not None else CostBook()
+    """One full optimization per fuel price, cheapest-last order preserved.
+
+    Each run is labelled by its price to 6 significant digits (``:g``), so
+    prices that share a label are rejected before any search runs.
+    """
     prices = [float(p) for p in fuel_prices]
     if not prices:
         raise ValueError("fuel_prices must not be empty")
     for p in prices:
         if not (math.isfinite(p) and p > 0.0):
             raise ValueError(f"fuel prices must be positive and finite, got {p!r}")
+    repeated = [label for label, n in Counter(f"{p:g}" for p in prices).items() if n > 1]
+    if repeated:
+        raise ValueError(
+            "fuel prices must differ at 6 significant digits, which label their reports "
+            f"and files; repeated: {', '.join(repeated)} USD/GJ"
+        )
     runs = []
     for price in prices:
         priced = replace(book, fuel_price_usd_per_gj=price)

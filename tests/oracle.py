@@ -20,7 +20,7 @@ from firmdispatch import (
     simulate,
     size_dispatch,
 )
-from firmdispatch.costing import cost_from_energy
+from firmdispatch.costing import DEFAULT_BOOK, cost_from_energy
 from firmdispatch.dispatch import DEFAULT_PARAMS
 from firmdispatch.optimizer import Evaluation
 
@@ -37,14 +37,13 @@ def evaluate(
     candidate: CapacityMix,
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
-    book: CostBook | None = None,
+    book: CostBook = DEFAULT_BOOK,
 ) -> Evaluation:
     """Size dispatch for a candidate, simulate it, and cost the system.
 
     The candidate's own ``dispatch_gw`` is ignored; the returned mix carries
     the sized value, and its simulation serves all demand by construction.
     """
-    book = book if book is not None else CostBook()
     sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
     result = simulate(sized, data, params)
     return Evaluation(mix=sized, result=result, cost=system_cost(sized, result, book))

@@ -102,7 +102,7 @@ def test_criterion_05_dispatch_oracle():
         pv_cf=TimeSeries(np.zeros(4), 1.0, KIND_CAPACITY_FACTOR),
     )
     mix = CapacityMix(wind_gw=20.0, battery_power_gw=5.0, battery_hours=1.0, dispatch_gw=10.0)
-    result = simulate(mix, data, SimParams(round_trip_efficiency=0.85), keep_trace=True)
+    result = simulate(mix, data, SimParams(round_trip_efficiency=0.85))
 
     assert result.dispatch_energy_twh * 1000.0 == 15.75
     assert result.curtailed_twh * 1000.0 == 5.0
@@ -120,7 +120,7 @@ def test_criterion_06_balance_invariants():
         data = random_dataset(rng)
         mix = random_mix(rng, with_baseload=rng.random() < 0.3)
         params = random_params(rng)
-        result = simulate(mix, data, params, keep_trace=True)
+        result = simulate(mix, data, params)
         trace = result.trace
         dt = data.dt_hours
 

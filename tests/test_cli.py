@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from firmdispatch import KIND_CAPACITY_FACTOR, KIND_DEMAND, TimeSeries, _kernels
+from firmdispatch import (
+    KIND_CAPACITY_FACTOR,
+    KIND_DEMAND,
+    CapacityMix,
+    TimeSeries,
+    _kernels,
+    align,
+    load_series,
+    simulate,
+)
+from firmdispatch import cli
 from firmdispatch.cli import main
 from firmdispatch.config import ConfigError, RunConfig, parse_config, render_manifest
+from firmdispatch.dispatch import write_trace_csv
 from firmdispatch.profiles import dump_series
 
 from conftest import FIXTURES
@@ -390,6 +401,51 @@ def test_cli_scenario_fuel_sensitivity(tmp_path):
     assert report.splitlines()[0] == "row,fuel 20 USD/GJ,fuel 10 USD/GJ,unit"
     assert (out / "trajectory_fuel_20.csv").exists()
     assert (out / "trajectory_fuel_10.csv").exists()
+
+
+def test_cli_fuel_prices_that_share_a_label_exit_two(tmp_path, capsys):
+    conf = _write_conf(tmp_path, SMALL_SYNTH + "fuel_prices_usd_per_gj: 10,10.0000001\n")
+    out = tmp_path / "out"
+    code = main(["scenario", "fuel-sensitivity", "--config", str(conf), "--out", str(out)])
+    assert code == 2
+    assert "repeated: 10 USD/GJ" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+_REPORT_MIX_ROWS = {
+    "Installed Wind": "wind_gw",
+    "Installed PV": "pv_gw",
+    "Battery Capacity": "battery_power_gw",
+    "Battery Hours": "battery_hours",
+    "Installed Dispatch": "dispatch_gw",
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "suffixes"),
+    [(["optimize"], [""]), (["scenario", "fuel-sensitivity"], ["_fuel_20", "_fuel_10"])],
+)
+def test_cli_traced_search_writes_its_winner_ledger_without_another_pass(
+    tmp_path, monkeypatch, argv, suffixes
+):
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **kw: calls.append(a) or simulate(*a, **kw))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(FIXTURES / "week.conf"), "--out", str(out), "--trace"]) == 0
+    assert calls == []
+
+    data = align(
+        load_series(FIXTURES / "demand.csv", KIND_DEMAND, 1.0),
+        load_series(FIXTURES / "wind_cf.csv", KIND_CAPACITY_FACTOR, 1.0),
+        load_series(FIXTURES / "pv_cf.csv", KIND_CAPACITY_FACTOR, 1.0),
+    )
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+    mix_rows = [row for row in rows if row[0] in _REPORT_MIX_ROWS]
+    for column, suffix in enumerate(suffixes, start=1):
+        best = CapacityMix(**{_REPORT_MIX_ROWS[row[0]]: float(row[column]) for row in mix_rows})
+        expected = tmp_path / f"expected{suffix}.csv"
+        write_trace_csv(simulate(best, data).trace, expected)
+        assert (out / f"trace{suffix}.csv").read_bytes() == expected.read_bytes()
 
 
 def test_cli_scenario_residual_baseload_needs_baseload(tmp_path, capsys):

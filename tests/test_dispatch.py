@@ -41,7 +41,7 @@ def test_hand_traced_four_step_case():
     data = _dataset([10.0] * 4, [1.0, 0.0, 0.5, 0.0], [0.0] * 4)
     mix = CapacityMix(wind_gw=20.0, battery_power_gw=5.0, battery_hours=1.0, dispatch_gw=10.0)
     params = SimParams(round_trip_efficiency=0.85, initial_soc_fraction=0.0)
-    result = simulate(mix, data, params, keep_trace=True)
+    result = simulate(mix, data, params)
 
     assert result.dispatch_energy_twh * 1000.0 == 15.75
     assert result.curtailed_twh * 1000.0 == 5.0
@@ -75,7 +75,7 @@ def test_zero_demand_charges_or_curtails_everything():
     n = 48
     data = _dataset(np.zeros(n), np.full(n, 0.5), np.zeros(n))
     mix = CapacityMix(wind_gw=10.0, battery_power_gw=2.0, battery_hours=4.0, dispatch_gw=5.0)
-    result = simulate(mix, data, keep_trace=True)
+    result = simulate(mix, data)
     assert result.dispatch_energy_twh == 0.0
     assert result.unserved_energy_twh == 0.0
     charged = float(np.sum(result.trace.battery_charge_gw))
@@ -89,7 +89,7 @@ def test_per_step_identities_random():
         data = random_dataset(rng)
         mix = random_mix(rng, with_baseload=bool(rng.integers(0, 2)))
         params = random_params(rng)
-        result = simulate(mix, data, params, keep_trace=True)
+        result = simulate(mix, data, params)
         tr = result.trace
         dt = data.dt_hours
 
@@ -425,12 +425,9 @@ def test_drought_peak_after_battery_exhaustion():
 def test_charge_from_dispatch_flag():
     data = _dataset([5.0, 10.0], [0.0, 0.0], [0.0, 0.0])
     mix = CapacityMix(battery_power_gw=5.0, battery_hours=1.0, dispatch_gw=10.0)
-    off = simulate(mix, data, SimParams(round_trip_efficiency=0.8), keep_trace=True)
+    off = simulate(mix, data, SimParams(round_trip_efficiency=0.8))
     on = simulate(
-        mix,
-        data,
-        SimParams(round_trip_efficiency=0.8, battery_charges_from_dispatch=True),
-        keep_trace=True,
+        mix, data, SimParams(round_trip_efficiency=0.8, battery_charges_from_dispatch=True)
     )
 
     assert np.all(off.trace.charge_from_dispatch_gw == 0.0)
@@ -467,7 +464,7 @@ def test_baseload_runs_flat_at_availability():
     demand = np.array([2.0, 5.0, 9.0, 3.0])
     data = _dataset(demand, np.zeros(4), np.zeros(4))
     mix = CapacityMix(dispatch_gw=10.0, baseload_gw=8.0, baseload_eaf=0.5)
-    result = simulate(mix, data, keep_trace=True)
+    result = simulate(mix, data)
     expected = np.minimum(8.0 * 0.5, demand)
     assert np.array_equal(result.trace.baseload_gw, expected)
     assert result.baseload_energy_twh == float(np.sum(expected)) * (1.0 / 1000.0)
@@ -477,7 +474,7 @@ def test_baseload_runs_flat_at_availability():
 def test_initial_soc_is_usable_immediately():
     data = _dataset([10.0], [0.0], [0.0])
     mix = CapacityMix(battery_power_gw=5.0, battery_hours=2.0, dispatch_gw=5.0)
-    result = simulate(mix, data, SimParams(initial_soc_fraction=1.0), keep_trace=True)
+    result = simulate(mix, data, SimParams(initial_soc_fraction=1.0))
     assert list(result.trace.battery_discharge_gw) == [5.0]
     assert result.unserved_energy_twh == 0.0
     assert result.final_soc_gwh == 5.0
@@ -487,7 +484,7 @@ def test_trace_sequence_interface_and_csv(tmp_path):
     rng = np.random.default_rng(30)
     data = random_dataset(rng, n_steps=30, dt_hours=1.0)
     mix = random_mix(rng)
-    result = simulate(mix, data, keep_trace=True)
+    result = simulate(mix, data)
     trace = result.trace
 
     assert trace.demand_gw.shape == (30,)
@@ -528,10 +525,46 @@ def test_write_trace_csv_matches_per_cell_repr(tmp_path, monkeypatch, chunk_rows
     assert {"-0.0", "5e-324", "1e+300", "0.30000000000000004"} <= cells
 
 
-def test_simulate_without_trace_by_default():
+def test_every_simulate_carries_the_ledger_of_its_pass():
     rng = np.random.default_rng(31)
-    data = random_dataset(rng, n_steps=24)
-    assert simulate(random_mix(rng), data).trace is None
+    for _ in range(20):
+        data = random_dataset(rng, n_steps=int(rng.integers(1, 60)))
+        mix = random_mix(rng, with_baseload=bool(rng.integers(0, 2)))
+        params = random_params(rng)
+        trace = simulate(mix, data, params).trace
+
+        demand = data.demand.values
+        out = np.empty((_kernels.N_ROWS, demand.shape[0]))
+        _kernels.balance_loop(
+            demand,
+            mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
+            data.dt_hours,
+            mix.baseload_gw * mix.baseload_eaf,
+            mix.battery_power_gw,
+            mix.battery_energy_gwh,
+            params.round_trip_efficiency,
+            params.initial_soc_fraction * mix.battery_energy_gwh,
+            mix.dispatch_gw,
+            params.battery_charges_from_dispatch,
+            out,
+        )
+        expected = {
+            "demand_gw": demand,
+            "baseload_gw": out[_kernels.ROW_BASELOAD],
+            "renewable_to_demand_gw": out[_kernels.ROW_REN_TO_DEMAND],
+            "battery_charge_gw": out[_kernels.ROW_CHARGE_FROM_REN]
+            + out[_kernels.ROW_CHARGE_FROM_DISPATCH],
+            "battery_discharge_gw": out[_kernels.ROW_DISCHARGE],
+            "curtailed_gw": out[_kernels.ROW_CURTAILED],
+            "dispatch_gw": out[_kernels.ROW_DISPATCH],
+            "unserved_gw": out[_kernels.ROW_UNSERVED],
+            "soc_gwh": out[_kernels.ROW_SOC],
+            "charge_from_dispatch_gw": out[_kernels.ROW_CHARGE_FROM_DISPATCH],
+        }
+        assert set(TRACE_COLUMNS[1:]) | {"charge_from_dispatch_gw"} == set(expected)
+        for name, column in expected.items():
+            assert np.array_equal(getattr(trace, name).view(np.int64), column.view(np.int64)), name
+        assert trace.dt_hours == data.dt_hours
 
 
 def test_validation_errors():

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from firmdispatch import (
     simulate,
     write_report_csv,
 )
+from firmdispatch import scenarios
 from firmdispatch.profiles import demand_stats, synthesize_dataset
 from firmdispatch.scenarios import (
     SCENARIO_NAMES,
@@ -267,18 +269,9 @@ def test_pv_only_initial_charge_must_be_sustained():
 
 def test_pv_only_infeasible_without_sun():
     data = _flat_dataset(1.0, 0.0, 0.0, n_steps=48)
-    with pytest.raises(InfeasibleError, match="no PV capacity"):
-        run_pv_only(data, max_pv_gw=5.0)
-
-
-def test_pv_only_infeasible_under_battery_bound():
-    data = _day_night_dataset(48, day_first=True)
-    params = SimParams(round_trip_efficiency=1.0, initial_soc_fraction=0.0)
-    with pytest.raises(InfeasibleError):
-        run_pv_only(data, params, max_pv_gw=100.0, max_battery_energy_gwh=1.0)
-    # the same bound set above the 12 GWh cycle is harmless
-    report = run_pv_only(data, params, max_battery_energy_gwh=50.0)
-    assert report.pv_gw == 2.0
+    # PV doubles from peak demand until it passes a million times peak
+    with pytest.raises(InfeasibleError, match="no PV capacity up to 1e"):
+        run_pv_only(data)
 
 
 def test_pv_only_zero_demand_short_circuits():
@@ -430,6 +423,19 @@ def test_fuel_sensitivity_rejects_bad_prices(week_data, tiny_space):
     for price in (0.0, -5.0, math.inf):
         with pytest.raises(ValueError, match="positive"):
             run_fuel_sensitivity(week_data, space=tiny_space, fuel_prices=(price,))
+
+
+@pytest.mark.parametrize(
+    ("prices", "repeated"),
+    [((10.0, 10.0000001), "10"), ((20.0, 20.0), "20"), ((3.0, 1.5, 3.0, 1.5), "3, 1.5")],
+)
+def test_fuel_sensitivity_rejects_prices_that_share_a_label(
+    week_data, tiny_space, monkeypatch, prices, repeated
+):
+    # the label names a report column and the run's output files
+    monkeypatch.setattr(scenarios, "optimize", mock.Mock(side_effect=AssertionError("searched")))
+    with pytest.raises(ValueError, match=f"repeated: {repeated} USD/GJ"):
+        run_fuel_sensitivity(week_data, space=tiny_space, fuel_prices=prices)
 
 
 # ===================== csv rendering =====================
