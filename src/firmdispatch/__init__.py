@@ -7,7 +7,14 @@ least-cost combination look like.
 """
 
 from .costing import CostBook, SystemCost
-from .dispatch import CapacityMix, DispatchResult, SimParams, simulate, size_dispatch
+from .dispatch import (
+    CapacityMix,
+    DispatchResult,
+    SimParams,
+    SizingTable,
+    simulate,
+    size_dispatch,
+)
 from .optimizer import Evaluation, OptimizeOptions, OptimResult, SearchSpace, optimize
 from .profiles import (
     KIND_CAPACITY_FACTOR,
@@ -49,6 +56,7 @@ __all__ = [
     "ScenarioReport",
     "SearchSpace",
     "SimParams",
+    "SizingTable",
     "SystemCost",
     "TimeSeries",
     "align",

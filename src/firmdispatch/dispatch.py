@@ -17,7 +17,9 @@ header ``TRACE_COLUMNS``.
 demand unserved, obtained from a single pass with the cap removed.
 ``sized_energy`` is how ``optimize`` and ``run_rigidity`` size a mix: it
 returns the sized mix with the energy it serves and dispatches, from one
-such pass for every mix.
+such pass for every mix.  A ``SizingTable`` memoizes ``sized_energy``
+for one dataset and one ``SimParams``, so searches under different cost
+books size each mix once.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized
@@ -30,6 +32,7 @@ capacity can charge the battery, so each sized mix is simulated once more.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,6 +322,49 @@ def sized_energy(
         return sized, result.served_energy_twh, result.dispatch_energy_twh
     # a sized mix leaves nothing unserved
     return sized, _twh(data.demand.values, data.dt_hours), _twh(row, data.dt_hours)
+
+
+# The fields of a mix that its sizing reads; dispatch_gw is replaced.
+_sizing_key = operator.attrgetter(
+    "wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "baseload_gw", "baseload_eaf"
+)
+
+
+class SizingTable:
+    """``sized_energy`` memoized per mix for one dataset and one ``SimParams``.
+
+    A mix's sizing depends on its capacities, the data and the params, never
+    on a cost book, so searches that differ only in their books can share
+    one table and size each mix once.  An entry is keyed by the ``repr`` of
+    the four searched coordinates, ``baseload_gw`` and ``baseload_eaf``:
+    ``repr`` tells apart every two distinct floats, ``-0.0`` and ``0.0``
+    included, and an int from the equal float, so a hit returns bit for bit
+    what ``sized_energy`` would return for the mix given.
+    """
+
+    def __init__(self, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS):
+        self.data = data
+        self.params = params
+        self._entries: dict[str, tuple[CapacityMix, float, float]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def check(self, data: AlignedDataset, params: SimParams) -> None:
+        """Raise ``ValueError`` unless the table was built for this very
+        ``data`` object and for params of the same ``repr``."""
+        if data is not self.data:
+            raise ValueError("the sizing table was built for another dataset")
+        if repr(params) != repr(self.params):
+            raise ValueError(f"the sizing table was built for {self.params!r}, not {params!r}")
+
+    def sized_energy(self, mix: CapacityMix) -> tuple[CapacityMix, float, float]:
+        """``sized_energy(mix, data, params)``, sized once per key."""
+        key = repr(_sizing_key(mix))
+        hit = self._entries.get(key)
+        if hit is None:
+            hit = self._entries[key] = sized_energy(mix, self.data, self.params)
+        return hit
 
 
 def write_trace_csv(trace: DispatchTrace, path) -> None:

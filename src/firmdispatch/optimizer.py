@@ -12,12 +12,16 @@ the same on every run.
 Every point, coarse or refined, goes through one memoized point function,
 keyed by its coordinates rounded to 1e-9: a point met again, in the grid
 or in refinement, is a cache hit and is neither sized nor recorded twice.
-A new point is sized with ``dispatch.sized_energy`` and priced with
-``costing.cost_from_energy``.  A point with battery energy takes one
-balance pass, a point without none; with ``battery_charges_from_dispatch``
-on, each sized mix is simulated once more.  The search keeps only each
-point's sized mix and cost; the returned best ``Evaluation`` comes from
-one ``simulate`` of the winner, per-step ledger included.
+A new point is sized through a ``dispatch.SizingTable`` and priced with
+``costing.cost_from_energy``.  The table memoizes ``sized_energy`` by the
+exact coordinates and baseload of a mix.  Sizing never reads the cost
+book, so searches that differ only in their books can share one table,
+and a mix one of them sized costs the others no balance pass.  A mix
+sized anew takes one balance pass with battery energy and none without;
+with ``battery_charges_from_dispatch`` on, it is simulated once more.
+The search keeps only each point's sized mix and cost; the returned best
+``Evaluation`` comes from one ``simulate`` of the winner, per-step ledger
+included.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .dispatch import (
     CapacityMix,
     DispatchResult,
     SimParams,
+    SizingTable,
     simulate,
-    sized_energy,
 )
 from .profiles import AlignedDataset, DemandStats
 
@@ -186,6 +190,7 @@ def optimize(
     params: SimParams = DEFAULT_PARAMS,
     book: CostBook = DEFAULT_BOOK,
     options: OptimizeOptions = DEFAULT_OPTIONS,
+    table: SizingTable | None = None,
 ) -> OptimResult:
     """Find the least-cost mix over the search space.
 
@@ -195,7 +200,16 @@ def optimize(
     improvement all steps halve.  Refinement ends when every active axis
     is below its tolerance.  The result is deterministic, including the
     evaluation count.
+
+    Mixes are sized through ``table``, a fresh ``SizingTable`` when none is
+    given.  Searches that pass one table share its sized mixes; each still
+    counts, records and prices its own points, so its result is the same
+    as with a table of its own.  A table built for another ``data`` object
+    or other ``params`` raises ``ValueError``.
     """
+    if table is None:
+        table = SizingTable(data, params)
+    table.check(data, params)
     # Each point searched, by rounded coordinates, with its sized mix and cost.
     cache: dict[tuple[float, float, float, float], tuple[CapacityMix, SystemCost]] = {}
     trajectory: list[tuple[CapacityMix, float]] = []
@@ -209,7 +223,7 @@ def optimize(
                 baseload_gw=space.baseload_gw,
                 baseload_eaf=space.baseload_eaf,
             )
-            sized, served, energy = sized_energy(mix, data, params)
+            sized, served, energy = table.sized_energy(mix)
             hit = cache[key] = (sized, cost_from_energy(sized, served, energy, book))
             trajectory.append((sized, hit[1].unit_cost_usd_per_mwh))
         return hit

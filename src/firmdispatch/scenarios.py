@@ -26,7 +26,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .costing import DEFAULT_BOOK, CostBook
-from .dispatch import CapacityMix, DispatchResult, SimParams, DEFAULT_PARAMS, simulate, sized_energy
+from .dispatch import (
+    DEFAULT_PARAMS,
+    CapacityMix,
+    DispatchResult,
+    SimParams,
+    SizingTable,
+    simulate,
+    sized_energy,
+)
 from .optimizer import (
     DEFAULT_OPTIONS,
     OptimResult,
@@ -173,13 +181,18 @@ def run_base(
     book: CostBook = DEFAULT_BOOK,
     space: SearchSpace | None = None,
     options: OptimizeOptions = DEFAULT_OPTIONS,
+    table: SizingTable | None = None,
 ) -> tuple[ScenarioReport, OptimResult]:
-    """Least-cost wind, PV, battery, and firm capacity with no baseload."""
+    """Least-cost wind, PV, battery, and firm capacity with no baseload.
+
+    ``table`` is handed to ``optimize``, so searches of one dataset can
+    share their sized mixes.
+    """
     if space is None:
         space = default_space(demand_stats(data.demand))
     if space.baseload_gw != 0.0:
         raise ValueError("the base scenario carries no baseload, use residual-baseload instead")
-    optim = optimize(space, data, params, book, options)
+    optim = optimize(space, data, params, book, options, table)
     report = build_report(optim.best.mix, optim.best.result, data, label="base")
     return report, optim
 
@@ -194,17 +207,20 @@ def run_low_storage(
 ) -> tuple[ScenarioReport, LowStorageDelta, OptimResult]:
     """Re-optimize with cheap storage and compare firm capacity to base.
 
-    With ``battery_price`` equal to the book value this reproduces the base
-    optimum exactly.
+    Both searches size their mixes through one ``SizingTable``, so the
+    cheap-storage search sizes only the mixes the base search did not
+    reach.  With ``battery_price`` equal to the book value it reproduces
+    the base optimum exactly and sizes nothing.
     """
     if not (math.isfinite(battery_price) and battery_price >= 0.0):
         raise ValueError(f"battery_price must be finite and >= 0, got {battery_price!r}")
-    _, base_optim = run_base(data, params, book, space, options)
+    table = SizingTable(data, params)
+    _, base_optim = run_base(data, params, book, space, options, table)
     base_gw = base_optim.best.mix.dispatch_gw
     base_twh = base_optim.best.result.dispatch_energy_twh
     del base_optim  # its winner's ledger need not live through the second search
     cheap_book = replace(book, capex_battery_usd_per_kwh=battery_price)
-    _, optim = run_base(data, params, cheap_book, space, options)
+    _, optim = run_base(data, params, cheap_book, space, options, table)
     report = build_report(optim.best.mix, optim.best.result, data, label="low-storage")
     delta = LowStorageDelta(
         battery_price_usd_per_kwh=battery_price,
@@ -286,10 +302,7 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
         while hi <= pv_cap and not feasible_pv(hi):
             hi *= 2.0
         if hi > pv_cap:
-            raise InfeasibleError(
-                f"no PV capacity up to {pv_cap:g} GW serves all demand "
-                "within the battery bound"
-            )
+            raise InfeasibleError(f"no PV capacity up to {pv_cap:g} GW serves all demand")
         pv_star = _bisect(0.0, hi, PV_TOL_GW, feasible_pv)
 
     # Least battery energy at the sized PV.  With no initial charge the
@@ -406,8 +419,12 @@ def run_fuel_sensitivity(
 ) -> list[tuple[float, ScenarioReport, OptimResult]]:
     """One full optimization per fuel price, cheapest-last order preserved.
 
-    Each run is labelled by its price to 6 significant digits (``:g``), so
-    prices that share a label are rejected before any search runs.
+    Fuel price enters costing only, so every search sizes its mixes through
+    one shared ``SizingTable``: a mix is sized once for all prices, and each
+    search's trajectory, winner and evaluation count are those it would
+    have alone.  Each run is labelled by its price to 6 significant digits
+    (``:g``), so prices that share a label are rejected before any search
+    runs.
     """
     prices = [float(p) for p in fuel_prices]
     if not prices:
@@ -421,10 +438,11 @@ def run_fuel_sensitivity(
             "fuel prices must differ at 6 significant digits, which label their reports "
             f"and files; repeated: {', '.join(repeated)} USD/GJ"
         )
+    table = SizingTable(data, params)
     runs = []
     for price in prices:
         priced = replace(book, fuel_price_usd_per_gj=price)
-        report, optim = run_base(data, params, priced, space, options)
+        report, optim = run_base(data, params, priced, space, options, table)
         report = replace(report, label=f"fuel {price:g} USD/GJ")
         runs.append((price, report, optim))
     return runs

@@ -21,6 +21,7 @@ from firmdispatch import (
     CostBook,
     SearchSpace,
     SimParams,
+    SizingTable,
     TimeSeries,
     load_series,
     optimize,
@@ -264,8 +265,10 @@ def test_criterion_09_cheap_storage_does_not_shrink_firm_capacity():
         battery_power_gw=(0.0, 10.0, 5.0),
         battery_hours=(0.0, 2.0, 8.0, 24.0),
     )
+    # the books differ in price only, so their searches share one sizing table
+    table = SizingTable(data)
     runs = [
-        optimize(space, data, book=CostBook(capex_battery_usd_per_kwh=price))
+        optimize(space, data, book=CostBook(capex_battery_usd_per_kwh=price), table=table)
         for price in (200.0, 50.0, 10.0)
     ]
     elapsed = time.monotonic() - t0

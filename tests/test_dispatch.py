@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -14,6 +15,7 @@ from firmdispatch import (
     AlignedDataset,
     CapacityMix,
     SimParams,
+    SizingTable,
     TimeSeries,
     _kernels,
     simulate,
@@ -578,3 +580,37 @@ def test_validation_errors():
         SimParams(round_trip_efficiency=0.0)
     with pytest.raises(ValueError, match="initial_soc_fraction"):
         SimParams(initial_soc_fraction=-0.1)
+
+
+def test_sizing_table_keeps_exact_coordinates_apart(monkeypatch):
+    rng = np.random.default_rng(61)
+    data = random_dataset(rng, n_steps=48)
+    params = SimParams(initial_soc_fraction=0.3)
+    calls = []
+    monkeypatch.setattr(
+        dispatch, "sized_energy", lambda *args: calls.append(args[0]) or sized_energy(*args)
+    )
+    table = SizingTable(data, params)
+    keyed = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "baseload_gw", "baseload_eaf")
+    mix = CapacityMix(
+        wind_gw=10.0,
+        pv_gw=5.0,
+        battery_power_gw=2.0,
+        battery_hours=4.0,
+        baseload_gw=1.0,
+        baseload_eaf=0.5,
+    )
+    zero = CapacityMix(baseload_eaf=0.0)
+    mixes = (
+        [mix, replace(mix, wind_gw=10)]  # an int apart from the equal float
+        + [replace(mix, **{name: math.nextafter(getattr(mix, name), 0.0)}) for name in keyed]
+        + [zero]
+        + [replace(zero, **{name: -0.0}) for name in keyed]
+    )
+    for m in mixes:
+        assert repr(table.sized_energy(m)) == repr(sized_energy(m, data, params))
+    assert calls == mixes and len(table) == len(mixes)
+    # a mix met again is not sized again; its dispatch_gw is not part of the key
+    for m in mixes:
+        assert table.sized_energy(replace(m, dispatch_gw=7.0)) is table.sized_energy(m)
+    assert calls == mixes

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
@@ -15,6 +17,7 @@ from firmdispatch import (
     OptimizeOptions,
     SearchSpace,
     SimParams,
+    SizingTable,
     TimeSeries,
     _kernels,
     load_series,
@@ -22,6 +25,7 @@ from firmdispatch import (
     simulate,
 )
 from firmdispatch.costing import crf
+from firmdispatch.dispatch import TRACE_COLUMNS
 from firmdispatch.optimizer import (
     TRAJECTORY_COLUMNS,
     default_space,
@@ -402,3 +406,95 @@ def test_refinement_path_is_pinned():
         16.25,
         2.0,
     )
+
+
+def _ledger_bits(optim):
+    trace = optim.best.result.trace
+    names = TRACE_COLUMNS[1:] + ("charge_from_dispatch_gw",)
+    return np.stack([getattr(trace, name) for name in names]).view(np.int64)
+
+
+# Capital is spread over the energy of the dataset span, so on 48 steps it
+# weighs a hundred times its yearly share or more; only cheap builds make
+# the winners differ from book to book.
+SHARED_TABLE_BOOKS = (
+    CostBook(),
+    CostBook(capex_wind_usd_per_kw=20, capex_pv_usd_per_kw=20, capex_battery_usd_per_kwh=2),
+    CostBook(capex_wind_usd_per_kw=20, capex_pv_usd_per_kw=60, capex_battery_usd_per_kwh=20),
+    CostBook(
+        capex_wind_usd_per_kw=60,
+        capex_pv_usd_per_kw=20,
+        capex_battery_usd_per_kwh=2,
+        fuel_price_usd_per_gj=30,
+    ),
+    CostBook(
+        capex_wind_usd_per_kw=100,
+        capex_pv_usd_per_kw=60,
+        capex_battery_usd_per_kwh=10,
+        fuel_price_usd_per_gj=60,
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    charge_from_dispatch=st.booleans(),
+    baseload_gw=st.sampled_from([0.0, 3.0]),
+    ladder=st.sampled_from([(0.0, 2.0, 8.0), (-0.0, 2.0, 8.0)]),
+    books=st.lists(st.sampled_from(SHARED_TABLE_BOOKS), min_size=2, max_size=3),
+)
+def test_searches_sharing_a_table_match_searches_alone(
+    seed, charge_from_dispatch, baseload_gw, ladder, books
+):
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n_steps=48)
+    params = SimParams(
+        initial_soc_fraction=0.4, battery_charges_from_dispatch=charge_from_dispatch
+    )
+    space = SearchSpace(
+        wind_gw=(0.0, 30.0, 10.0),
+        pv_gw=(0.0, 20.0, 10.0),
+        battery_power_gw=(0.0, 8.0, 4.0),
+        battery_hours=ladder,
+        baseload_gw=baseload_gw,
+        baseload_eaf=0.7,
+    )
+    options = OptimizeOptions(refine_tolerance_gw=2.0, refine_tolerance_hours=1.0)
+    table = SizingTable(data, params)
+    shared = [optimize(space, data, params, book, options, table) for book in books]
+    for book, got in zip(books, shared):
+        alone = optimize(space, data, params, book, options)
+        assert repr((got.trajectory, got.best, got.evaluations)) == repr(
+            (alone.trajectory, alone.best, alone.evaluations)
+        )
+        assert np.array_equal(_ledger_bits(got), _ledger_bits(alone))
+    # every book searched the same coarse grid, sized once
+    assert len(table) < sum(optim.evaluations for optim in shared)
+
+
+def test_optimize_rejects_a_table_of_other_data_or_params():
+    rng = np.random.default_rng(47)
+    data = random_dataset(rng, n_steps=24)
+    space = SearchSpace(
+        wind_gw=(0.0, 10.0, 10.0), pv_gw=(0.0, 0.0, 1.0), battery_power_gw=(0.0, 0.0, 1.0)
+    )
+    params = SimParams(initial_soc_fraction=0.5)
+    table = SizingTable(data, params)
+    copy = AlignedDataset(demand=data.demand, wind_cf=data.wind_cf, pv_cf=data.pv_cf)
+    with pytest.raises(ValueError, match="another dataset"):
+        optimize(space, copy, params, table=table)
+    for other in (
+        SimParams(initial_soc_fraction=0.4),
+        SimParams(initial_soc_fraction=0.5, battery_charges_from_dispatch=True),
+        SimParams(round_trip_efficiency=0.9, initial_soc_fraction=0.5),
+    ):
+        with pytest.raises(ValueError, match="SimParams"):
+            optimize(space, data, other, table=table)
+    # params equal under == but not bit for bit
+    with pytest.raises(ValueError, match="SimParams"):
+        optimize(space, data, SimParams(initial_soc_fraction=-0.0), table=SizingTable(data))
+    assert len(table) == 0
+    # params built anew with the same fields are the same params
+    optim = optimize(space, data, SimParams(initial_soc_fraction=0.5), table=table)
+    assert len(table) == optim.evaluations > 0

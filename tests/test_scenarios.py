@@ -27,7 +27,7 @@ from firmdispatch import (
     simulate,
     write_report_csv,
 )
-from firmdispatch import scenarios
+from firmdispatch import dispatch, scenarios
 from firmdispatch.profiles import demand_stats, synthesize_dataset
 from firmdispatch.scenarios import (
     SCENARIO_NAMES,
@@ -195,6 +195,30 @@ def test_low_storage_at_book_price_reproduces_base(week_data, tiny_space, base_r
     assert delta.base_dispatch_gw == base_optim.best.mix.dispatch_gw
     assert delta.dispatch_gw == base_optim.best.mix.dispatch_gw
     assert delta.base_dispatch_energy_twh == delta.dispatch_energy_twh
+
+
+def test_low_storage_at_book_price_sizes_each_mix_once(week_data, tiny_space, monkeypatch):
+    calls = []
+    sized_energy = dispatch.sized_energy
+    monkeypatch.setattr(
+        dispatch, "sized_energy", lambda *args: calls.append(1) or sized_energy(*args)
+    )
+    per_search = []
+    search = scenarios.optimize
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        optim = search(*args, **kwargs)
+        per_search.append(len(calls) - before)
+        return optim
+
+    monkeypatch.setattr(scenarios, "optimize", counted)
+    run_low_storage(
+        week_data, space=tiny_space, battery_price=CostBook().capex_battery_usd_per_kwh
+    )
+    # the second search meets only the mixes the first one sized
+    assert len(per_search) == 2
+    assert per_search[0] >= 3 * 3 * 3 * 3 and per_search[1] == 0
 
 
 def test_low_storage_delta_is_consistent(week_data, tiny_space):

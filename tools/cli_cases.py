@@ -34,6 +34,8 @@ MASK = "<OUT>"
 FIXED_MIX = {"wind_gw": 40, "pv_gw": 28, "battery_power_gw": 20, "battery_hours": 8}
 
 # Settings added to fixtures/week.conf, one group of week cases each.
+# Beside baseload, base, low-storage and fuel-sensitivity exit 2 before any
+# search, so week-flag-soc runs the flag's searches without it.
 WEEK_GROUPS = {
     "week": {},
     "week-flag": {
@@ -41,6 +43,7 @@ WEEK_GROUPS = {
         "initial_soc_fraction": 0.4,
         "baseload_gw": 3,
     },
+    "week-flag-soc": {"battery_charges_from_dispatch": "true", "initial_soc_fraction": 0.4},
     "week-neg0": {"battery_hours_ladder": "-0.0,2,8"},
 }
 
@@ -87,6 +90,11 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config("", **YEAR, **YEAR_SPACE),
         ["scenario", "low-storage", "--trace"],
     )
+    for prefix, flag in (("year", "false"), ("year-flag", "true")):
+        table[f"{prefix}-fuel-sensitivity"] = (
+            _config("", **YEAR, **YEAR_SPACE, battery_charges_from_dispatch=flag),
+            ["scenario", "fuel-sensitivity", "--trace"],
+        )
     table["year-rigidity"] = (
         _config("", **YEAR, initial_soc_fraction=0.5),
         ["scenario", "rigidity", "--trace"],
