@@ -5,7 +5,8 @@ mix, ``optimize`` searches for the least-cost mix, and ``scenario <name>``
 runs one of the named studies.  Every run writes ``run_manifest``, a
 resolved configuration that reproduces the run byte for byte, alongside
 ``report.csv`` and, where a search ran, ``trajectory.csv``.  ``--trace``
-adds the per-step ledger as ``trace.csv``.
+adds the per-step ledger behind the report as ``trace.csv``; every report
+carries the result it was read from, so writing the ledger runs no pass.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration or data validation
 failure, 3 scenario infeasibility.
@@ -18,11 +19,11 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .config import MIX_KEYS, ConfigError, RunConfig, parse_config, render_manifest, validate
 from .costing import CostBook
-from .dispatch import CapacityMix, DispatchTrace, SimParams, simulate, write_trace_csv
+from .dispatch import CapacityMix, DispatchResult, SimParams, simulate, write_trace_csv
 from .optimizer import (
     PEAK_MULTIPLES,
     STEP_FRACTION_OF_PEAK,
@@ -39,7 +40,6 @@ from .profiles import (
     align,
     demand_stats,
     load_series,
-    scale_demand,
     synthesize_dataset,
 )
 from .scenarios import (
@@ -151,11 +151,12 @@ def _fixed_mix(config: RunConfig) -> CapacityMix | None:
 
 
 class _Output(NamedTuple):
-    """A trajectory (where a search ran) and the ledger to trace, named by file suffix."""
+    """A trajectory (where a search ran) and the result whose ledger ``--trace``
+    writes, named by file suffix; the result is the one a report was built from."""
 
     suffix: str
     optim: OptimResult | None
-    trace: Callable[[], DispatchTrace]  # called only under --trace
+    result: DispatchResult
 
 
 class _Outcome(NamedTuple):
@@ -166,62 +167,45 @@ class _Outcome(NamedTuple):
     extra_rows: Sequence[tuple[str, float, str]] = ()
 
 
-def _searched(optim: OptimResult, suffix: str = "") -> _Output:
-    # the search already simulated its winner
-    return _Output(suffix, optim, lambda: optim.best.result.trace)
-
-
-def _pv_only_mix(report: ScenarioReport) -> CapacityMix:
-    return CapacityMix(
-        pv_gw=report.pv_gw,
-        battery_power_gw=report.battery_power_gw,
-        battery_hours=report.battery_hours,
-    )
-
-
 def _simulate(config, data, params, book, options) -> _Outcome:
     mix = _fixed_mix(config)
     if mix is None:
         raise ConfigError(
             "simulate needs a fixed mix: set at least one of " + ", ".join(MIX_KEYS)
         )
-    result = simulate(mix, data, params)
-    report = build_report(mix, result, data, label="simulate")
-    return _Outcome(report, [_Output("", None, lambda: result.trace)])
+    report = build_report(mix, simulate(mix, data, params), data, label="simulate")
+    return _Outcome(report, [_Output("", None, report.result)])
 
 
 def _optimize(config, data, params, book, options) -> _Outcome:
     optim = optimize(_space_from(config, data), data, params, book, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
-    return _Outcome(report, [_searched(optim)])
+    return _Outcome(report, [_Output("", optim, report.result)])
 
 
 def _base(config, data, params, book, options) -> _Outcome:
     report, optim = run_base(data, params, book, _space_from(config, data), options)
-    return _Outcome(report, [_searched(optim)])
+    return _Outcome(report, [_Output("", optim, report.result)])
 
 
 def _low_storage(config, data, params, book, options) -> _Outcome:
     report, delta, optim = run_low_storage(
         data, params, book, _space_from(config, data), config.battery_price_usd_per_kwh, options
     )
-    return _Outcome(report, [_searched(optim)], low_storage_extra_rows(delta))
+    return _Outcome(report, [_Output("", optim, report.result)], low_storage_extra_rows(delta))
 
 
 def _pv_only(config, data, params, book, options) -> _Outcome:
     report = run_pv_only(data, params)
-    mix = _pv_only_mix(report)
-    return _Outcome(report, [_Output("", None, lambda: simulate(mix, data, params).trace)])
+    return _Outcome(report, [_Output("", None, report.result)])
 
 
 def _rigidity(config, data, params, book, options) -> _Outcome:
     mix = _fixed_mix(config)
     if mix is None:
-        mix = _pv_only_mix(run_pv_only(data, params))
-    rigidity = run_rigidity(mix, data, params, step=config.rigidity_step)
-    sized = replace(mix, dispatch_gw=rigidity.required_dispatch_gw)
-    scaled = scale_demand(data, rigidity.failure_multiplier)
-    return _Outcome(rigidity, [_Output("", None, lambda: simulate(sized, scaled, params).trace)])
+        mix = run_pv_only(data, params).mix
+    report = run_rigidity(mix, data, params, step=config.rigidity_step)
+    return _Outcome(report, [_Output("", None, report.result)])
 
 
 def _residual_baseload(config, data, params, book, options) -> _Outcome:
@@ -236,7 +220,7 @@ def _residual_baseload(config, data, params, book, options) -> _Outcome:
         config.baseload_eaf,
         options,
     )
-    return _Outcome(report, [_searched(optim)])
+    return _Outcome(report, [_Output("", optim, report.result)])
 
 
 def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
@@ -245,7 +229,7 @@ def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
     )
     return _Outcome(
         [report for _, report, _ in runs],
-        [_searched(optim, f"_fuel_{price:g}") for price, _, optim in runs],
+        [_Output(f"_fuel_{price:g}", optim, report.result) for price, report, optim in runs],
     )
 
 
@@ -303,7 +287,7 @@ def _run(args: argparse.Namespace) -> int:
             written.append(name)
         if args.trace:
             name = f"trace{output.suffix}.csv"
-            write_trace_csv(output.trace(), out_dir / name)
+            write_trace_csv(output.result.trace, out_dir / name)
             written.append(name)
 
     (out_dir / "run_manifest").write_text(render_manifest(config), encoding="utf-8")

@@ -15,11 +15,10 @@ header ``TRACE_COLUMNS``.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
-``sized_energy`` is how ``optimize`` and ``run_rigidity`` size a mix: it
-returns the sized mix with the energy it serves and dispatches, from one
-such pass for every mix.  A ``SizingTable`` memoizes ``sized_energy``
-for one dataset and one ``SimParams``, so searches under different cost
-books size each mix once.
+``sized_energy`` returns the sized mix with the energy it serves and
+dispatches, from one such pass for every mix.  ``optimize`` sizes through
+a ``SizingTable``, which memoizes ``sized_energy`` for one dataset and one
+``SimParams``, so searches under different cost books size each mix once.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized

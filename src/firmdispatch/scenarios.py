@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .dispatch import (
     SimParams,
     SizingTable,
     simulate,
-    sized_energy,
+    size_dispatch,
 )
 from .optimizer import (
     DEFAULT_OPTIONS,
@@ -65,7 +65,8 @@ class InfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Physical summary of one sized system, shaped like the result tables."""
+    """Physical summary of one sized system, shaped like the result tables;
+    ``mix`` and ``result`` are the mix and the simulation it was read from."""
 
     label: str
     annual_demand_twh: float
@@ -95,11 +96,15 @@ class ScenarioReport:
     renewable_gen_twh: float
     curtailed_twh: float
     curtailed_pct: float
+    mix: CapacityMix = field(compare=False, repr=False)
+    result: DispatchResult = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Outcome of pushing demand up until a mix without firm backup fails."""
+    """Outcome of pushing demand up until a mix without firm backup fails;
+    ``mix`` is that mix at the required firm capacity, and ``result`` its
+    simulation on demand scaled to the failure multiplier."""
 
     annual_demand_twh: float
     test_demand_twh: float
@@ -107,6 +112,8 @@ class RigidityReport:
     required_dispatch_gw: float
     required_dispatch_energy_gwh: float
     dispatch_pct_of_average: float
+    mix: CapacityMix = field(compare=False, repr=False)
+    result: DispatchResult = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,8 @@ def build_report(
         renewable_gen_twh=result.renewable_gen_twh,
         curtailed_twh=result.curtailed_twh,
         curtailed_pct=100.0 * result.curtailed_fraction,
+        mix=mix,
+        result=result,
     )
 
 
@@ -215,13 +224,15 @@ def run_low_storage(
     if not (math.isfinite(battery_price) and battery_price >= 0.0):
         raise ValueError(f"battery_price must be finite and >= 0, got {battery_price!r}")
     table = SizingTable(data, params)
-    _, base_optim = run_base(data, params, book, space, options, table)
+    base_optim = run_base(data, params, book, space, options, table)[1]
     base_gw = base_optim.best.mix.dispatch_gw
     base_twh = base_optim.best.result.dispatch_energy_twh
-    del base_optim  # its winner's ledger need not live through the second search
+    # the base winner's ledger need not live through the second search, so
+    # the base report is never bound and the base search is dropped here
+    del base_optim
     cheap_book = replace(book, capex_battery_usd_per_kwh=battery_price)
-    _, optim = run_base(data, params, cheap_book, space, options, table)
-    report = build_report(optim.best.mix, optim.best.result, data, label="low-storage")
+    report, optim = run_base(data, params, cheap_book, space, options, table)
+    report = replace(report, label="low-storage")
     delta = LowStorageDelta(
         battery_price_usd_per_kwh=battery_price,
         base_dispatch_gw=base_gw,
@@ -343,8 +354,10 @@ def run_rigidity(
     """Scale demand up until the mix fails, then size the firm gap.
 
     Demand is raised in multiples of ``step`` from 1.  At the first
-    multiplier with unserved energy, the report states the firm capacity and
-    energy that would have balanced the scaled year.
+    multiplier with unserved energy, ``size_dispatch`` gives the firm
+    capacity that would have balanced the scaled year, and one ``simulate``
+    of the mix at that capacity gives the energy it dispatches; the report
+    keeps that mix and its result.
 
     Raises
     ------
@@ -369,17 +382,19 @@ def run_rigidity(
             break
         k += 1
 
-    sized, _, dispatch_twh = sized_energy(mix, scaled, params)
-    required = sized.dispatch_gw
-    energy_gwh = dispatch_twh * 1000.0
+    required = size_dispatch(mix, scaled, params)
+    sized = replace(mix, dispatch_gw=required)
+    result = simulate(sized, scaled, params)
     scaled_stats = demand_stats(scaled.demand)
     return RigidityReport(
         annual_demand_twh=demand_stats(data.demand).annual_energy_twh,
         test_demand_twh=scaled_stats.annual_energy_twh,
         failure_multiplier=multiplier,
         required_dispatch_gw=required,
-        required_dispatch_energy_gwh=energy_gwh,
+        required_dispatch_energy_gwh=result.dispatch_energy_twh * 1000.0,
         dispatch_pct_of_average=100.0 * required / scaled_stats.average_gw,
+        mix=sized,
+        result=result,
     )
 
 
@@ -502,7 +517,7 @@ def write_report_csv(
         raise ValueError("write_report_csv needs at least one report")
     include_baseload = any(r.baseload_gw > 0.0 for r in reports)
     per_report = [_report_rows(r, include_baseload) for r in reports]
-    labels = [r.label or f"case {i}" for i, r in enumerate(reports)]
+    labels = [_csv_quote(r.label or f"case {i}") for i, r in enumerate(reports)]
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["row"] + labels + ["unit"]) + "\n")

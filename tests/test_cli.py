@@ -18,6 +18,7 @@ from firmdispatch.cli import main
 from firmdispatch.config import ConfigError, RunConfig, parse_config, render_manifest
 from firmdispatch.dispatch import write_trace_csv
 from firmdispatch.profiles import dump_series
+from firmdispatch.scenarios import SCENARIO_NAMES
 
 from conftest import FIXTURES
 
@@ -446,6 +447,41 @@ def test_cli_traced_search_writes_its_winner_ledger_without_another_pass(
         expected = tmp_path / f"expected{suffix}.csv"
         write_trace_csv(simulate(best, data).trace, expected)
         assert (out / f"trace{suffix}.csv").read_bytes() == expected.read_bytes()
+
+
+# The week mix of tools/cli_cases.py; rigidity sizes a firm gap for it.
+_WEEK_MIX = "wind_gw: 40\npv_gw: 28\nbattery_power_gw: 20\nbattery_hours: 8\n"
+
+
+_TRACED_RUNS = {
+    "simulate-fixed": (["simulate"], _WEEK_MIX),
+    "rigidity-fixed": (["scenario", "rigidity"], _WEEK_MIX),
+    "optimize": (["optimize"], ""),
+    **{
+        name: (["scenario", name], "baseload_gw: 3\n" if name == "residual-baseload" else "")
+        for name in SCENARIO_NAMES
+    },
+}
+
+
+@pytest.mark.parametrize(("argv", "extra"), list(_TRACED_RUNS.values()), ids=list(_TRACED_RUNS))
+def test_cli_trace_runs_no_balance_pass(tmp_path, monkeypatch, argv, extra):
+    passes = []
+    loop = _kernels.balance_loop
+    monkeypatch.setattr(_kernels, "balance_loop", lambda *args: passes.append(1) or loop(*args))
+    week = (FIXTURES / "week.conf").read_text(encoding="utf-8")
+    for name in ("demand.csv", "wind_cf.csv", "pv_cf.csv"):
+        week = week.replace(f": {name}", f": {FIXTURES / name}")
+    # half-charged storage lets pv-only's sun-only mix carry the first night
+    conf = _write_conf(tmp_path, week + "initial_soc_fraction: 0.5\n" + extra)
+    counts = {}
+    for flags in ([], ["--trace"]):
+        passes.clear()
+        out = tmp_path / f"out{len(flags)}"
+        assert main(argv + ["--config", str(conf), "--out", str(out)] + flags) == 0
+        assert any(out.glob("trace*.csv")) == bool(flags)
+        counts[tuple(flags)] = len(passes)
+    assert counts[("--trace",)] == counts[()]
 
 
 def test_cli_scenario_residual_baseload_needs_baseload(tmp_path, capsys):

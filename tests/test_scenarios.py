@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,8 @@ from firmdispatch import (
     write_report_csv,
 )
 from firmdispatch import dispatch, scenarios
-from firmdispatch.profiles import demand_stats, synthesize_dataset
+from firmdispatch.dispatch import TRACE_COLUMNS
+from firmdispatch.profiles import demand_stats, scale_demand, synthesize_dataset
 from firmdispatch.scenarios import (
     SCENARIO_NAMES,
     build_report,
@@ -173,8 +175,6 @@ def test_run_base_reports_its_optimum(week_data, tiny_space, base_run):
 
 
 def test_run_base_rejects_baseload_space(week_data, tiny_space):
-    from dataclasses import replace
-
     spaced = replace(tiny_space, baseload_gw=5.0, baseload_eaf=0.7)
     with pytest.raises(ValueError, match="residual-baseload"):
         run_base(week_data, space=spaced)
@@ -349,13 +349,7 @@ def test_rigidity_rejects_bad_inputs():
 def test_rigidity_of_sized_pv_only_mix():
     data = synthesize_dataset(seed=3, total_hours=120)
     params = SimParams(initial_soc_fraction=0.5)
-    report = run_pv_only(data, params)
-    mix = CapacityMix(
-        pv_gw=report.pv_gw,
-        battery_power_gw=report.battery_power_gw,
-        battery_hours=report.battery_hours,
-    )
-    rigidity = run_rigidity(mix, data, params)
+    rigidity = run_rigidity(run_pv_only(data, params).mix, data, params)
     # sized with ~0.01 GW and ~0.1 GWh slack, one or two percent breaks it
     assert rigidity.failure_multiplier <= 1.02 + 1e-12
     assert rigidity.required_dispatch_gw > 0.0
@@ -462,6 +456,80 @@ def test_fuel_sensitivity_rejects_prices_that_share_a_label(
         run_fuel_sensitivity(week_data, space=tiny_space, fuel_prices=prices)
 
 
+# ===================== the mix and result behind a report =====================
+
+
+def _assert_same_result(got, expected):
+    """Equal totals by ``repr`` and the same ledger bit for bit."""
+    assert repr(got) == repr(expected)
+    for name in TRACE_COLUMNS[1:] + ("charge_from_dispatch_gw",):
+        got_column = getattr(got.trace, name)
+        expected_column = getattr(expected.trace, name)
+        assert np.array_equal(got_column.view(np.int64), expected_column.view(np.int64)), name
+
+
+def _scenario_runs(name, data, space, params):
+    """``(report, optim)`` pairs of one scenario; ``optim`` is None without a search."""
+    if name == "base":
+        return [run_base(data, params, space=space, options=COARSE_ONLY)]
+    if name == "low-storage":
+        report, _, optim = run_low_storage(
+            data, params, space=space, battery_price=10.0, options=COARSE_ONLY
+        )
+        return [(report, optim)]
+    if name == "pv-only":
+        return [(run_pv_only(data, params), None)]
+    if name == "residual-baseload":
+        return [
+            run_residual_baseload(
+                data, params, space=space, baseload_gw=10.0, eaf=0.7, options=COARSE_ONLY
+            )
+        ]
+    runs = run_fuel_sensitivity(
+        data, params, space=space, fuel_prices=(20.0, 10.0), options=COARSE_ONLY
+    )
+    return [(report, optim) for _, report, optim in runs]
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+@pytest.mark.parametrize(
+    "name", ["base", "low-storage", "pv-only", "residual-baseload", "fuel-sensitivity"]
+)
+def test_report_carries_the_mix_and_result_it_was_built_from(
+    week_data, tiny_space, name, charge_from_dispatch
+):
+    # half-charged storage lets pv-only's sun-only mix carry the first night
+    params = SimParams(initial_soc_fraction=0.5, battery_charges_from_dispatch=charge_from_dispatch)
+    for report, optim in _scenario_runs(name, week_data, tiny_space, params):
+        if optim is not None:
+            assert report.result is optim.best.result
+            assert report.mix == optim.best.mix
+        assert build_report(report.mix, report.result, week_data, report.label) == report
+        _assert_same_result(simulate(report.mix, week_data, params), report.result)
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+@pytest.mark.parametrize("case", ["day-night", "pv-only"])
+def test_rigidity_report_carries_its_sized_mix_and_result(case, charge_from_dispatch):
+    if case == "day-night":
+        data = _day_night_dataset(96, day_first=True)
+        params = SimParams(round_trip_efficiency=1.0)
+        mix = CapacityMix(pv_gw=2.0, battery_power_gw=1.0, battery_hours=12.0)
+    else:
+        data = synthesize_dataset(seed=3, total_hours=120)
+        params = SimParams(initial_soc_fraction=0.5)
+        mix = run_pv_only(data, params).mix
+    params = replace(params, battery_charges_from_dispatch=charge_from_dispatch)
+    report = run_rigidity(mix, data, params)
+
+    assert report.mix == replace(mix, dispatch_gw=report.required_dispatch_gw)
+    assert report.mix.dispatch_gw == report.required_dispatch_gw
+    assert report.result.unserved_energy_twh == 0.0
+    assert report.result.dispatch_energy_twh * 1000.0 == report.required_dispatch_energy_gwh
+    scaled = scale_demand(data, report.failure_multiplier)
+    _assert_same_result(simulate(report.mix, scaled, params), report.result)
+
+
 # ===================== csv rendering =====================
 
 
@@ -519,14 +587,21 @@ def test_write_report_csv_extra_rows_and_quoting(tmp_path, base_run):
     assert rows[-1] == ["a,b", "1.5", "", 'say "so"']
 
 
+def test_write_report_csv_quotes_labels(tmp_path, base_run):
+    report, _ = base_run
+    path = tmp_path / "labels.csv"
+    write_report_csv(path, [replace(report, label='a,"b"'), replace(report, label="plain")])
+    rows = _read_csv(path)
+    assert rows[0] == ["row", 'a,"b"', "plain", "unit"]
+    assert all(len(r) == 4 for r in rows)
+
+
 def test_write_report_csv_needs_a_report(tmp_path):
     with pytest.raises(ValueError, match="at least one report"):
         write_report_csv(tmp_path / "none.csv", [])
 
 
 def test_write_report_csv_unlabeled_column(tmp_path, base_run):
-    from dataclasses import replace
-
     report, _ = base_run
     path = tmp_path / "anon.csv"
     write_report_csv(path, replace(report, label=""))

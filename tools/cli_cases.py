@@ -7,6 +7,16 @@ writes for them are equal.  From the repository root:
     python3 tools/cli_cases.py --src src /tmp/cases-change
     diff -r /tmp/cases-parent /tmp/cases-change
 
+``--check`` runs the table for ``src/`` into a temporary directory and
+compares every stored file with its SHA-256 in ``tools/cli_cases.sha256``.
+It names each file whose digest differs, is missing or is extra, and exits
+1 if there is one.  The digests hold for the numpy version and machine
+named in that file's header; a mismatch prints the live ones.  A change
+that moves bytes on purpose rewrites the file with ``--update``:
+
+    python3 tools/cli_cases.py --check
+    python3 tools/cli_cases.py --update
+
 Each case runs ``firmdispatch.cli.main`` in a fresh interpreter with
 ``PYTHONPATH=SRC_DIR`` and ``--out OUT_DIR/<case>``.  Beside the files the
 run writes, the tool stores its ``stdout``, ``stderr`` and ``exit_code``.
@@ -18,13 +28,18 @@ and ``run_manifest``, so only the source tree can make two runs differ.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tools" / "cli_cases.sha256"
+DIGEST_PLATFORM = "numpy 2.4.6 on x86-64"
 DATASET = ("demand.csv", "wind_cf.csv", "pv_cf.csv")
 MASK = "<OUT>"
 
@@ -131,18 +146,7 @@ def run_case(src: Path, out_dir: Path, name: str, conf: str, args: list[str]) ->
     return proc.returncode
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="source directory that holds firmdispatch/")
-    parser.add_argument("out_dir", help="new or empty directory for the case outputs")
-    args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    out_dir = Path(args.out_dir).resolve()
-    if not (src / "firmdispatch" / "cli.py").is_file():
-        parser.error(f"{src} holds no firmdispatch package")
-    if out_dir.exists() and any(out_dir.iterdir()):
-        parser.error(f"{out_dir} is not empty")
-
+def run_table(src: Path, out_dir: Path) -> None:
     (out_dir / "inputs").mkdir(parents=True, exist_ok=True)
     for name in DATASET:
         shutil.copyfile(ROOT / "fixtures" / name, out_dir / "inputs" / name)
@@ -150,6 +154,70 @@ def main(argv=None) -> int:
     for name, (conf, case_args) in cases(week_conf).items():
         code = run_case(src, out_dir, name, conf, case_args)
         print(f"{name}: exit {code}")
+
+
+def digests(out_dir: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``out_dir``, by POSIX path relative to it."""
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def write_digests(found: dict[str, str]) -> None:
+    lines = [f"# tools/cli_cases.py outputs and inputs, for {DIGEST_PLATFORM}\n"]
+    lines += [f"{digest}  {name}\n" for name, digest in found.items()]
+    DIGESTS.write_text("".join(lines), encoding="utf-8")
+
+
+def check_digests(found: dict[str, str]) -> int:
+    """Print each file whose digest differs, is missing or is extra; 0 if none."""
+    expected = {}
+    for line in DIGESTS.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            digest, name = line.split("  ", 1)
+            expected[name] = digest
+    problems = [f"differs: {n}" for n in expected if n in found and found[n] != expected[n]]
+    problems += [f"missing: {n}" for n in expected if n not in found]
+    problems += [f"extra: {n}" for n in found if n not in expected]
+    if not problems:
+        print(f"all {len(found)} files match {DIGESTS.name}")
+        return 0
+    import numpy
+
+    print("\n".join(problems))
+    print(
+        f"{len(problems)} of {len(expected)} digests fail; they hold for {DIGEST_PLATFORM}, "
+        f"this run used numpy {numpy.__version__} on {platform.machine()}"
+    )
+    return 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", default=str(ROOT / "src"), help="source directory that holds firmdispatch/"
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS.name}")
+    mode.add_argument("--update", action="store_true", help=f"rewrite {DIGESTS.name}")
+    parser.add_argument("out_dir", nargs="?", help="new or empty directory for the case outputs")
+    args = parser.parse_args(argv)
+    if args.out_dir is None and not (args.check or args.update):
+        parser.error("out_dir is required without --check or --update")
+    src = Path(args.src).resolve()
+    if not (src / "firmdispatch" / "cli.py").is_file():
+        parser.error(f"{src} holds no firmdispatch package")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(args.out_dir or tmp).resolve()
+        if out_dir.exists() and any(out_dir.iterdir()):
+            parser.error(f"{out_dir} is not empty")
+        run_table(src, out_dir)
+        if args.update:
+            write_digests(digests(out_dir))
+        elif args.check:
+            return check_digests(digests(out_dir))
     return 0
 
 
