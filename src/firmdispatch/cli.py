@@ -17,17 +17,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .config import MIX_KEYS, ConfigError, RunConfig, parse_config, render_manifest, validate
-from .costing import CostBook
-from .dispatch import CapacityMix, DispatchResult, SimParams, simulate, write_trace_csv
+from .config import MIX_KEYS, ConfigError, RunConfig, parse_config, render_manifest
+from .dispatch import CapacityMix, DispatchResult, simulate, write_trace_csv
 from .optimizer import (
     PEAK_MULTIPLES,
     STEP_FRACTION_OF_PEAK,
-    OptimizeOptions,
     OptimResult,
     SearchSpace,
     optimize,
@@ -82,9 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the run configuration file")
         cmd.add_argument("--out", default=None, help="output directory (default from config)")
         cmd.add_argument("--trace", action="store_true", help="also write the per-step trace.csv")
-        cmd.add_argument(
-            "--seed", type=int, default=None, help="synthetic dataset seed (synthetic runs only)"
-        )
     return parser
 
 
@@ -133,11 +128,6 @@ def _space_from(config: RunConfig, data: AlignedDataset) -> SearchSpace:
         baseload_gw=config.baseload_gw,
         baseload_eaf=config.baseload_eaf,
     )
-
-
-def _settings(cls, config: RunConfig):
-    """Build a settings dataclass from the configuration keys of the same names."""
-    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 def _fixed_mix(config: RunConfig) -> CapacityMix | None:
@@ -251,29 +241,20 @@ def _run(args: argparse.Namespace) -> int:
     text = config_path.read_text(encoding="utf-8")
     config = parse_config(text, base_dir=config_path.parent.resolve())
 
-    if args.seed is not None:
-        if config.synthetic_hours is None:
-            raise ConfigError("--seed applies only to synthetic datasets")
-        config.seed = args.seed
-        validate(config)
     if args.out is not None:
         config.output_dir = os.path.abspath(args.out)
     else:
         config.output_dir = os.path.abspath(config.output_dir)
     config.command = args.command
-    if args.command == "scenario":
-        config.scenario = args.name
+    config.scenario = args.name if args.command == "scenario" else None
 
     data = _load_dataset(config)
     config = _resolve_space(config, demand_stats(data.demand).peak_gw)
-    params = _settings(SimParams, config)
-    book = _settings(CostBook, config)
-    options = _settings(OptimizeOptions, config)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[args.name if args.command == "scenario" else args.command]
-    outcome = runner(config, data, params, book, options)
+    outcome = runner(config, data, config.params, config.book, config.options)
 
     if isinstance(outcome.report, RigidityReport):
         write_rigidity_csv(out_dir / "report.csv", outcome.report)

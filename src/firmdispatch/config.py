@@ -2,21 +2,24 @@
 
 A run file is flat ``key: value`` text: one setting per line, ``#`` lines
 and blank lines ignored.  Keys are checked strictly, an unknown or repeated
-key is an error rather than a silent ignore.  ``render_manifest`` writes a
-resolved configuration back out in the same format, so a run manifest is
-itself a valid configuration that reproduces the run.
+key is an error rather than a silent ignore.  The storage-model, cost-book
+and tolerance keys are the field names of ``SimParams``, ``CostBook`` and
+``OptimizeOptions``, which ``RunConfig`` holds whole; those classes check
+their values when the file is parsed.  ``render_manifest`` writes a resolved
+configuration back out in the same format, so a run manifest is itself a
+valid configuration that reproduces the run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from .costing import CostBook
-from .dispatch import SimParams
-from .optimizer import DEFAULT_BATTERY_HOURS, OptimizeOptions
+from .costing import DEFAULT_BOOK, CostBook
+from .dispatch import DEFAULT_PARAMS, SimParams
+from .optimizer import DEFAULT_BATTERY_HOURS, DEFAULT_OPTIONS, OptimizeOptions
 
 
 class ConfigError(ValueError):
@@ -66,27 +69,9 @@ class RunConfig:
     synthetic_droughts: tuple[tuple[int, int], ...] | None = None
     seed: int = 1
 
-    # Storage model, cost book and refinement tolerances share their keys and
-    # defaults with SimParams, CostBook and OptimizeOptions, which a run
-    # builds from this configuration by field name.
-    round_trip_efficiency: float = SimParams.round_trip_efficiency
-    initial_soc_fraction: float = SimParams.initial_soc_fraction
-    battery_charges_from_dispatch: bool = SimParams.battery_charges_from_dispatch
-    capex_wind_usd_per_kw: float = CostBook.capex_wind_usd_per_kw
-    capex_pv_usd_per_kw: float = CostBook.capex_pv_usd_per_kw
-    capex_dispatch_usd_per_kw: float = CostBook.capex_dispatch_usd_per_kw
-    capex_battery_usd_per_kwh: float = CostBook.capex_battery_usd_per_kwh
-    interest_rate: float = CostBook.interest_rate
-    life_wind_years: int = CostBook.life_wind_years
-    life_pv_years: int = CostBook.life_pv_years
-    life_dispatch_years: int = CostBook.life_dispatch_years
-    life_battery_years: int = CostBook.life_battery_years
-    fixed_om_wind_usd_per_kw_yr: float = CostBook.fixed_om_wind_usd_per_kw_yr
-    fixed_om_pv_usd_per_kw_yr: float = CostBook.fixed_om_pv_usd_per_kw_yr
-    fixed_om_dispatch_usd_per_kw_yr: float = CostBook.fixed_om_dispatch_usd_per_kw_yr
-    fixed_om_battery_usd_per_kw_yr: float = CostBook.fixed_om_battery_usd_per_kw_yr
-    fuel_price_usd_per_gj: float = CostBook.fuel_price_usd_per_gj
-    heat_rate_gj_per_mwh: float = CostBook.heat_rate_gj_per_mwh
+    # Storage model and cost book, one key per field.
+    params: SimParams = DEFAULT_PARAMS
+    book: CostBook = DEFAULT_BOOK
 
     # Search space; unset bounds scale to peak demand at run time.
     wind_gw_min: float = 0.0
@@ -99,8 +84,7 @@ class RunConfig:
     battery_power_gw_max: float | None = None
     battery_power_gw_step: float | None = None
     battery_hours_ladder: tuple[float, ...] = DEFAULT_BATTERY_HOURS
-    refine_tolerance_gw: float = OptimizeOptions.refine_tolerance_gw
-    refine_tolerance_hours: float = OptimizeOptions.refine_tolerance_hours
+    options: OptimizeOptions = DEFAULT_OPTIONS
 
     # Fixed mix for simulate and rigidity runs.
     wind_gw: float | None = None
@@ -125,35 +109,28 @@ class RunConfig:
 # The fixed mix of simulate and rigidity runs, in CapacityMix field order.
 MIX_KEYS = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "dispatch_gw")
 
-_INT_KEYS = {
-    "synthetic_hours",
-    "seed",
-    "life_wind_years",
-    "life_pv_years",
-    "life_dispatch_years",
-    "life_battery_years",
-}
-_BOOL_KEYS = {"battery_charges_from_dispatch"}
-_STR_KEYS = {"demand_csv", "wind_cf_csv", "pv_cf_csv", "command", "scenario", "output_dir"}
-_LIST_KEYS = {"battery_hours_ladder", "fuel_prices_usd_per_gj"}
-_WINDOW_KEYS = {"synthetic_droughts"}
 _PATH_KEYS = ("demand_csv", "wind_cf_csv", "pv_cf_csv", "output_dir")
 
-_ALL_KEYS = {f.name for f in fields(RunConfig)}
+# Parser and renderer of a value, by its field's declared type.
+_TYPES = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, str),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "tuple[float, ...]": (_parse_float_list, lambda value: ",".join(repr(float(v)) for v in value)),
+    "tuple[tuple[int, int], ...]": (
+        _parse_windows,
+        lambda value: ";".join(f"{int(lo)}-{int(hi)}" for lo, hi in value),
+    ),
+}
 
-
-def _convert(key: str, text: str):
-    if key in _STR_KEYS:
-        return text
-    if key in _BOOL_KEYS:
-        return _parse_bool(text)
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _LIST_KEYS:
-        return _parse_float_list(text)
-    if key in _WINDOW_KEYS:
-        return _parse_windows(text)
-    return float(text)
+# Every key in manifest order, with the settings field that holds it (None
+# for a RunConfig field of its own) and its declared type.
+_KEYS = {
+    key.name: (f.name if is_dataclass(f.default) else None, key.type.removesuffix(" | None"))
+    for f in fields(RunConfig)
+    for key in (fields(f.default) if is_dataclass(f.default) else (f,))
+}
 
 
 def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunConfig:
@@ -167,8 +144,12 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
     ConfigError
         On syntax errors, unknown or repeated keys, unparseable values, or
         an inconsistent dataset specification.
+    ValueError
+        From ``SimParams``, ``CostBook`` or ``OptimizeOptions`` for a value
+        they reject.
     """
-    values: dict[str, object] = {}
+    values: dict[str | None, dict[str, object]] = {}
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -178,18 +159,22 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {line_no}: expected 'key: value', got {raw!r}")
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        if key in values:
+        if key in seen:
             raise ConfigError(f"line {line_no}: repeated key {key!r}")
         if not value:
             raise ConfigError(f"line {line_no}: key {key!r} has no value")
+        seen.add(key)
+        owner, type_name = _KEYS[key]
         try:
-            values[key] = _convert(key, value)
+            values.setdefault(owner, {})[key] = _TYPES[type_name][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {exc}") from None
 
-    config = RunConfig(**values)
+    config = RunConfig(**values.pop(None, {}))
+    for owner, settings in values.items():
+        setattr(config, owner, replace(getattr(config, owner), **settings))
     if base_dir is not None:
         base = Path(base_dir)
         for key in _PATH_KEYS:
@@ -201,11 +186,7 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
 
 
 def validate(config: RunConfig) -> None:
-    """Raise ``ConfigError`` if the configuration breaks a rule.
-
-    ``parse_config`` runs it; run it again after changing a parsed
-    configuration.
-    """
+    """Raise ``ConfigError`` if the configuration breaks a rule; ``parse_config`` runs it."""
     csv_keys = ("demand_csv", "wind_cf_csv", "pv_cf_csv")
     given = [k for k in csv_keys if getattr(config, k) is not None]
     if config.synthetic_hours is not None:
@@ -216,6 +197,8 @@ def validate(config: RunConfig) -> None:
     elif len(given) != len(csv_keys):
         missing = [k for k in csv_keys if getattr(config, k) is None]
         raise ConfigError(f"missing mandatory dataset key {missing[0]!r} (or set synthetic_hours)")
+    elif config.synthetic_droughts is not None:
+        raise ConfigError("synthetic_droughts applies only to synthetic datasets")
 
     if config.dt_hours not in (1.0, 0.5):
         raise ConfigError(f"dt_hours must be 1.0 or 0.5, got {config.dt_hours!r}")
@@ -247,18 +230,6 @@ def validate(config: RunConfig) -> None:
         raise ConfigError(f"unknown command {config.command!r}")
 
 
-def _render_value(key: str, value) -> str:
-    if key in _LIST_KEYS:
-        return ",".join(repr(float(v)) for v in value)
-    if key in _WINDOW_KEYS:
-        return ";".join(f"{int(lo)}-{int(hi)}" for lo, hi in value)
-    if key in _BOOL_KEYS:
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_manifest(config: RunConfig) -> str:
     """Render a configuration in run-file format, one line per set key.
 
@@ -266,9 +237,8 @@ def render_manifest(config: RunConfig) -> str:
     configuration, which is what makes a written manifest re-runnable.
     """
     lines = ["# resolved run configuration"]
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name}: {_render_value(f.name, value)}")
+    for key, (owner, type_name) in _KEYS.items():
+        value = getattr(getattr(config, owner) if owner else config, key)
+        if value is not None:
+            lines.append(f"{key}: {_TYPES[type_name][1](value)}")
     return "\n".join(lines) + "\n"

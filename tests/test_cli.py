@@ -1,5 +1,7 @@
 """Configuration parsing, manifests, and the command line entry point."""
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from firmdispatch import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
     CapacityMix,
+    CostBook,
+    OptimizeOptions,
+    SimParams,
     TimeSeries,
     _kernels,
     align,
@@ -55,14 +60,14 @@ def test_parse_config_types_and_comments():
     )
     assert config.synthetic_hours == 72
     assert config.seed == 9
-    assert config.round_trip_efficiency == 0.9
-    assert config.battery_charges_from_dispatch is True
+    assert config.params.round_trip_efficiency == 0.9
+    assert config.params.battery_charges_from_dispatch is True
     assert config.battery_hours_ladder == (0.0, 2.0, 8.0)
     assert config.synthetic_droughts == ((10, 20), (30, 40))
     assert config.fuel_prices_usd_per_gj == (20.0, 10.0, 5.0)
     assert config.output_dir == "runs/a"
     # untouched keys keep their defaults
-    assert config.capex_wind_usd_per_kw == 1200.0
+    assert config.book.capex_wind_usd_per_kw == 1200.0
     assert config.rigidity_step == 0.01
 
 
@@ -91,6 +96,8 @@ def test_parse_config_dataset_rules():
         parse_config("demand_csv: d.csv\nwind_cf_csv: w.csv\n")
     with pytest.raises(ConfigError, match="missing mandatory dataset key 'demand_csv'"):
         parse_config("seed: 1\n")
+    with pytest.raises(ConfigError, match="synthetic_droughts applies only to synthetic datasets"):
+        parse_config("demand_csv: d\nwind_cf_csv: w\npv_cf_csv: p\nsynthetic_droughts: 10-20\n")
 
 
 @pytest.mark.parametrize(
@@ -148,6 +155,102 @@ def test_manifest_round_trip():
 def test_manifest_renders_defaults_runnable():
     text = render_manifest(RunConfig(synthetic_hours=48))
     assert parse_config(text) == RunConfig(synthetic_hours=48)
+
+
+_SETTINGS = (SimParams, CostBook, OptimizeOptions)
+
+# Every key off its default, the CSV paths apart: a dataset is CSV or synthetic.
+_EVERY_KEY = """\
+# resolved run configuration
+dt_hours: 1.0
+synthetic_hours: 72
+synthetic_droughts: 10-20;30-40
+seed: 9
+round_trip_efficiency: 0.9
+initial_soc_fraction: 0.3
+battery_charges_from_dispatch: true
+capex_wind_usd_per_kw: 1100.0
+capex_pv_usd_per_kw: 900.0
+capex_dispatch_usd_per_kw: 700.0
+capex_battery_usd_per_kwh: 150.0
+interest_rate: 0.06
+life_wind_years: 25
+life_pv_years: 26
+life_dispatch_years: 35
+life_battery_years: 12
+fixed_om_wind_usd_per_kw_yr: 30.0
+fixed_om_pv_usd_per_kw_yr: 15.0
+fixed_om_dispatch_usd_per_kw_yr: 10.0
+fixed_om_battery_usd_per_kw_yr: 5.0
+fuel_price_usd_per_gj: 12.0
+heat_rate_gj_per_mwh: 9.0
+wind_gw_min: 1.0
+wind_gw_max: 40.0
+wind_gw_step: 10.0
+pv_gw_min: 2.0
+pv_gw_max: 28.0
+pv_gw_step: 7.0
+battery_power_gw_min: 3.0
+battery_power_gw_max: 20.0
+battery_power_gw_step: 5.0
+battery_hours_ladder: -0.0,2.0,8.5
+refine_tolerance_gw: 2.5
+refine_tolerance_hours: 1.5
+wind_gw: 4.5
+pv_gw: 6.0
+battery_power_gw: 2.0
+battery_hours: 3.0
+dispatch_gw: 7.0
+baseload_gw: 1.5
+baseload_eaf: 0.8
+command: scenario
+scenario: rigidity
+battery_price_usd_per_kwh: 12.5
+fuel_prices_usd_per_gj: 30.0,5.0
+rigidity_step: 0.02
+output_dir: /runs/a
+"""
+_EVERY_CSV_KEY = _EVERY_KEY.replace(
+    "dt_hours: 1.0\nsynthetic_hours: 72\nsynthetic_droughts: 10-20;30-40\n",
+    "demand_csv: /d.csv\nwind_cf_csv: /w.csv\npv_cf_csv: /p.csv\ndt_hours: 0.5\n",
+)
+
+
+def test_manifest_with_every_key_off_its_default_round_trips():
+    for text in (_EVERY_KEY, _EVERY_CSV_KEY):
+        config = parse_config(text)
+        assert render_manifest(config) == text
+        assert parse_config(render_manifest(config)) == config
+    lines = set((_EVERY_KEY + _EVERY_CSV_KEY).splitlines())
+    off_default = lines - set(render_manifest(RunConfig()).splitlines())
+    own = {f.name for f in fields(RunConfig) if not is_dataclass(f.default)}
+    settings = {f.name for cls in _SETTINGS for f in fields(cls)}
+    assert {line.partition(":")[0] for line in off_default} == own | settings
+
+
+def test_every_key_names_exactly_one_field():
+    held = [type(f.default) for f in fields(RunConfig) if is_dataclass(f.default)]
+    assert held == list(_SETTINGS)
+    names = [f.name for f in fields(RunConfig)] + [f.name for cls in held for f in fields(cls)]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("round_trip_efficiency: 2", "round_trip_efficiency must be in (0, 1], got 2.0"),
+        ("initial_soc_fraction: -0.5", "initial_soc_fraction must be in [0, 1], got -0.5"),
+        ("interest_rate: 1", "interest_rate must be in (0, 1), got 1.0"),
+        ("capex_pv_usd_per_kw: -1", "capex_pv_usd_per_kw must be finite and >= 0, got -1.0"),
+        ("life_pv_years: 0", "life_pv_years must be a positive integer, got 0"),
+        ("refine_tolerance_hours: 0", "refinement tolerances must be positive"),
+    ],
+)
+def test_parse_config_settings_are_checked_by_their_class(line, message):
+    with pytest.raises(ValueError) as raised:
+        parse_config("synthetic_hours: 48\n" + line + "\n")
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
 
 
 # ===================== command line =====================
@@ -292,18 +395,20 @@ def test_cli_manifest_reruns_identically(tmp_path):
 
 
 def test_cli_seed_changes_synthetic_data(tmp_path):
-    conf = _write_conf(tmp_path, SMALL_SYNTH + "dispatch_gw: 30\n")
+    conf_a = _write_conf(tmp_path, SMALL_SYNTH + "dispatch_gw: 30\n", "a.conf")
+    seed_6 = SMALL_SYNTH.replace("seed: 5\n", "seed: 6\n")
+    conf_b = _write_conf(tmp_path, seed_6 + "dispatch_gw: 30\n", "b.conf")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(conf), "--out", str(out_a), "--seed", "5"]) == 0
-    assert main(["simulate", "--config", str(conf), "--out", str(out_b), "--seed", "6"]) == 0
+    assert main(["simulate", "--config", str(conf_a), "--out", str(out_a)]) == 0
+    assert main(["simulate", "--config", str(conf_b), "--out", str(out_b)]) == 0
     assert (out_a / "report.csv").read_bytes() != (out_b / "report.csv").read_bytes()
     assert "seed: 6" in (out_b / "run_manifest").read_text()
 
 
 def test_cli_negative_seed_is_a_configuration_error(tmp_path, capsys):
-    conf = _write_conf(tmp_path, SMALL_SYNTH + "dispatch_gw: 30\n")
+    conf = _write_conf(tmp_path, SMALL_SYNTH.replace("seed: 5\n", "seed: -1\n"))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(conf), "--out", str(out), "--seed", "-1"]) == 2
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "configuration error: seed must be nonnegative, got -1\n"
     assert not out.exists()
 
@@ -316,13 +421,28 @@ def test_cli_synthetic_half_hour_step_is_a_configuration_error(tmp_path, capsys)
     )
 
 
-def test_cli_seed_rejected_for_csv_datasets(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        ["optimize", "--config", str(FIXTURES / "week.conf"), "--out", str(out), "--seed", "1"]
+def test_cli_bad_setting_exits_two_before_the_dataset_is_read(tmp_path, capsys):
+    conf = _write_conf(
+        tmp_path, "demand_csv: nope.csv\nwind_cf_csv: w\npv_cf_csv: p\nround_trip_efficiency: 2\n"
     )
-    assert code == 2
-    assert "--seed applies only to synthetic datasets" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: round_trip_efficiency must be in (0, 1], got 2.0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "scenario"),
+    [(["optimize"], None), (["simulate"], None), (["scenario", "base"], "base")],
+)
+def test_cli_scenario_key_is_the_scenario_command_name(tmp_path, argv, scenario):
+    conf = _write_conf(tmp_path, SMALL_SYNTH + "dispatch_gw: 30\nscenario: rigidity\n")
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(conf), "--out", str(out)]) == 0
+    config = parse_config((out / "run_manifest").read_text())
+    assert (config.command, config.scenario) == (argv[0], scenario)
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):

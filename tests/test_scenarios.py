@@ -26,6 +26,7 @@ from firmdispatch import (
     run_residual_baseload,
     run_rigidity,
     simulate,
+    size_dispatch,
     write_report_csv,
 )
 from firmdispatch import dispatch, scenarios
@@ -38,7 +39,7 @@ from firmdispatch.scenarios import (
     write_rigidity_csv,
 )
 
-from conftest import random_dataset, random_mix
+from conftest import random_dataset, random_mix, random_params
 from oracle import evaluate
 
 # stop after the coarse grid so two runs share an identical candidate set
@@ -328,6 +329,29 @@ def test_rigidity_day_night_exact():
         100.0 * report.required_dispatch_gw / scaled_stats_avg, rel=1e-12
     )
     assert report.required_dispatch_energy_gwh > 0.0
+
+
+def test_rigidity_failure_is_monotone_in_demand_without_charging_from_dispatch():
+    # run_rigidity stops at the first failing multiplier; every larger one
+    # must fail too.  With battery_charges_from_dispatch on this does not
+    # hold: a battery run empty stops discharging and spare dispatch then
+    # tops it up, so a slightly larger demand can be served again.
+    rng = np.random.default_rng(62)
+    first_failures = []
+    for _ in range(200):
+        data = random_dataset(rng, n_steps=int(rng.integers(24, 120)))
+        params = replace(random_params(rng), battery_charges_from_dispatch=False)
+        mix = random_mix(rng, with_baseload=bool(rng.integers(0, 2)))
+        sized = size_dispatch(mix, data, params)
+        mix = replace(mix, dispatch_gw=sized * float(rng.uniform(1.0, 1.1)))
+        failing = [
+            simulate(mix, scale_demand(data, 1.0 + k * 0.01), params).unserved_energy_twh > 0.0
+            for k in range(25)
+        ]
+        assert failing == sorted(failing)
+        first_failures.append(failing.index(True) if True in failing else None)
+    # most mixes serve the unscaled demand and fail inside the sweep
+    assert sum(k is not None and k > 0 for k in first_failures) > 150
 
 
 def test_rigidity_rejects_bad_inputs():

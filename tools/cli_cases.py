@@ -62,6 +62,30 @@ WEEK_GROUPS = {
     "week-neg0": {"battery_hours_ladder": "-0.0,2,8"},
 }
 
+# Every storage-model, cost-book and tolerance key off its default.
+ALL_SETTINGS = {
+    "round_trip_efficiency": 0.9,
+    "initial_soc_fraction": 0.3,
+    "battery_charges_from_dispatch": "true",
+    "capex_wind_usd_per_kw": 1100,
+    "capex_pv_usd_per_kw": 900,
+    "capex_dispatch_usd_per_kw": 700,
+    "capex_battery_usd_per_kwh": 150,
+    "interest_rate": 0.06,
+    "life_wind_years": 25,
+    "life_pv_years": 25,
+    "life_dispatch_years": 35,
+    "life_battery_years": 12,
+    "fixed_om_wind_usd_per_kw_yr": 30,
+    "fixed_om_pv_usd_per_kw_yr": 15,
+    "fixed_om_dispatch_usd_per_kw_yr": 10,
+    "fixed_om_battery_usd_per_kw_yr": 5,
+    "fuel_price_usd_per_gj": 12,
+    "heat_rate_gj_per_mwh": 9,
+    "refine_tolerance_gw": 2.5,
+    "refine_tolerance_hours": 1.5,
+}
+
 SCENARIOS = ("base", "low-storage", "pv-only", "rigidity", "residual-baseload", "fuel-sensitivity")
 
 # A synthetic year whose 72 h drought ends past the seed-1 demand peak, and
@@ -97,6 +121,11 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         fixed = _config(conf, **FIXED_MIX)
         table[f"{group}-simulate-fixed"] = (fixed, ["simulate", "--trace"])
         table[f"{group}-rigidity-fixed"] = (fixed, ["scenario", "rigidity", "--trace"])
+    table["week-all-settings"] = (_config(week_conf, **ALL_SETTINGS), ["optimize", "--trace"])
+    table["week-bad-setting"] = (
+        _config(week_conf, round_trip_efficiency=2),
+        ["optimize", "--trace"],
+    )
     table["week-fuel-collision"] = (
         _config(week_conf, fuel_prices_usd_per_gj="10,10.0000001"),
         ["scenario", "fuel-sensitivity", "--trace"],
