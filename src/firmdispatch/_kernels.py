@@ -1,15 +1,19 @@
 """Hot inner loop of the dispatch simulation.
 
-The battery state couples every step to the one before it, so its charge
-and discharge cannot be vectorized across time.  Everything else in a step
-can: ``balance_loop`` runs a pass in three stages.
+The battery state couples every step to the one before it, so once its
+charge or discharge is clamped it cannot be vectorized across time.
+Everything else in a step can: ``balance_loop`` runs a pass in three
+stages.
 
 1. Baseload, renewables to demand, the surplus and the residual demand
    depend only on the step's inputs, so they are whole-array numpy
    expressions.
-2. ``_battery_steps`` walks only the surplus and the residual, step by
-   step as plain Python on Python floats, and writes the charge, the
-   discharge and the state of charge.
+2. ``_battery_steps`` walks only the surplus and the residual and writes
+   the charge, the discharge and the state of charge.  With
+   ``charge_from_dispatch`` off and a charged start it first runs
+   ``_running_sum_prefix``: until a clamp binds, the state of charge is a
+   numpy running sum of the steps' flows.  From the first clamp on (or from
+   the start), it steps as plain Python on Python floats.
 3. Curtailment, dispatch and unserved demand follow from those rows as
    whole arrays again.
 
@@ -135,19 +139,30 @@ def _battery_steps(
     Writes the charge, top-up and discharge rows, which the caller zeroes,
     only in steps the battery acts, and the state of charge at every step.
     A step with surplus has no residual demand left, so it charges or it
-    discharges, never both.  ``battery_power`` is positive.
+    discharges, never both.  ``battery_power`` is positive.  The running-sum
+    prefix writes the steps before the first clamp, and the loop the rest.
+    A battery that starts empty clamps at its first deficit, and top-ups
+    from spare dispatch are not in the sum, so the prefix is tried only
+    with a positive start and the flag off.
 
     Inputs are read and rows written through memoryviews, so the steps run
     on Python floats: indexing a numpy array yields numpy scalars, whose
     arithmetic costs several times more.
     """
+    start = 0
+    if soc > 0.0 and not charge_from_dispatch:
+        start, soc = _running_sum_prefix(
+            surplus, residual, dt, battery_power, battery_energy_cap, efficiency, soc, out
+        )
+
     charge_row = memoryview(out[ROW_CHARGE_FROM_REN])
     charge_extra_row = memoryview(out[ROW_CHARGE_FROM_DISPATCH])
     discharge_row = memoryview(out[ROW_DISCHARGE])
     soc_row = memoryview(out[ROW_SOC])
     efficiency_dt = efficiency * dt
 
-    for t, (excess, deficit) in enumerate(zip(memoryview(surplus), memoryview(residual))):
+    steps = zip(memoryview(surplus)[start:], memoryview(residual)[start:])
+    for t, (excess, deficit) in enumerate(steps, start):
         charge = 0.0
         discharge = 0.0
         if excess > 0.0:
@@ -201,3 +216,46 @@ def _battery_steps(
                 charge_extra_row[t] = charge_extra
 
         soc_row[t] = soc
+
+
+def _running_sum_prefix(
+    surplus, residual, dt, battery_power, battery_energy_cap, efficiency, soc0, out
+):
+    """Write the battery rows up to the first step a clamp binds; return that step and its SOC.
+
+    Until then each step's flow is the surplus or the residual capped at
+    ``battery_power``, and the state of charge is a running sum of the
+    steps' increments.  Four checks of the step loop can change that:
+    headroom and overfill in a charging step, availability and underflow
+    in a discharging one.  Each is evaluated with the loop's own expression
+    on the accumulated SOC, and the step loop takes over at the first step
+    one binds (or at ``n`` if none does).  The loop's floors at zero never
+    bind on their own: an unclamped flow is the least of two positives.
+
+    The sum is one ``np.add.accumulate``, which adds in step order, and a
+    discharge adds ``-(discharge * dt)``, which IEEE 754 rounds as the
+    loop's subtraction.  An idle step adds +0.0, which leaves any SOC but
+    -0.0 as it is; ``soc0`` is positive and a running sum that reaches zero
+    reaches +0.0, so none is -0.0.
+    """
+    charging = surplus > 0.0
+    discharging = ~charging & (residual > 0.0)
+    charge = np.where(surplus > battery_power, battery_power, surplus)
+    discharge = np.where(residual > battery_power, battery_power, residual)
+    increments = np.where(charging, efficiency * charge * dt, 0.0)
+    np.copyto(increments, -(discharge * dt), where=discharging)
+    soc = np.add.accumulate(np.concatenate(([soc0], increments)))
+    before, after = soc[:-1], soc[1:]
+
+    clamps = charging & (
+        (charge > (battery_energy_cap - before) / (efficiency * dt))
+        | (after > battery_energy_cap)
+    )
+    clamps |= discharging & ((discharge > before / dt) | (after < 0.0))
+    hits = np.flatnonzero(clamps)
+    stop = int(hits[0]) if hits.shape[0] else clamps.shape[0]
+
+    np.copyto(out[ROW_CHARGE_FROM_REN, :stop], charge[:stop], where=charging[:stop])
+    np.copyto(out[ROW_DISCHARGE, :stop], discharge[:stop], where=discharging[:stop])
+    out[ROW_SOC, :stop] = after[:stop]
+    return stop, float(soc[stop])

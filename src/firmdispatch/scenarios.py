@@ -255,6 +255,20 @@ def _pv_probe_mix(pv_gw: float, power_gw: float, energy_gwh: float) -> CapacityM
     )
 
 
+def _pv_only_probe(
+    data: AlignedDataset, params: SimParams, peak: float, pv_gw: float, energy_gwh: float
+) -> tuple[DispatchResult, bool]:
+    """Simulate ``pv_gw`` of PV with ``energy_gwh`` of battery at ``peak``
+    power or more; feasible if no demand goes unserved and the battery
+    ends no lower than it started."""
+    power = max(peak, pv_gw) if energy_gwh > 0.0 else 0.0
+    mix = _pv_probe_mix(pv_gw, power, energy_gwh)
+    result = simulate(mix, data, params)
+    initial_soc = params.initial_soc_fraction * mix.battery_energy_gwh
+    closed = result.final_soc_gwh + 1e-9 >= initial_soc
+    return result, result.unserved_energy_twh == 0.0 and closed
+
+
 def _bisect(lo: float, hi: float, tol: float, feasible: Callable[[float], bool]) -> float:
     """Halve an infeasible ``lo`` / feasible ``hi`` bracket to within
     ``tol``; return its feasible end."""
@@ -295,16 +309,24 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     pv_cap = 1e6 * peak
     huge_energy = 1e9 * max(peak, 1.0)
 
-    def probe(pv_gw: float, energy_gwh: float) -> tuple[DispatchResult, bool]:
-        power = max(peak, pv_gw) if energy_gwh > 0.0 else 0.0
-        mix = _pv_probe_mix(pv_gw, power, energy_gwh)
-        result = simulate(mix, data, params)
-        initial_soc = params.initial_soc_fraction * mix.battery_energy_gwh
-        closed = result.final_soc_gwh + 1e-9 >= initial_soc
-        return result, result.unserved_energy_twh == 0.0 and closed
+    # A probe is run once per (PV, energy) pair, keyed by the exact floats:
+    # the PV bisection's first midpoint can repeat a doubling probe.  Each
+    # bisection ends on its last feasible probe, whose ledger the sizing
+    # reads next, so that one result is kept with the verdicts.
+    verdicts: dict[tuple[float, float], bool] = {}
+    last_feasible: dict[tuple[float, float], DispatchResult] = {}
+
+    def feasible(pv_gw: float, energy_gwh: float) -> bool:
+        key = (pv_gw, energy_gwh)
+        if key not in verdicts:
+            result, verdicts[key] = _pv_only_probe(data, params, peak, pv_gw, energy_gwh)
+            if verdicts[key]:
+                last_feasible.clear()
+                last_feasible[key] = result
+        return verdicts[key]
 
     def feasible_pv(pv_gw: float) -> bool:
-        return probe(pv_gw, huge_energy)[1]
+        return feasible(pv_gw, huge_energy)
 
     if feasible_pv(0.0):
         pv_star = 0.0
@@ -322,9 +344,9 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     # inventory scales with capacity, so the tight bound must be re-probed
     # and falls back to the unconstrained size.
     def feasible_energy(energy_gwh: float) -> bool:
-        return probe(pv_star, energy_gwh)[1]
+        return feasible(pv_star, energy_gwh)
 
-    unconstrained, _ = probe(pv_star, huge_energy)
+    unconstrained = last_feasible[pv_star, huge_energy]
     energy_hi = float(np.max(unconstrained.trace.soc_gwh)) * (1.0 + 1e-9) + 1e-9
     energy_hi = min(energy_hi, huge_energy)
     if not feasible_energy(energy_hi):
@@ -333,7 +355,7 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
         energy_hi = 0.0
     energy_star = _bisect(0.0, energy_hi, ENERGY_TOL_GWH, feasible_energy)
 
-    final, _ = probe(pv_star, energy_star)
+    final = last_feasible[pv_star, energy_star]
     flows = max(
         float(np.max(final.trace.battery_charge_gw)),
         float(np.max(final.trace.battery_discharge_gw)),

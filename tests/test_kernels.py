@@ -244,3 +244,140 @@ def test_balance_loop_matches_reference_loop_on_drawn_ties(args):
     balance_loop(*args, got)
     reference_loop(*args, want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ===================== running-sum prefix =====================
+#
+# With the flag off and a charged start, the battery rows are a running sum
+# until the first of four checks binds: headroom or overfill in a charging
+# step, availability or underflow in a discharging one.  The passes below
+# put that first clamp at a chosen step, by one check alone, and the step
+# loop must carry on from there bit for bit.
+
+CHECKS = ("headroom", "overfill", "availability", "underflow")
+
+
+def _bitwise_ledger(args):
+    """``balance_loop``'s ledger for ``args``, once it matches ``reference_loop``'s bit for bit."""
+    n = args[0].shape[0]
+    got = np.full((N_ROWS, n), 7.0)
+    want = np.full((N_ROWS, n), -7.0)
+    balance_loop(*args, got)
+    reference_loop(*args, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), args
+    return got
+
+
+def _swings(rng, n, size):
+    """Demand and generation of ``n`` steps that charge, discharge or idle by
+    at most ``size``, with no baseload, so the surplus and the residual are
+    the drawn values exactly."""
+    kind = rng.integers(0, 3, n)
+    value = size * rng.random(n)
+    demand = np.where(kind == 1, value, 0.0)
+    ren = np.where(kind == 0, value, 0.0)
+    return demand, ren
+
+
+def _binding_checks(soc, value, dt, power, cap, efficiency, charging):
+    """The checks of the step loop that bind when ``value`` meets ``soc``."""
+    flow = power if value > power else value
+    if charging:
+        binds = {
+            "headroom": flow > (cap - soc) / (efficiency * dt),
+            "overfill": soc + efficiency * flow * dt > cap,
+        }
+    else:
+        binds = {"availability": flow > soc / dt, "underflow": soc - flow * dt < 0.0}
+    return {name for name, bound in binds.items() if bound}
+
+
+def _clamp_alone_pass(rng, check, dt):
+    """A pass whose first clamp is ``check`` alone at a drawn step, or None.
+
+    Steps before it swing by under 1 % of the capacity from half full, so
+    none clamps.  At the chosen step the surplus is the headroom (or one
+    ulp above it), or the residual is the stored energy over ``dt`` (or one
+    ulp above it): the rounding edges at which each check can bind without
+    its partner.
+    """
+    n = int(rng.integers(20, 80))
+    k = int(rng.integers(1, n - 1))
+    efficiency = float(rng.uniform(0.5, 1.0))
+    cap = float(rng.uniform(10.0, 200.0))
+    soc0 = 0.5 * cap
+    power = 4.0 * cap / (efficiency * dt)
+    demand, ren = _swings(rng, n, 0.01 * cap * min(dt, 1.0))
+    head = (demand[:k], ren[:k], dt, 0.0, power, cap, efficiency, soc0, np.inf, False)
+    before = np.empty((N_ROWS, k))
+    reference_loop(*head, before)
+    soc = before[ROW_SOC, -1]
+
+    charging = check in ("headroom", "overfill")
+    edge = (cap - soc) / (efficiency * dt) if charging else soc / dt
+    value = np.nextafter(edge, np.inf) if check in ("headroom", "availability") else edge
+    if _binding_checks(soc, value, dt, power, cap, efficiency, charging) != {check}:
+        return None
+    demand[k], ren[k] = (0.0, value) if charging else (value, 0.0)
+    return (demand, ren, dt, 0.0, power, cap, efficiency, soc0, np.inf, False), k
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_prefix_hands_off_at_a_clamp_by_one_check_alone(check):
+    # a power-of-two dt scales exactly, so there availability and underflow
+    # always bind together; 0.3 and 0.7 reach the edges between them
+    rng = np.random.default_rng(1300 + CHECKS.index(check))
+    found = {dt: 0 for dt in (1.0, 0.5, 0.3, 0.7)}
+    for _ in range(4000):
+        dt = float(rng.choice(list(found)))
+        case = _clamp_alone_pass(rng, check, dt)
+        if case is None:
+            continue
+        args, k = case
+        got = _bitwise_ledger(args)
+        # the clamp at k took effect: the state of charge is still in range
+        assert 0.0 <= got[ROW_SOC, k] <= args[5]
+        found[dt] += 1
+        if sum(found.values()) == 40:
+            break
+    assert sum(found.values()) == 40, found
+    assert found[0.3] + found[0.7] > 0
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_prefix_covers_a_pass_that_never_clamps(dt, strided):
+    # a year of swings far inside a half-full battery: the running sum is the
+    # whole pass
+    rng = np.random.default_rng(1310 + 2 * strided + (dt == 0.5))
+    n = 8760
+    demand, ren = _swings(rng, n * (3 if strided else 1), 5.0)
+    if strided:
+        demand, ren = demand[::3], ren[::3]
+    cap = 1e6
+    args = (demand, ren, dt, 0.0, 50.0, cap, 0.85, 0.5 * cap, np.inf, False)
+    got = _bitwise_ledger(args)
+    assert np.all(got[ROW_CURTAILED] == 0.0)
+    assert np.all(got[ROW_UNSERVED] == 0.0)
+
+
+@pytest.mark.parametrize("hours", [0.0, -0.0, 4.0])
+def test_prefix_meets_signed_zero_capacity_and_start(hours):
+    # -0.0 hours give a -0.0 capacity and start: no running sum is tried,
+    # and the step loop keeps the signed zeros
+    rng = np.random.default_rng(1320)
+    for start in (0.0, 0.5, 1.0):
+        demand, ren = _swings(rng, 48, 6.0)
+        args = (demand, ren, 0.5, 0.0, 3.0, 3.0 * hours, 0.9, start * 3.0 * hours, 2.0, False)
+        _bitwise_ledger(args)
+
+
+def test_prefix_is_not_tried_with_the_flag_on():
+    # spare dispatch tops the battery up in idle and charging steps, which a
+    # running sum of surplus and residual alone would miss
+    rng = np.random.default_rng(1330)
+    demand, ren = _swings(rng, 500, 5.0)
+    cap = 1e6
+    args = (demand, ren, 1.0, 0.0, 50.0, cap, 0.85, 0.5 * cap, 40.0, True)
+    got = _bitwise_ledger(args)
+    assert np.any(got[ROW_CHARGE_FROM_DISPATCH] > 0.0)

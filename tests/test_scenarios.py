@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
@@ -29,7 +31,7 @@ from firmdispatch import (
     size_dispatch,
     write_report_csv,
 )
-from firmdispatch import dispatch, scenarios
+from firmdispatch import _kernels, dispatch, scenarios
 from firmdispatch.dispatch import TRACE_COLUMNS
 from firmdispatch.profiles import demand_stats, scale_demand, synthesize_dataset
 from firmdispatch.scenarios import (
@@ -306,6 +308,77 @@ def test_pv_only_zero_demand_short_circuits():
     assert report.pv_gw == 0.0
     assert report.battery_power_gw == 0.0
     assert report.annual_demand_twh == 0.0
+
+
+@pytest.mark.parametrize(
+    "data, soc_fraction",
+    [
+        (_day_night_dataset(96, day_first=False), 0.5),
+        (_day_night_dataset(96, day_first=True), 0.0),
+        (random_dataset(np.random.default_rng(72), n_steps=96), 0.5),
+    ],
+)
+def test_pv_only_runs_no_balance_pass_twice(monkeypatch, data, soc_fraction):
+    # the PV bisection's first midpoint can repeat a doubling probe, and each
+    # bisection ends on a feasible probe the sizing reads again
+    passes = []
+    loop = _kernels.balance_loop
+
+    def recording(demand, ren_gen, dt, baseload, power, energy, *rest):
+        passes.append((ren_gen.tobytes(), power, energy))
+        return loop(demand, ren_gen, dt, baseload, power, energy, *rest)
+
+    monkeypatch.setattr(_kernels, "balance_loop", recording)
+    run_pv_only(data, SimParams(initial_soc_fraction=soc_fraction))
+    assert len(passes) > 10
+    assert len(set(passes)) == len(passes)
+
+
+@st.composite
+def _pv_only_cases(draw):
+    """A small dataset with sun by day, and the settings of a pv-only probe.
+
+    Most draws start at sunrise, so an empty battery can be feasible too.
+    """
+    n = draw(st.integers(12, 72))
+    dt = draw(st.sampled_from([1.0, 0.5]))
+    demand = np.array(draw(st.lists(st.floats(0.5, 20.0), min_size=n, max_size=n)))
+    sun = draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    phase = draw(st.sampled_from([0, 0, 0]) | st.integers(0, 23))
+    pv_cf = np.array(sun) * ((np.arange(n) + phase) % 24 < 12)
+    data = AlignedDataset(
+        demand=TimeSeries(demand, dt, KIND_DEMAND, "demand"),
+        wind_cf=TimeSeries(np.zeros(n), dt, KIND_CAPACITY_FACTOR, "wind"),
+        pv_cf=TimeSeries(pv_cf, dt, KIND_CAPACITY_FACTOR, "pv"),
+    )
+    params = SimParams(
+        round_trip_efficiency=draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0))),
+        initial_soc_fraction=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+    )
+    return data, params, float(np.max(demand))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_pv_only_cases(), st.floats(0.0, 20.0), st.floats(0.0, 20.0))
+def test_pv_only_feasibility_is_monotone_in_pv_at_the_huge_battery(case, scale, more):
+    # the PV bisection rests on it: more panels never turn a served year unserved
+    data, params, peak = case
+    lo, hi = peak * scale, peak * (scale + more)
+    huge_energy = 1e9 * max(peak, 1.0)
+    if scenarios._pv_only_probe(data, params, peak, lo, huge_energy)[1]:
+        assert scenarios._pv_only_probe(data, params, peak, hi, huge_energy)[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_pv_only_cases(), st.floats(0.0, 20.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
+def test_pv_only_feasibility_is_monotone_in_battery_energy(case, pv_scale, hours, more):
+    # the energy bisection rests on it, with a start charge too: a larger
+    # battery's charge above its start never falls below a smaller one's
+    data, params, peak = case
+    pv = peak * pv_scale
+    lo, hi = peak * hours, peak * (hours + more)
+    if scenarios._pv_only_probe(data, params, peak, pv, lo)[1]:
+        assert scenarios._pv_only_probe(data, params, peak, pv, hi)[1]
 
 
 # ===================== rigidity =====================

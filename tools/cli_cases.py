@@ -102,6 +102,8 @@ YEAR_SPACE = {
     "refine_tolerance_gw": 5.1,
     "refine_tolerance_hours": 8.1,
 }
+# An oversized PV + battery mix that serves the drought year.
+OVERSIZED_PV_MIX = {"pv_gw": 60, "battery_power_gw": 32, "battery_hours": 120}
 
 
 def _config(base: str, **keys) -> str:
@@ -141,6 +143,11 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         )
     table["year-rigidity"] = (
         _config("", **YEAR, initial_soc_fraction=0.5),
+        ["scenario", "rigidity", "--trace"],
+    )
+    # the benchmark's oversized PV mix: its year passes clamp mid-year
+    table["year-rigidity-fixed"] = (
+        _config("", **YEAR, initial_soc_fraction=0.5, **OVERSIZED_PV_MIX),
         ["scenario", "rigidity", "--trace"],
     )
     return table
