@@ -11,7 +11,7 @@ energy served, in USD/MWh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dispatch import CapacityMix
 
@@ -46,33 +46,24 @@ class CostBook:
     heat_rate_gj_per_mwh: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "capex_wind_usd_per_kw",
-            "capex_pv_usd_per_kw",
-            "capex_dispatch_usd_per_kw",
-            "capex_battery_usd_per_kwh",
-            "fixed_om_wind_usd_per_kw_yr",
-            "fixed_om_pv_usd_per_kw_yr",
-            "fixed_om_dispatch_usd_per_kw_yr",
-            "fixed_om_battery_usd_per_kw_yr",
-            "fuel_price_usd_per_gj",
-            "heat_rate_gj_per_mwh",
-        ):
+        for name in _PRICES:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not (0.0 < self.interest_rate < 1.0):
             raise ValueError(f"interest_rate must be in (0, 1), got {self.interest_rate!r}")
-        for name in (
-            "life_wind_years",
-            "life_pv_years",
-            "life_dispatch_years",
-            "life_battery_years",
-        ):
+        for name in _LIFETIMES:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
+
+# The prices that must be finite and >= 0 and the lifetimes that must be
+# positive integers, by declared type, in field order.
+_PRICES = tuple(
+    f.name for f in fields(CostBook) if f.type == "float" and f.name != "interest_rate"
+)
+_LIFETIMES = tuple(f.name for f in fields(CostBook) if f.type == "int")
 
 DEFAULT_BOOK = CostBook()
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -77,14 +77,7 @@ class CapacityMix:
     baseload_eaf: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "wind_gw",
-            "pv_gw",
-            "battery_power_gw",
-            "battery_hours",
-            "dispatch_gw",
-            "baseload_gw",
-        ):
+        for name in _CAPACITIES:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
@@ -94,6 +87,10 @@ class CapacityMix:
     @property
     def battery_energy_gwh(self) -> float:
         return self.battery_power_gw * self.battery_hours
+
+
+# The fields of a mix that must be finite and >= 0, in field order.
+_CAPACITIES = tuple(f.name for f in fields(CapacityMix) if f.name != "baseload_eaf")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ A new point is sized through a ``dispatch.SizingTable`` and priced with
 exact coordinates and baseload of a mix.  Sizing never reads the cost
 book, so searches that differ only in their books can share one table,
 and a mix one of them sized costs the others no balance pass.  A mix
-sized anew takes one balance pass with battery energy and none without;
+sized anew takes one balance pass, numpy alone when it has no battery;
 with ``battery_charges_from_dispatch`` on, it is simulated once more.
 The search keeps only each point's sized mix and cost; the returned best
 ``Evaluation`` comes from one ``simulate`` of the winner, per-step ledger
@@ -51,6 +51,8 @@ TRAJECTORY_COLUMNS = (
     "dispatch_gw",
     "unit_cost_usd_per_mwh",
 )
+# The mix columns of a trajectory row, between its step and its unit cost.
+_mix_columns = operator.attrgetter(*TRAJECTORY_COLUMNS[1:-1])
 
 # Coarse storage durations in hours; refinement interpolates between rungs.
 DEFAULT_BATTERY_HOURS = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
@@ -130,8 +132,12 @@ class Evaluation:
 @dataclass(frozen=True)
 class OptimResult:
     best: Evaluation
-    evaluations: int
     trajectory: list[tuple[CapacityMix, float]] = field(repr=False)
+
+    @property
+    def evaluations(self) -> int:
+        """Points sized and costed, one per trajectory row."""
+        return len(self.trajectory)
 
 
 DEFAULT_OPTIONS = OptimizeOptions()
@@ -262,7 +268,7 @@ def optimize(
 
     best_mix, best_cost = best
     winner = Evaluation(mix=best_mix, result=simulate(best_mix, data, params), cost=best_cost)
-    return OptimResult(best=winner, evaluations=len(cache), trajectory=trajectory)
+    return OptimResult(best=winner, trajectory=trajectory)
 
 
 def write_trajectory_csv(result: OptimResult, path) -> None:
@@ -270,13 +276,4 @@ def write_trajectory_csv(result: OptimResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
         for i, (mix, unit_cost) in enumerate(result.trajectory):
-            row = (
-                str(i),
-                repr(mix.wind_gw),
-                repr(mix.pv_gw),
-                repr(mix.battery_power_gw),
-                repr(mix.battery_hours),
-                repr(mix.dispatch_gw),
-                repr(unit_cost),
-            )
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join((str(i), *map(repr, _mix_columns(mix)), repr(unit_cost))) + "\n")

@@ -13,14 +13,16 @@ peak demand.  Rigidity raises demand up to ``RIGIDITY_MAX_MULTIPLIER``
 times its level; a mix that still serves it there is not storage-limited.
 
 Reports render to CSV with one row per figure, using the conventional table
-row labels, values at full precision.
+row labels, values at full precision.  Each row's label and unit are
+declared on its report field with ``_row``, and the rows follow the fields'
+order, so a table's row order is its report's field order.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,39 +65,48 @@ class InfeasibleError(Exception):
     """The requested system cannot serve demand within the given bounds."""
 
 
+def _row(label: str, unit: str, baseload: bool = False, scale: float = 1.0):
+    """A report field rendered as the CSV row ``label,value,unit``, the
+    value multiplied by ``scale``; a ``baseload`` row shows only in tables
+    that carry baseload."""
+    return field(metadata={"row": (label, unit, baseload, scale)})
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     """Physical summary of one sized system, shaped like the result tables;
     ``mix`` and ``result`` are the mix and the simulation it was read from."""
 
     label: str
-    annual_demand_twh: float
-    peak_gw: float
-    average_gw: float
-    baseload_gw: float
-    baseload_eaf_pct: float
-    baseload_energy_twh: float
+    annual_demand_twh: float = _row("Annual Demand", "TWh")
+    peak_gw: float = _row("Peak Rate", "GW")
+    average_gw: float = _row("Average Rate", "GW")
+    baseload_gw: float = _row("Base load Gen.", "GW", baseload=True)
+    baseload_eaf_pct: float = _row("Base EAF", "%", baseload=True)
+    baseload_energy_twh: float = _row("Base Energy", "TWh", baseload=True)
     net_peak_gw: float
-    wind_gw: float
-    wind_energy_twh: float
-    wind_cf_pct: float
-    wind_pct_of_peak: float
-    pv_gw: float
-    pv_energy_twh: float
-    pv_cf_pct: float
-    pv_pct_of_peak: float
-    battery_power_gw: float
-    battery_hours: float
-    battery_energy_gwh: float
-    dispatch_gw: float
-    dispatch_energy_twh: float
-    dispatch_cf_pct: float
-    dispatch_pct_of_peak: float
-    dispatch_pct_of_average: float
-    dispatch_pct_of_net_peak: float
-    renewable_gen_twh: float
-    curtailed_twh: float
-    curtailed_pct: float
+    wind_gw: float = _row("Installed Wind", "GW")
+    wind_energy_twh: float = _row("Wind Energy", "TWh")
+    wind_cf_pct: float = _row("Wind CF", "%")
+    wind_pct_of_peak: float = _row("Wind Percent of Peak Capacity", "Percent of Peak Gen. Capacity")
+    pv_gw: float = _row("Installed PV", "GW")
+    pv_energy_twh: float = _row("PV Energy", "TWh")
+    pv_cf_pct: float = _row("PV CF", "%")
+    pv_pct_of_peak: float = _row("PV Percent of Peak Capacity", "Percent of Peak Gen. Capacity")
+    battery_power_gw: float = _row("Battery Capacity", "GW")
+    battery_hours: float = _row("Battery Hours", "Hours")
+    battery_energy_gwh: float = _row("Battery Energy", "GWh")
+    dispatch_gw: float = _row("Installed Dispatch", "GW")
+    dispatch_energy_twh: float = _row("Dispatch Energy", "TWh")
+    dispatch_cf_pct: float = _row("Dispatch CF", "%")
+    dispatch_pct_of_peak: float = _row("Percent of Peak demand", "%")
+    dispatch_pct_of_average: float = _row("Percent of Average demand", "%")
+    dispatch_pct_of_net_peak: float = _row(
+        "Percent of net Peak demand", "% of net Peak", baseload=True
+    )
+    renewable_gen_twh: float = _row("Renewable Gen", "TWh")
+    curtailed_twh: float = _row("Curtailed Renew.", "TWh")
+    curtailed_pct: float = _row("Percent Curtailed", "%")
     mix: CapacityMix = field(compare=False, repr=False)
     result: DispatchResult = field(compare=False, repr=False)
 
@@ -106,12 +117,12 @@ class RigidityReport:
     ``mix`` is that mix at the required firm capacity, and ``result`` its
     simulation on demand scaled to the failure multiplier."""
 
-    annual_demand_twh: float
-    test_demand_twh: float
-    failure_multiplier: float
-    required_dispatch_gw: float
-    required_dispatch_energy_gwh: float
-    dispatch_pct_of_average: float
+    annual_demand_twh: float = _row("Annual Demand", "TWh")
+    test_demand_twh: float = _row("Test Demand", "TWh")
+    failure_multiplier: float = _row("Percent of Normal", "%", scale=100.0)
+    required_dispatch_gw: float = _row("Installed Dispatch", "GW")
+    required_dispatch_energy_gwh: float = _row("Dispatch Energy", "GWh")
+    dispatch_pct_of_average: float = _row("Percent of Average demand", "%")
     mix: CapacityMix = field(compare=False, repr=False)
     result: DispatchResult = field(compare=False, repr=False)
 
@@ -120,11 +131,11 @@ class RigidityReport:
 class LowStorageDelta:
     """Firm capacity comparison between base and cheap-storage optima."""
 
-    battery_price_usd_per_kwh: float
-    base_dispatch_gw: float
+    base_dispatch_gw: float = _row("Base Case Installed Dispatch", "GW")
+    dispatch_delta_gw: float = _row("Installed Dispatch Change", "GW")
+    base_dispatch_energy_twh: float = _row("Base Case Dispatch Energy", "TWh")
+    battery_price_usd_per_kwh: float = _row("Storage Price", "USD/kWh")
     dispatch_gw: float
-    dispatch_delta_gw: float
-    base_dispatch_energy_twh: float
     dispatch_energy_twh: float
 
 
@@ -487,43 +498,14 @@ def run_fuel_sensitivity(
 
 # ===================== report rendering =====================
 
-def _report_rows(report: ScenarioReport, include_baseload: bool) -> list[tuple[str, float, str]]:
-    rows = [
-        ("Annual Demand", report.annual_demand_twh, "TWh"),
-        ("Peak Rate", report.peak_gw, "GW"),
-        ("Average Rate", report.average_gw, "GW"),
-    ]
-    if include_baseload:
-        rows += [
-            ("Base load Gen.", report.baseload_gw, "GW"),
-            ("Base EAF", report.baseload_eaf_pct, "%"),
-            ("Base Energy", report.baseload_energy_twh, "TWh"),
-        ]
-    rows += [
-        ("Installed Wind", report.wind_gw, "GW"),
-        ("Wind Energy", report.wind_energy_twh, "TWh"),
-        ("Wind CF", report.wind_cf_pct, "%"),
-        ("Wind Percent of Peak Capacity", report.wind_pct_of_peak, "Percent of Peak Gen. Capacity"),
-        ("Installed PV", report.pv_gw, "GW"),
-        ("PV Energy", report.pv_energy_twh, "TWh"),
-        ("PV CF", report.pv_cf_pct, "%"),
-        ("PV Percent of Peak Capacity", report.pv_pct_of_peak, "Percent of Peak Gen. Capacity"),
-        ("Battery Capacity", report.battery_power_gw, "GW"),
-        ("Battery Hours", report.battery_hours, "Hours"),
-        ("Battery Energy", report.battery_energy_gwh, "GWh"),
-        ("Installed Dispatch", report.dispatch_gw, "GW"),
-        ("Dispatch Energy", report.dispatch_energy_twh, "TWh"),
-        ("Dispatch CF", report.dispatch_cf_pct, "%"),
-        ("Percent of Peak demand", report.dispatch_pct_of_peak, "%"),
-        ("Percent of Average demand", report.dispatch_pct_of_average, "%"),
-    ]
-    if include_baseload:
-        rows.append(("Percent of net Peak demand", report.dispatch_pct_of_net_peak, "% of net Peak"))
-    rows += [
-        ("Renewable Gen", report.renewable_gen_twh, "TWh"),
-        ("Curtailed Renew.", report.curtailed_twh, "TWh"),
-        ("Percent Curtailed", report.curtailed_pct, "%"),
-    ]
+def _rows(report, include_baseload: bool) -> list[tuple[str, float, str]]:
+    """``(label, value, unit)`` of each row field of a report, in field order."""
+    rows = []
+    for f in fields(report):
+        if "row" in f.metadata:
+            label, unit, baseload, scale = f.metadata["row"]
+            if include_baseload or not baseload:
+                rows.append((label, scale * getattr(report, f.name), unit))
     return rows
 
 
@@ -538,7 +520,7 @@ def write_report_csv(
     if not reports:
         raise ValueError("write_report_csv needs at least one report")
     include_baseload = any(r.baseload_gw > 0.0 for r in reports)
-    per_report = [_report_rows(r, include_baseload) for r in reports]
+    per_report = [_rows(r, include_baseload) for r in reports]
     labels = [_csv_quote(r.label or f"case {i}") for i, r in enumerate(reports)]
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -554,31 +536,18 @@ def write_report_csv(
 
 def write_rigidity_csv(path, report: RigidityReport) -> None:
     """Write a rigidity test outcome using the demand-change table rows."""
-    rows = [
-        ("Annual Demand", report.annual_demand_twh, "TWh"),
-        ("Test Demand", report.test_demand_twh, "TWh"),
-        ("Percent of Normal", 100.0 * report.failure_multiplier, "%"),
-        ("Installed Dispatch", report.required_dispatch_gw, "GW"),
-        ("Dispatch Energy", report.required_dispatch_energy_gwh, "GWh"),
-        ("Percent of Average demand", report.dispatch_pct_of_average, "%"),
-    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("row,value,unit\n")
-        for name, value, unit in rows:
+        for name, value, unit in _rows(report, False):
             fh.write(",".join([_csv_quote(name), repr(float(value)), _csv_quote(unit)]) + "\n")
 
 
 def low_storage_extra_rows(delta: LowStorageDelta) -> list[tuple[str, float, str]]:
     """Comparison rows appended to a low-storage report."""
-    return [
-        ("Base Case Installed Dispatch", delta.base_dispatch_gw, "GW"),
-        ("Installed Dispatch Change", delta.dispatch_delta_gw, "GW"),
-        ("Base Case Dispatch Energy", delta.base_dispatch_energy_twh, "TWh"),
-        ("Storage Price", delta.battery_price_usd_per_kwh, "USD/kWh"),
-    ]
+    return _rows(delta, False)
 
 
 def _csv_quote(text: str) -> str:
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text

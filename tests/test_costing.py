@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -191,3 +194,30 @@ def test_cost_book_validation():
         CostBook(life_battery_years=0)
     with pytest.raises(ValueError, match="heat_rate_gj_per_mwh"):
         CostBook(heat_rate_gj_per_mwh=float("nan"))
+
+
+# Told apart by their defaults, not by their annotations, which the checks read.
+PRICES = [
+    f.name for f in fields(CostBook) if isinstance(f.default, float) and f.name != "interest_rate"
+]
+LIFETIMES = [f.name for f in fields(CostBook) if isinstance(f.default, int)]
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+@pytest.mark.parametrize("name", PRICES)
+def test_every_price_is_range_checked(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        CostBook(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0, 1.5])
+@pytest.mark.parametrize("name", LIFETIMES)
+def test_every_lifetime_is_range_checked(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+        CostBook(**{name: value})
+
+
+def test_cost_book_checks_prices_before_lifetimes():
+    assert (len(PRICES), len(LIFETIMES)) == (10, 4)
+    with pytest.raises(ValueError, match="^fixed_om_pv_usd_per_kw_yr "):
+        CostBook(fixed_om_pv_usd_per_kw_yr=-1.0, life_wind_years=0)

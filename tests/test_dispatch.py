@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -585,6 +585,13 @@ def test_validation_errors():
         SimParams(round_trip_efficiency=0.0)
     with pytest.raises(ValueError, match="initial_soc_fraction"):
         SimParams(initial_soc_fraction=-0.1)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+@pytest.mark.parametrize("name", [f.name for f in fields(CapacityMix) if f.name != "baseload_eaf"])
+def test_every_capacity_is_range_checked(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        CapacityMix(**{name: value})
 
 
 def test_sizing_table_keeps_exact_coordinates_apart(monkeypatch):

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -36,6 +36,7 @@ from firmdispatch.dispatch import TRACE_COLUMNS
 from firmdispatch.profiles import demand_stats, scale_demand, synthesize_dataset
 from firmdispatch.scenarios import (
     SCENARIO_NAMES,
+    ScenarioReport,
     build_report,
     low_storage_extra_rows,
     write_rigidity_csv,
@@ -687,10 +688,11 @@ def test_write_report_csv_extra_rows_and_quoting(tmp_path, base_run):
 def test_write_report_csv_quotes_labels(tmp_path, base_run):
     report, _ = base_run
     path = tmp_path / "labels.csv"
-    write_report_csv(path, [replace(report, label='a,"b"'), replace(report, label="plain")])
+    labels = ['a,"b"', "plain", "a\rb", "a\nb"]
+    write_report_csv(path, [replace(report, label=label) for label in labels])
     rows = _read_csv(path)
-    assert rows[0] == ["row", 'a,"b"', "plain", "unit"]
-    assert all(len(r) == 4 for r in rows)
+    assert rows[0] == ["row", *labels, "unit"]
+    assert all(len(r) == 6 for r in rows)
 
 
 def test_write_report_csv_needs_a_report(tmp_path):
@@ -715,11 +717,67 @@ def test_write_rigidity_csv(tmp_path):
     write_rigidity_csv(path, report)
     rows = _read_csv(path)
     assert rows[0] == ["row", "value", "unit"]
+    assert [(r[0], r[2]) for r in rows[1:]] == [
+        ("Annual Demand", "TWh"),
+        ("Test Demand", "TWh"),
+        ("Percent of Normal", "%"),
+        ("Installed Dispatch", "GW"),
+        ("Dispatch Energy", "GWh"),
+        ("Percent of Average demand", "%"),
+    ]
     table = {r[0]: r for r in rows[1:]}
-    assert len(rows) == 7
     assert float(table["Percent of Normal"][1]) == 100.0 * report.failure_multiplier
     assert float(table["Installed Dispatch"][1]) == report.required_dispatch_gw
     assert table["Dispatch Energy"][2] == "GWh"
+
+
+SCENARIO_ROWS = [
+    ("Annual Demand", "TWh"),
+    ("Peak Rate", "GW"),
+    ("Average Rate", "GW"),
+    ("Base load Gen.", "GW"),
+    ("Base EAF", "%"),
+    ("Base Energy", "TWh"),
+    ("Installed Wind", "GW"),
+    ("Wind Energy", "TWh"),
+    ("Wind CF", "%"),
+    ("Wind Percent of Peak Capacity", "Percent of Peak Gen. Capacity"),
+    ("Installed PV", "GW"),
+    ("PV Energy", "TWh"),
+    ("PV CF", "%"),
+    ("PV Percent of Peak Capacity", "Percent of Peak Gen. Capacity"),
+    ("Battery Capacity", "GW"),
+    ("Battery Hours", "Hours"),
+    ("Battery Energy", "GWh"),
+    ("Installed Dispatch", "GW"),
+    ("Dispatch Energy", "TWh"),
+    ("Dispatch CF", "%"),
+    ("Percent of Peak demand", "%"),
+    ("Percent of Average demand", "%"),
+    ("Percent of net Peak demand", "% of net Peak"),
+    ("Renewable Gen", "TWh"),
+    ("Curtailed Renew.", "TWh"),
+    ("Percent Curtailed", "%"),
+]
+BASELOAD_ROWS = {"Base load Gen.", "Base EAF", "Base Energy", "Percent of net Peak demand"}
+
+
+@pytest.mark.parametrize("baseload_gw", [0.0, 10.0])
+def test_report_csv_row_sequence(tmp_path, base_run, baseload_gw):
+    # row order is field order, so this pins the order of the report's fields
+    report, _ = base_run
+    path = tmp_path / "report.csv"
+    write_report_csv(path, replace(report, baseload_gw=baseload_gw))
+    got = [(r[0], r[-1]) for r in _read_csv(path)[1:]]
+    expected = [row for row in SCENARIO_ROWS if baseload_gw > 0.0 or row[0] not in BASELOAD_ROWS]
+    assert len(got) == (26 if baseload_gw > 0.0 else 22)
+    assert got == expected
+
+
+def test_every_report_figure_but_net_peak_is_a_row():
+    floats = [f for f in fields(ScenarioReport) if f.type == "float"]
+    assert len(floats) == 27
+    assert [f.name for f in floats if "row" not in f.metadata] == ["net_peak_gw"]
 
 
 def test_low_storage_extra_rows_shape(week_data, tiny_space):
@@ -727,11 +785,11 @@ def test_low_storage_extra_rows_shape(week_data, tiny_space):
         week_data, space=tiny_space, battery_price=10.0, options=COARSE_ONLY
     )
     rows = low_storage_extra_rows(delta)
-    assert [name for name, _, _ in rows] == [
-        "Base Case Installed Dispatch",
-        "Installed Dispatch Change",
-        "Base Case Dispatch Energy",
-        "Storage Price",
+    assert [(name, unit) for name, _, unit in rows] == [
+        ("Base Case Installed Dispatch", "GW"),
+        ("Installed Dispatch Change", "GW"),
+        ("Base Case Dispatch Energy", "TWh"),
+        ("Storage Price", "USD/kWh"),
     ]
     assert rows[0][1] == delta.base_dispatch_gw
     assert rows[1][1] == delta.dispatch_delta_gw
