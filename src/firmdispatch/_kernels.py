@@ -13,7 +13,10 @@ stages.
    ``charge_from_dispatch`` off and a charged start it first runs
    ``_running_sum_prefix``: until a clamp binds, the state of charge is a
    numpy running sum of the steps' flows.  From the first clamp on (or from
-   the start), it steps as plain Python on Python floats.
+   the start), it steps as plain Python on Python floats, and only where
+   the battery can move: a surplus into a full battery and a deficit on an
+   empty one change nothing, so those steps skip the charge and the
+   discharge.
 3. Curtailment, dispatch and unserved demand follow from those rows as
    whole arrays again.
 
@@ -82,13 +85,22 @@ def balance_loop(
     float64 vectors of one length, and ``out`` a float64 array of shape
     (N_ROWS, n_steps); ``efficiency`` and ``dt`` must be positive.  All
     power values are GW, state of charge is GWh.
+
+    The start charge ``soc0`` must lie in ``[0, battery_energy_cap]``, or
+    ``ValueError`` is raised (a NaN on either side too): the battery step
+    relies on it to skip pinned steps and to leave its flows unfloored.
     """
     if demand.shape[0] != ren_gen.shape[0]:
         raise ValueError(
             f"demand has {demand.shape[0]} steps but generation has {ren_gen.shape[0]}"
         )
-    dispatch_cap = float(dispatch_cap)
+    battery_energy_cap = float(battery_energy_cap)
     soc0 = float(soc0)
+    if not 0.0 <= soc0 <= battery_energy_cap:
+        raise ValueError(
+            f"the start charge {soc0!r} GWh is outside [0, {battery_energy_cap!r}] GWh"
+        )
+    dispatch_cap = float(dispatch_cap)
 
     base = np.where(baseload_out > demand, demand, baseload_out)
     residual = demand - base
@@ -107,7 +119,7 @@ def balance_loop(
             residual,
             float(dt),
             float(battery_power),
-            float(battery_energy_cap),
+            battery_energy_cap,
             float(efficiency),
             soc0,
             dispatch_cap,
@@ -145,10 +157,32 @@ def _battery_steps(
     from spare dispatch are not in the sum, so the prefix is tried only
     with a positive start and the flag off.
 
+    The loop steps only where the battery can move.  A surplus into a full
+    battery would clamp its charge to a headroom of +0.0, and a deficit on
+    an empty one its discharge to a stored energy of +0.0: the rows hold
+    +0.0 already and the SOC would not change, so such a pinned step skips
+    the branch and writes only its SOC.  A top-up then sees the charge and
+    the discharge at 0.0, as after the branch.  Those zeros are -0.0
+    instead under a -0.0 capacity (``-0.0 - 0.0``) or from a -0.0 start
+    (``-0.0 / dt``).  The SOC is never -0.0 once the battery has acted, so
+    one flag per pass, ``signed``, moves ``full`` and ``empty`` out of reach
+    for those passes, and they step every step with no sign test per step.
+
+    The loop has no floors at zero.  ``balance_loop`` checks that the start
+    lies in ``[0, battery_energy_cap]`` and the clamps keep the SOC there,
+    so the headroom and the stored energy are never negative, nor is a flow
+    clamped to them; a -0.0 is not below zero, so a floor never changed a
+    value.
+
     Inputs are read and rows written through memoryviews, so the steps run
     on Python floats: indexing a numpy array yields numpy scalars, whose
     arithmetic costs several times more.
     """
+    # a pinned step is skipped unless the pass may sign its zero flows
+    signed = battery_energy_cap == 0.0 or math.copysign(1.0, soc) < 0.0
+    full = math.inf if signed else battery_energy_cap
+    empty = -math.inf if signed else 0.0
+
     start = 0
     if soc > 0.0 and not charge_from_dispatch:
         start, soc = _running_sum_prefix(
@@ -166,27 +200,24 @@ def _battery_steps(
         charge = 0.0
         discharge = 0.0
         if excess > 0.0:
-            charge = excess
-            if charge > battery_power:
-                charge = battery_power
-            headroom = (battery_energy_cap - soc) / efficiency_dt
-            if charge > headroom:
-                charge = headroom
-            if charge < 0.0:
-                charge = 0.0
-            soc += efficiency * charge * dt
-            if soc > battery_energy_cap:
-                soc = battery_energy_cap
-            charge_row[t] = charge
-        elif deficit > 0.0:
+            if soc < full:
+                charge = excess
+                if charge > battery_power:
+                    charge = battery_power
+                headroom = (battery_energy_cap - soc) / efficiency_dt
+                if charge > headroom:
+                    charge = headroom
+                soc += efficiency * charge * dt
+                if soc > battery_energy_cap:
+                    soc = battery_energy_cap
+                charge_row[t] = charge
+        elif deficit > 0.0 and soc > empty:
             discharge = deficit
             if discharge > battery_power:
                 discharge = battery_power
             available = soc / dt
             if discharge > available:
                 discharge = available
-            if discharge < 0.0:
-                discharge = 0.0
             soc -= discharge * dt
             if soc < 0.0:
                 soc = 0.0
@@ -208,8 +239,6 @@ def _battery_steps(
                 headroom = (battery_energy_cap - soc) / efficiency_dt
                 if charge_extra > headroom:
                     charge_extra = headroom
-                if charge_extra < 0.0:
-                    charge_extra = 0.0
                 soc += efficiency * charge_extra * dt
                 if soc > battery_energy_cap:
                     soc = battery_energy_cap
@@ -229,8 +258,8 @@ def _running_sum_prefix(
     headroom and overfill in a charging step, availability and underflow
     in a discharging one.  Each is evaluated with the loop's own expression
     on the accumulated SOC, and the step loop takes over at the first step
-    one binds (or at ``n`` if none does).  The loop's floors at zero never
-    bind on their own: an unclamped flow is the least of two positives.
+    one binds (or at ``n`` if none does).  No flow is negative: an
+    unclamped flow is the least of two positives.
 
     The sum is one ``np.add.accumulate``, which adds in step order, and a
     discharge adds ``-(discharge * dt)``, which IEEE 754 rounds as the

@@ -324,9 +324,9 @@ def sized_energy(
     return sized, _twh(data.demand.values, data.dt_hours), _twh(row, data.dt_hours)
 
 
-# The fields of a mix that its sizing reads; dispatch_gw is replaced.
+# The fields of a mix that its sizing reads, in field order; dispatch_gw is replaced.
 _sizing_key = operator.attrgetter(
-    "wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "baseload_gw", "baseload_eaf"
+    *(f.name for f in fields(CapacityMix) if f.name != "dispatch_gw")
 )
 
 
@@ -336,7 +336,7 @@ class SizingTable:
     A mix's sizing depends on its capacities, the data and the params, never
     on a cost book, so searches that differ only in their books can share
     one table and size each mix once.  An entry is keyed by the ``repr`` of
-    the four searched coordinates, ``baseload_gw`` and ``baseload_eaf``:
+    every field of the mix but ``dispatch_gw``, which sizing replaces:
     ``repr`` tells apart every two distinct floats, ``-0.0`` and ``0.0``
     included, and an int from the equal float, so a hit returns bit for bit
     what ``sized_energy`` would return for the mix given.

@@ -167,15 +167,7 @@ def grid_axis(lo: float, hi: float, step: float) -> list[float]:
 def _rank_key(point: tuple[CapacityMix, SystemCost]) -> tuple:
     m, cost = point
     total_gw = m.wind_gw + m.pv_gw + m.battery_power_gw + m.dispatch_gw
-    return (
-        cost.unit_cost_usd_per_mwh,
-        cost.annualized_capital_usd,
-        total_gw,
-        m.wind_gw,
-        m.pv_gw,
-        m.battery_power_gw,
-        m.battery_hours,
-    )
+    return (cost.unit_cost_usd_per_mwh, cost.annualized_capital_usd, total_gw, *_coords(m))
 
 
 def _hours_refine_step(ladder: tuple[float, ...], hours: float) -> float:

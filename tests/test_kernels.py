@@ -193,6 +193,30 @@ def test_balance_loop_rejects_series_of_unequal_length():
         balance_loop(np.ones(4), np.ones(3), 1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False, out)
 
 
+@pytest.mark.parametrize("soc0", [9.0, -1.0, np.nan])
+def test_balance_loop_rejects_a_start_outside_the_battery(soc0):
+    out = np.empty((N_ROWS, 4))
+    with pytest.raises(ValueError, match="start charge"):
+        balance_loop(np.ones(4), np.ones(4), 1.0, 0.0, 2.0, 8.0, 0.85, soc0, np.inf, False, out)
+
+
+@pytest.mark.parametrize(
+    "capacity, soc0, demand, row",
+    [
+        (8.0, -0.0, 5.0, ROW_DISCHARGE),  # a draw clamps to -0.0 / dt
+        (-0.0, 0.0, 0.0, ROW_CHARGE_FROM_REN),  # a charge to (-0.0 - 0.0) / (efficiency * dt)
+    ],
+    ids=["minus-zero-start", "minus-zero-capacity"],
+)
+def test_balance_loop_keeps_the_signed_zero_of_a_pinned_battery(capacity, soc0, demand, row):
+    # the battery cannot move in the first step, yet the reference loop
+    # writes a -0.0 flow there
+    demand = np.full(2, demand)
+    args = (demand, 5.0 - demand, 1.0, 0.0, 2.0, capacity, 0.9, soc0, np.inf, False)
+    got = _bitwise_ledger(args)
+    assert got[row, 0] == 0.0 and np.signbit(got[row, 0])
+
+
 @st.composite
 def _kernel_calls(draw):
     """One ``balance_loop`` call whose draws reach the loop's ties and clamps.
@@ -200,8 +224,9 @@ def _kernel_calls(draw):
     Steps may tie baseload to demand, or generation to the demand baseload
     leaves.  The battery may have no power, or power and no hours (-0.0
     hours too, whose signed zeros the step loop must keep), and it may
-    start empty, full, part full, or one charge short of full: the first
-    step then has no residual demand and a surplus of exactly the headroom.
+    start empty, full, part full, at -0.0, or one charge short of full: the
+    first step then has no residual demand and a surplus of exactly the
+    headroom.
     """
     n = draw(st.integers(1, 40))
     dt = draw(st.sampled_from([1.0, 0.5]))
@@ -220,7 +245,7 @@ def _kernel_calls(draw):
     hours = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 4.0]), st.floats(0.0, 24.0)))
     capacity = power * hours
     efficiency = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
-    start = draw(st.sampled_from(["empty", "full", "part", "fill"]))
+    start = draw(st.sampled_from(["empty", "full", "part", "fill", "-0.0"]))
     if start == "fill":
         short = efficiency * dt * power * draw(st.floats(0.0, 1.0))
         soc0 = capacity - short if capacity > short else 0.0
@@ -228,6 +253,8 @@ def _kernel_calls(draw):
         gen[0] = (capacity - soc0) / (efficiency * dt)
     elif start == "part":
         soc0 = draw(st.floats(0.0, 1.0)) * capacity
+    elif start == "-0.0":
+        soc0 = -0.0
     else:
         soc0 = (0.0 if start == "empty" else 1.0) * capacity
     cap = draw(st.one_of(st.sampled_from([0.0, np.inf]), st.floats(0.0, 25.0)))
