@@ -162,11 +162,13 @@ def _battery_steps(
     an empty one its discharge to a stored energy of +0.0: the rows hold
     +0.0 already and the SOC would not change, so such a pinned step skips
     the branch and writes only its SOC.  A top-up then sees the charge and
-    the discharge at 0.0, as after the branch.  Those zeros are -0.0
-    instead under a -0.0 capacity (``-0.0 - 0.0``) or from a -0.0 start
-    (``-0.0 / dt``).  The SOC is never -0.0 once the battery has acted, so
-    one flag per pass, ``signed``, moves ``full`` and ``empty`` out of reach
-    for those passes, and they step every step with no sign test per step.
+    the discharge at 0.0, as after the branch.  A top-up from spare
+    dispatch into a full battery clamps to a headroom of +0.0 the same way,
+    so it is skipped too.  Those zeros are -0.0 instead under a -0.0
+    capacity (``-0.0 - 0.0``) or from a -0.0 start (``-0.0 / dt``).  The
+    SOC is never -0.0 once the battery has acted, so one flag per pass,
+    ``signed``, moves ``full`` and ``empty`` out of reach for those passes,
+    and they step every step with no sign test per step.
 
     The loop has no floors at zero.  ``balance_loop`` checks that the start
     lies in ``[0, battery_energy_cap]`` and the clamps keep the SOC there,
@@ -226,7 +228,7 @@ def _battery_steps(
 
         # top up from spare dispatch only in steps the battery is not
         # discharging; simultaneous charge and discharge would be churn
-        if charge_from_dispatch and discharge == 0.0:
+        if charge_from_dispatch and discharge == 0.0 and soc < full:
             dispatched = deficit
             if dispatched > dispatch_cap:
                 dispatched = dispatch_cap

@@ -378,6 +378,41 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     return build_report(mix, result, data, label="pv-only")
 
 
+def _last_rigidity_k(step: float) -> int:
+    """The largest ``k`` whose multiplier ``1.0 + k * step`` is at most
+    ``RIGIDITY_MAX_MULTIPLIER``.  That float expression never falls as
+    ``k`` grows, so every smaller ``k`` is within the limit too."""
+    k = math.floor((RIGIDITY_MAX_MULTIPLIER - 1.0) / step)
+    while 1.0 + (k + 1) * step <= RIGIDITY_MAX_MULTIPLIER:
+        k += 1
+    while 1.0 + k * step > RIGIDITY_MAX_MULTIPLIER:
+        k -= 1
+    return k
+
+
+def _double_and_bisect(fails: Callable[[int], bool], last: int) -> int | None:
+    """The first failing ``k`` in ``1..last`` when failure is monotone in
+    ``k``; None if ``last`` serves.
+
+    Probes ``k = 1, 2, 4, ...`` (then ``last``, where doubling would pass
+    it) until one fails, then bisects the integers between the last
+    serving ``k`` and that one: at most ``2 ceil(log2 k)`` probes, or one
+    at ``k = 1``.
+    """
+    serving, k = 0, 1
+    while not fails(k):
+        if k == last:
+            return None
+        serving, k = k, min(2 * k, last)
+    while k - serving > 1:
+        mid = (serving + k) // 2
+        if fails(mid):
+            k = mid
+        else:
+            serving = mid
+    return k
+
+
 def run_rigidity(
     mix: CapacityMix,
     data: AlignedDataset,
@@ -386,11 +421,22 @@ def run_rigidity(
 ) -> RigidityReport:
     """Scale demand up until the mix fails, then size the firm gap.
 
-    Demand is raised in multiples of ``step`` from 1.  At the first
-    multiplier with unserved energy, ``size_dispatch`` gives the firm
-    capacity that would have balanced the scaled year, and one ``simulate``
-    of the mix at that capacity gives the energy it dispatches; the report
-    keeps that mix and its result.
+    Demand is raised to multipliers ``1.0 + k * step`` for integers
+    ``k >= 1`` up to ``RIGIDITY_MAX_MULTIPLIER``, and the first ``k`` with
+    unserved energy is the failure point.  With
+    ``battery_charges_from_dispatch`` off, failure is monotone in demand,
+    so ``_double_and_bisect`` finds that ``k`` in about ``2 log2 k``
+    simulations (10 for a failure at ``k = 21``), and the unscaled demand
+    (``k = 0``) is probed only when the search ends at ``k = 1``: a
+    serving ``k = 1`` already shows that it is served.  With the flag on,
+    a battery run empty can be topped up from spare dispatch and serve a
+    larger demand again, so a bisection could land on a later failure; the
+    unscaled demand is checked first and then every ``k`` in order.
+
+    At the failure point, ``size_dispatch`` gives the firm capacity that
+    would have balanced the scaled year, and one ``simulate`` of the mix at
+    that capacity gives the energy it dispatches; the report keeps that
+    mix and its result.
 
     Raises
     ------
@@ -400,32 +446,41 @@ def run_rigidity(
     """
     if not (0.0 < step < 1.0):
         raise ValueError(f"step must be in (0, 1), got {step!r}")
-    if simulate(mix, data, params).unserved_energy_twh > 0.0:
+
+    def scaled(k: int) -> AlignedDataset:
+        return scale_demand(data, 1.0 + k * step) if k else data
+
+    def fails(k: int) -> bool:
+        return simulate(mix, scaled(k), params).unserved_energy_twh > 0.0
+
+    last = _last_rigidity_k(step)
+    if params.battery_charges_from_dispatch:
+        baseline_fails = fails(0)
+        swept = (k for k in range(1, last + 1) if fails(k))
+        k = None if baseline_fails else next(swept, None)
+    else:
+        k = _double_and_bisect(fails, last)
+        baseline_fails = k == 1 and fails(0)
+    if baseline_fails:
         raise ValueError("mix does not serve the baseline demand, rigidity is undefined")
+    if k is None:
+        raise ValueError(
+            f"no failure up to multiplier {RIGIDITY_MAX_MULTIPLIER}, mix is not storage-limited"
+        )
 
-    k = 1
-    while True:
-        multiplier = 1.0 + k * step
-        if multiplier > RIGIDITY_MAX_MULTIPLIER:
-            raise ValueError(
-                f"no failure up to multiplier {RIGIDITY_MAX_MULTIPLIER}, mix is not storage-limited"
-            )
-        scaled = scale_demand(data, multiplier)
-        if simulate(mix, data=scaled, params=params).unserved_energy_twh > 0.0:
-            break
-        k += 1
-
-    required = size_dispatch(mix, scaled, params)
+    multiplier = 1.0 + k * step
+    failing = scaled(k)
+    required = size_dispatch(mix, failing, params)
     sized = replace(mix, dispatch_gw=required)
-    result = simulate(sized, scaled, params)
-    scaled_stats = demand_stats(scaled.demand)
+    result = simulate(sized, failing, params)
+    failing_stats = demand_stats(failing.demand)
     return RigidityReport(
         annual_demand_twh=demand_stats(data.demand).annual_energy_twh,
-        test_demand_twh=scaled_stats.annual_energy_twh,
+        test_demand_twh=failing_stats.annual_energy_twh,
         failure_multiplier=multiplier,
         required_dispatch_gw=required,
         required_dispatch_energy_gwh=result.dispatch_energy_twh * 1000.0,
-        dispatch_pct_of_average=100.0 * required / scaled_stats.average_gw,
+        dispatch_pct_of_average=100.0 * required / failing_stats.average_gw,
         mix=sized,
         result=result,
     )

@@ -1,9 +1,13 @@
-"""The two-pass reference for one search point, against which the
-optimizer's one-pass sizing and costing are checked.
+"""Frozen references that the package's faster paths are checked against.
 
-``evaluate`` sizes the firm capacity with ``size_dispatch``, simulates the
-sized mix, and costs it from that simulation with ``system_cost``: two
-balance passes where ``optimize`` takes one.
+``evaluate`` is the two-pass reference for one search point: it sizes the
+firm capacity with ``size_dispatch``, simulates the sized mix, and costs it
+from that simulation with ``system_cost``: two balance passes where
+``optimize`` takes one.
+
+``rigidity_sweep`` is the rigidity search as a plain sweep: it checks the
+unscaled demand, then probes every multiplier ``1.0 + k * step`` in order
+until one fails, where ``run_rigidity`` may double and bisect.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from firmdispatch import (
 from firmdispatch.costing import DEFAULT_BOOK, cost_from_energy
 from firmdispatch.dispatch import DEFAULT_PARAMS
 from firmdispatch.optimizer import Evaluation
+from firmdispatch.profiles import demand_stats, scale_demand
+from firmdispatch.scenarios import RIGIDITY_MAX_MULTIPLIER, RigidityReport
 
 
 def system_cost(mix: CapacityMix, result: DispatchResult, book: CostBook) -> SystemCost:
@@ -47,3 +53,44 @@ def evaluate(
     sized = replace(candidate, dispatch_gw=size_dispatch(candidate, data, params))
     result = simulate(sized, data, params)
     return Evaluation(mix=sized, result=result, cost=system_cost(sized, result, book))
+
+
+def rigidity_sweep(
+    mix: CapacityMix,
+    data: AlignedDataset,
+    params: SimParams = DEFAULT_PARAMS,
+    step: float = 0.01,
+) -> RigidityReport:
+    """Probe the unscaled demand, then ``k = 1, 2, 3, ...`` until the mix
+    fails, and size the firm gap there as ``run_rigidity`` does."""
+    if not (0.0 < step < 1.0):
+        raise ValueError(f"step must be in (0, 1), got {step!r}")
+    if simulate(mix, data, params).unserved_energy_twh > 0.0:
+        raise ValueError("mix does not serve the baseline demand, rigidity is undefined")
+
+    k = 1
+    while True:
+        multiplier = 1.0 + k * step
+        if multiplier > RIGIDITY_MAX_MULTIPLIER:
+            raise ValueError(
+                f"no failure up to multiplier {RIGIDITY_MAX_MULTIPLIER}, mix is not storage-limited"
+            )
+        scaled = scale_demand(data, multiplier)
+        if simulate(mix, scaled, params).unserved_energy_twh > 0.0:
+            break
+        k += 1
+
+    required = size_dispatch(mix, scaled, params)
+    sized = replace(mix, dispatch_gw=required)
+    result = simulate(sized, scaled, params)
+    scaled_stats = demand_stats(scaled.demand)
+    return RigidityReport(
+        annual_demand_twh=demand_stats(data.demand).annual_energy_twh,
+        test_demand_twh=scaled_stats.annual_energy_twh,
+        failure_multiplier=multiplier,
+        required_dispatch_gw=required,
+        required_dispatch_energy_gwh=result.dispatch_energy_twh * 1000.0,
+        dispatch_pct_of_average=100.0 * required / scaled_stats.average_gw,
+        mix=sized,
+        result=result,
+    )

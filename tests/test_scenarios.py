@@ -43,7 +43,7 @@ from firmdispatch.scenarios import (
 )
 
 from conftest import random_dataset, random_mix, random_params
-from oracle import evaluate
+from oracle import evaluate, rigidity_sweep
 
 # stop after the coarse grid so two runs share an identical candidate set
 COARSE_ONLY = OptimizeOptions(refine_tolerance_gw=1e9, refine_tolerance_hours=1e9)
@@ -451,6 +451,145 @@ def test_rigidity_of_sized_pv_only_mix():
     # sized with ~0.01 GW and ~0.1 GWh slack, one or two percent breaks it
     assert rigidity.failure_multiplier <= 1.02 + 1e-12
     assert rigidity.required_dispatch_gw > 0.0
+
+
+def _rigidity_case(rng, charge_from_dispatch=False):
+    """A random mix, dataset, parameters and step for ``run_rigidity``.
+
+    Half the mixes get firm capacity sized for the unscaled demand, half
+    for demand scaled by up to 2.2, each times U(0.9, 1.1): some fail at
+    the baseline, most inside the search, some never.
+    """
+    data = random_dataset(rng, n_steps=int(rng.integers(24, 120)))
+    params = replace(random_params(rng), battery_charges_from_dispatch=charge_from_dispatch)
+    mix = random_mix(rng, with_baseload=bool(rng.integers(0, 2)))
+    sized_for = 1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 2.2))
+    firm = size_dispatch(mix, scale_demand(data, sized_for), params)
+    mix = replace(mix, dispatch_gw=firm * float(rng.uniform(0.9, 1.1)))
+    step = [0.01, 0.003, 0.07, float(rng.uniform(0.001, 0.2))][int(rng.integers(0, 4))]
+    return mix, data, params, step
+
+
+def _rigidity_outcome(run, mix, data, params, step):
+    """The report or the ``ValueError`` message of one rigidity run."""
+    try:
+        return run(mix, data, params, step), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def test_rigidity_matches_the_sweep_without_charging_from_dispatch():
+    rng = np.random.default_rng(17)
+    errors = []
+    for _ in range(300):
+        case = _rigidity_case(rng)
+        want, want_error = _rigidity_outcome(rigidity_sweep, *case)
+        got, got_error = _rigidity_outcome(run_rigidity, *case)
+        assert got_error == want_error, case
+        if want is None:
+            errors.append(want_error.split(",")[0])
+            continue
+        assert got.failure_multiplier.hex() == want.failure_multiplier.hex(), case
+        assert repr(got) == repr(want)
+        assert got.mix == want.mix
+        _assert_same_result(got.result, want.result)
+    # every outcome of the sweep is drawn: a failure, a failing baseline, none
+    assert 100 < len(errors) < 200
+    assert set(errors) == {
+        "mix does not serve the baseline demand",
+        "no failure up to multiplier 2.0",
+    }
+
+
+def _bisected_failure(fails, last):
+    """Where doubling ``k`` and then bisecting would stop: the first
+    failing ``k`` only if failure is monotone in ``k``."""
+    serving, k = 0, 1
+    while not fails(k):
+        if k == last:
+            return None
+        serving, k = k, min(2 * k, last)
+    while k - serving > 1:
+        mid = (serving + k) // 2
+        serving, k = (serving, mid) if fails(mid) else (mid, k)
+    return k
+
+
+def test_rigidity_keeps_the_sweep_when_charging_from_dispatch():
+    # With the flag on, failure is not monotone in demand: a battery run
+    # empty can be topped up from spare dispatch and serve a larger demand
+    # again.  The first draw where that misleads a bisection pins the sweep.
+    rng = np.random.default_rng(63)
+    step, last = 0.01, 100
+    for _ in range(150):
+        mix, data, params, _ = _rigidity_case(rng, charge_from_dispatch=True)
+        want, _ = _rigidity_outcome(rigidity_sweep, mix, data, params, step)
+        if want is None:
+            continue
+
+        def fails(k):
+            scaled = scale_demand(data, 1.0 + k * step)
+            return simulate(mix, scaled, params).unserved_energy_twh > 0.0
+
+        first = round((want.failure_multiplier - 1.0) / step)
+        if _bisected_failure(fails, last) != first:
+            break
+    else:
+        pytest.fail("no draw misleads a bisection of the demand multiplier")
+
+    report = run_rigidity(mix, data, params, step)
+    assert report.failure_multiplier == 1.0 + first * step
+    assert repr(report) == repr(want)
+
+
+def test_last_rigidity_k_is_the_sweeps_last_probe():
+    for step in [0.01, 0.003, 0.07, 0.1, 1 / 3, 0.5, 0.999, 1e-4, 7e-5]:
+        last = scenarios._last_rigidity_k(step)
+        assert 1.0 + last * step <= scenarios.RIGIDITY_MAX_MULTIPLIER, step
+        assert 1.0 + (last + 1) * step > scenarios.RIGIDITY_MAX_MULTIPLIER, step
+
+
+def _rigidity_probes(mix, data, params, step):
+    """How many simulations ``run_rigidity`` runs before it sizes the
+    failing mix, and its report or error message."""
+    with mock.patch.object(scenarios, "simulate", wraps=scenarios.simulate) as calls:
+        report, error = _rigidity_outcome(run_rigidity, mix, data, params, step)
+    # a report's last simulation is the sized mix's, not a probe
+    return calls.call_count - (report is not None), report, error
+
+
+def test_rigidity_probes_double_then_bisect():
+    rng = np.random.default_rng(29)
+    largest = 0
+    for _ in range(60):
+        mix, data, params, step = _rigidity_case(rng)
+        probes, report, _ = _rigidity_probes(mix, data, params, step)
+        if report is None:
+            continue
+        k = round((report.failure_multiplier - 1.0) / step)
+        assert report.failure_multiplier == 1.0 + k * step
+        if k == 1:
+            assert probes == 2  # k = 1, then the unscaled demand
+        else:
+            assert probes <= 2 * math.ceil(math.log2(k)) + 2, (k, probes)
+        largest = max(largest, k)
+    assert largest > 50
+
+
+def test_rigidity_probes_at_a_fine_step():
+    # day-night: fails at 1 + step (the unscaled demand is served), and
+    # with 0.6 GW more PV and 1 GW more battery power, past 1.3
+    data = _day_night_dataset(96, day_first=True)
+    params = SimParams(round_trip_efficiency=1.0, initial_soc_fraction=0.0)
+    tight = CapacityMix(pv_gw=2.0, battery_power_gw=1.0, battery_hours=12.0)
+    assert _rigidity_probes(tight, data, params, 1e-4)[0] == 2
+    loose = CapacityMix(pv_gw=2.6, battery_power_gw=2.0, battery_hours=12.0)
+    probes, report, _ = _rigidity_probes(loose, data, params, 1e-4)
+    assert 1.3 < report.failure_multiplier < 1.3002
+    assert probes <= 30
+    firm = replace(loose, dispatch_gw=10.0)
+    probes, _, error = _rigidity_probes(firm, data, params, 1e-4)
+    assert error.startswith("no failure") and probes <= 30
 
 
 # ===================== residual baseload =====================

@@ -150,6 +150,22 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config("", **YEAR, initial_soc_fraction=0.5, **OVERSIZED_PV_MIX),
         ["scenario", "rigidity", "--trace"],
     )
+    # a fine step: about a hundred multipliers below the failure point
+    table["year-rigidity-fixed-fine"] = (
+        _config("", **YEAR, initial_soc_fraction=0.5, **OVERSIZED_PV_MIX, rigidity_step=0.002),
+        ["scenario", "rigidity", "--trace"],
+    )
+    # with the flag on, failure need not be monotone in demand
+    table["year-flag-rigidity-fixed"] = (
+        _config(
+            "",
+            **YEAR,
+            initial_soc_fraction=0.5,
+            **OVERSIZED_PV_MIX,
+            battery_charges_from_dispatch="true",
+        ),
+        ["scenario", "rigidity", "--trace"],
+    )
     return table
 
 
