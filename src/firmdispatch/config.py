@@ -213,11 +213,22 @@ def validate(config: RunConfig) -> None:
 
     if not (0.0 < config.rigidity_step < 1.0):
         raise ConfigError(f"rigidity_step must be in (0, 1), got {config.rigidity_step!r}")
+    if 1.0 + config.rigidity_step == 1.0:
+        raise ConfigError(
+            f"rigidity_step must move 1.0 + step above 1.0, got {config.rigidity_step!r}"
+        )
 
-    for name in MIX_KEYS:
+    for name in (*MIX_KEYS, "baseload_gw", "battery_price_usd_per_kwh"):
         value = getattr(config, name)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+    if not (0.0 <= config.baseload_eaf <= 1.0):
+        raise ConfigError(f"baseload_eaf must be in [0, 1], got {config.baseload_eaf!r}")
+    for price in config.fuel_prices_usd_per_gj:
+        if not (math.isfinite(price) and price > 0.0):
+            raise ConfigError(
+                f"fuel_prices_usd_per_gj must be positive and finite, got {price!r}"
+            )
 
     if config.scenario is not None:
         from .scenarios import SCENARIO_NAMES

@@ -19,17 +19,18 @@ header ``TRACE_COLUMNS``.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
-``sized_energy`` returns the sized mix with the energy it serves and
-dispatches, from one such pass for every mix.  ``optimize`` sizes through
-a ``SizingTable``, which memoizes ``sized_energy`` for one dataset and one
-``SimParams``, so searches under different cost books size each mix once.
+``sized_simulation`` returns the sized mix with its simulation, and
+``sized_energy`` with the energy it serves and dispatches, from one such
+pass.  ``optimize`` sizes through a ``SizingTable``, which memoizes
+``sized_energy`` for one dataset and one ``SimParams``, so searches under
+different cost books size each mix once.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized
 capacity reproduces the sizing pass's ledger exactly, since no step draws
-more than the peak and nothing else depends on the cap.  So the dispatch
-energy is taken straight from the sizing row.  With the flag on, spare
-capacity can charge the battery, so each sized mix is simulated once more.
+more than the peak and nothing else depends on the cap.  So that ledger is
+the sized mix's simulation.  With the flag on, spare capacity can charge
+the battery, so each sized mix is simulated once more.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _run_balance(
     params: SimParams,
     dispatch_cap: float,
     charge_from_dispatch: bool,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+) -> NDArray[np.float64]:
     demand = data.demand.values
     out = np.empty((_kernels.N_ROWS, demand.shape[0]), dtype=np.float64)
     _kernels.balance_loop(
@@ -215,7 +216,7 @@ def _run_balance(
         charge_from_dispatch,
         out,
     )
-    return out, demand
+    return out
 
 
 def simulate(
@@ -240,9 +241,13 @@ def simulate(
     -------
     DispatchResult
     """
-    out, demand = _run_balance(
-        mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch
-    )
+    out = _run_balance(mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch)
+    return _summarize(mix, data, out)
+
+
+def _summarize(mix: CapacityMix, data: AlignedDataset, out: NDArray[np.float64]) -> DispatchResult:
+    """Energy totals of one balance pass of ``mix`` over ``data``, its ledger ``out`` attached."""
+    demand = data.demand.values
     dt = data.dt_hours
     to_twh = dt / 1000.0
     wind_cf_sum = float(np.sum(data.wind_cf.values))
@@ -281,12 +286,13 @@ def simulate(
     )
 
 
-def _uncapped_dispatch(
+def _sizing_pass(
     mix: CapacityMix, data: AlignedDataset, params: SimParams
-) -> NDArray[np.float64]:
-    """Dispatch row of one sizing pass: no cap, battery charged from renewables only."""
-    out, _ = _run_balance(mix, data, params, np.inf, False)
-    return out[_kernels.ROW_DISPATCH]
+) -> tuple[CapacityMix, NDArray[np.float64]]:
+    """The mix at its sized capacity and the ledger of the one sizing pass:
+    no dispatch cap, battery charged from renewables only."""
+    out = _run_balance(mix, data, params, np.inf, False)
+    return replace(mix, dispatch_gw=float(np.max(out[_kernels.ROW_DISPATCH]))), out
 
 
 def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> float:
@@ -303,7 +309,18 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     bound but may exceed the minimum, since spare dispatch can pre-charge
     the battery ahead of the worst deficit.
     """
-    return float(np.max(_uncapped_dispatch(mix, data, params)))
+    return _sizing_pass(mix, data, params)[0].dispatch_gw
+
+
+def sized_simulation(
+    mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
+) -> tuple[CapacityMix, DispatchResult]:
+    """Size one mix; return it with ``dispatch_gw`` from ``size_dispatch``
+    and its ``simulate``, equal bit for bit, ledger included."""
+    sized, out = _sizing_pass(mix, data, params)
+    if params.battery_charges_from_dispatch:
+        return sized, simulate(sized, data, params)
+    return sized, _summarize(sized, data, out)
 
 
 def sized_energy(
@@ -311,17 +328,16 @@ def sized_energy(
 ) -> tuple[CapacityMix, float, float]:
     """Size one mix; return ``(sized mix, served TWh, dispatch TWh)``.
 
-    The result equals bit for bit the mix with ``dispatch_gw`` from
-    ``size_dispatch`` and the ``served_energy_twh`` and
-    ``dispatch_energy_twh`` of its ``simulate``.
+    The result equals bit for bit the mix and the ``served_energy_twh``
+    and ``dispatch_energy_twh`` of ``sized_simulation``.
     """
-    row = _uncapped_dispatch(mix, data, params)
-    sized = replace(mix, dispatch_gw=float(np.max(row)))
+    sized, out = _sizing_pass(mix, data, params)
     if params.battery_charges_from_dispatch:
         result = simulate(sized, data, params)
         return sized, result.served_energy_twh, result.dispatch_energy_twh
     # a sized mix leaves nothing unserved
-    return sized, _twh(data.demand.values, data.dt_hours), _twh(row, data.dt_hours)
+    dt = data.dt_hours
+    return sized, _twh(data.demand.values, dt), _twh(out[_kernels.ROW_DISPATCH], dt)
 
 
 # The fields of a mix that its sizing reads, in field order; dispatch_gw is replaced.

@@ -20,6 +20,7 @@ order, so a table's row order is its report's field order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -35,7 +36,7 @@ from .dispatch import (
     SimParams,
     SizingTable,
     simulate,
-    size_dispatch,
+    sized_simulation,
 )
 from .optimizer import (
     DEFAULT_OPTIONS,
@@ -378,32 +379,16 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     return build_report(mix, result, data, label="pv-only")
 
 
-def _last_rigidity_k(step: float) -> int:
-    """The largest ``k`` whose multiplier ``1.0 + k * step`` is at most
-    ``RIGIDITY_MAX_MULTIPLIER``.  That float expression never falls as
-    ``k`` grows, so every smaller ``k`` is within the limit too."""
-    k = math.floor((RIGIDITY_MAX_MULTIPLIER - 1.0) / step)
-    while 1.0 + (k + 1) * step <= RIGIDITY_MAX_MULTIPLIER:
-        k += 1
-    while 1.0 + k * step > RIGIDITY_MAX_MULTIPLIER:
-        k -= 1
-    return k
+def _double_and_bisect(fails: Callable[[int], bool]) -> int:
+    """The first failing ``k >= 1`` when failure is monotone in ``k``.
 
-
-def _double_and_bisect(fails: Callable[[int], bool], last: int) -> int | None:
-    """The first failing ``k`` in ``1..last`` when failure is monotone in
-    ``k``; None if ``last`` serves.
-
-    Probes ``k = 1, 2, 4, ...`` (then ``last``, where doubling would pass
-    it) until one fails, then bisects the integers between the last
-    serving ``k`` and that one: at most ``2 ceil(log2 k)`` probes, or one
-    at ``k = 1``.
+    Probes ``k = 1, 2, 4, ...`` until one fails, then bisects the integers
+    between the last serving ``k`` and that one: at most ``2 ceil(log2 k)``
+    probes, or one at ``k = 1``.
     """
     serving, k = 0, 1
     while not fails(k):
-        if k == last:
-            return None
-        serving, k = k, min(2 * k, last)
+        serving, k = k, 2 * k
     while k - serving > 1:
         mid = (serving + k) // 2
         if fails(mid):
@@ -422,65 +407,67 @@ def run_rigidity(
     """Scale demand up until the mix fails, then size the firm gap.
 
     Demand is raised to multipliers ``1.0 + k * step`` for integers
-    ``k >= 1`` up to ``RIGIDITY_MAX_MULTIPLIER``, and the first ``k`` with
-    unserved energy is the failure point.  With
-    ``battery_charges_from_dispatch`` off, failure is monotone in demand,
-    so ``_double_and_bisect`` finds that ``k`` in about ``2 log2 k``
-    simulations (10 for a failure at ``k = 21``), and the unscaled demand
-    (``k = 0``) is probed only when the search ends at ``k = 1``: a
-    serving ``k = 1`` already shows that it is served.  With the flag on,
-    a battery run empty can be topped up from spare dispatch and serve a
-    larger demand again, so a bisection could land on a later failure; the
-    unscaled demand is checked first and then every ``k`` in order.
+    ``k >= 1``, and the first ``k`` with unserved energy is the failure
+    point.  A ``k`` past ``RIGIDITY_MAX_MULTIPLIER`` counts as failing
+    unsimulated, so every search stops at that limit; a first failing
+    ``k`` past it means no failure.  With ``battery_charges_from_dispatch`` off, failure is
+    monotone in demand, so ``_double_and_bisect`` finds that ``k`` in about
+    ``2 log2 k`` simulations (10 for a failure at ``k = 21``), and the
+    unscaled demand (``k = 0``) is probed only when the search ends at
+    ``k = 1``: a serving ``k = 1`` already shows that it is served.  With
+    the flag on, a battery run empty can be topped up from spare dispatch
+    and serve a larger demand again, so a bisection could land on a later
+    failure; the unscaled demand is checked first and then every ``k`` in
+    order.
 
-    At the failure point, ``size_dispatch`` gives the firm capacity that
-    would have balanced the scaled year, and one ``simulate`` of the mix at
-    that capacity gives the energy it dispatches; the report keeps that
-    mix and its result.
+    At the failure point, ``sized_simulation`` sizes the firm gap and
+    simulates the mix at that capacity for the report: one balance pass
+    with the flag off, two with it on.
 
     Raises
     ------
     ValueError
-        If the mix does not serve the unscaled demand, or no failure occurs
-        up to ``RIGIDITY_MAX_MULTIPLIER`` (a mix with firm backup does not fail).
+        If ``step`` is outside (0, 1) or too small to move 1.0, the mix
+        does not serve the unscaled demand, or no failure occurs up to
+        ``RIGIDITY_MAX_MULTIPLIER`` (a mix with firm backup does not fail).
     """
     if not (0.0 < step < 1.0):
         raise ValueError(f"step must be in (0, 1), got {step!r}")
+    if 1.0 + step == 1.0:
+        raise ValueError(f"step must move 1.0 + step above 1.0, got {step!r}")
 
     def scaled(k: int) -> AlignedDataset:
         return scale_demand(data, 1.0 + k * step) if k else data
 
-    def fails(k: int) -> bool:
-        return simulate(mix, scaled(k), params).unserved_energy_twh > 0.0
+    def within_limit(k: int) -> bool:
+        return 1.0 + k * step <= RIGIDITY_MAX_MULTIPLIER
 
-    last = _last_rigidity_k(step)
+    def fails(k: int) -> bool:
+        return not within_limit(k) or simulate(mix, scaled(k), params).unserved_energy_twh > 0.0
+
     if params.battery_charges_from_dispatch:
-        baseline_fails = fails(0)
-        swept = (k for k in range(1, last + 1) if fails(k))
-        k = None if baseline_fails else next(swept, None)
+        k = next(filter(fails, itertools.count()))
     else:
-        k = _double_and_bisect(fails, last)
-        baseline_fails = k == 1 and fails(0)
-    if baseline_fails:
+        k = _double_and_bisect(fails)
+        if k == 1 and fails(0):
+            k = 0
+    if k == 0:
         raise ValueError("mix does not serve the baseline demand, rigidity is undefined")
-    if k is None:
+    if not within_limit(k):
         raise ValueError(
             f"no failure up to multiplier {RIGIDITY_MAX_MULTIPLIER}, mix is not storage-limited"
         )
 
-    multiplier = 1.0 + k * step
     failing = scaled(k)
-    required = size_dispatch(mix, failing, params)
-    sized = replace(mix, dispatch_gw=required)
-    result = simulate(sized, failing, params)
+    sized, result = sized_simulation(mix, failing, params)
     failing_stats = demand_stats(failing.demand)
     return RigidityReport(
         annual_demand_twh=demand_stats(data.demand).annual_energy_twh,
         test_demand_twh=failing_stats.annual_energy_twh,
-        failure_multiplier=multiplier,
-        required_dispatch_gw=required,
+        failure_multiplier=1.0 + k * step,
+        required_dispatch_gw=sized.dispatch_gw,
         required_dispatch_energy_gwh=result.dispatch_energy_twh * 1000.0,
-        dispatch_pct_of_average=100.0 * required / failing_stats.average_gw,
+        dispatch_pct_of_average=100.0 * sized.dispatch_gw / failing_stats.average_gw,
         mix=sized,
         result=result,
     )
@@ -500,10 +487,6 @@ def run_residual_baseload(
     Baseload is must-run and free in the objective; only the wind, PV,
     battery, and firm additions are costed and searched.
     """
-    if not (math.isfinite(baseload_gw) and baseload_gw >= 0.0):
-        raise ValueError(f"baseload_gw must be finite and >= 0, got {baseload_gw!r}")
-    if not (0.0 <= eaf <= 1.0):
-        raise ValueError(f"eaf must be in [0, 1], got {eaf!r}")
     if space is None:
         space = default_space(demand_stats(data.demand))
     space = replace(space, baseload_gw=baseload_gw, baseload_eaf=eaf)

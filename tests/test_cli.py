@@ -108,7 +108,18 @@ def test_parse_config_dataset_rules():
         ("seed: -1", "nonnegative"),
         ("rigidity_step: 0", "rigidity_step"),
         ("rigidity_step: 1.5", "rigidity_step"),
+        ("rigidity_step: 1e-320", "rigidity_step"),
+        ("rigidity_step: 1e-17", "rigidity_step"),
         ("dispatch_gw: -2", "dispatch_gw"),
+        ("baseload_gw: -1", "baseload_gw"),
+        ("baseload_gw: inf", "baseload_gw"),
+        ("baseload_eaf: 7", "baseload_eaf"),
+        ("baseload_eaf: -0.1", "baseload_eaf"),
+        ("battery_price_usd_per_kwh: -5", "battery_price_usd_per_kwh"),
+        ("battery_price_usd_per_kwh: nan", "battery_price_usd_per_kwh"),
+        ("fuel_prices_usd_per_gj: 20,0", "fuel_prices_usd_per_gj"),
+        ("fuel_prices_usd_per_gj: -3", "fuel_prices_usd_per_gj"),
+        ("fuel_prices_usd_per_gj: 10,inf", "fuel_prices_usd_per_gj"),
         ("scenario: warp", "unknown scenario"),
         ("command: destroy", "unknown command"),
     ],

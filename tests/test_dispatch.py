@@ -22,7 +22,13 @@ from firmdispatch import (
     size_dispatch,
 )
 from firmdispatch import dispatch
-from firmdispatch.dispatch import TRACE_COLUMNS, DispatchTrace, sized_energy, write_trace_csv
+from firmdispatch.dispatch import (
+    TRACE_COLUMNS,
+    DispatchTrace,
+    sized_energy,
+    sized_simulation,
+    write_trace_csv,
+)
 from firmdispatch.profiles import scale_demand
 
 from conftest import random_dataset, random_mix, random_params
@@ -299,8 +305,8 @@ def test_size_dispatch_trivial_bounds():
     assert size_dispatch(generous, covered) == 0.0
 
 
-@pytest.mark.parametrize("charge_from_dispatch", [False, True])
-def test_sized_energy_matches_size_dispatch_and_simulate(charge_from_dispatch):
+def _sizing_draws(charge_from_dispatch):
+    """Random mixes, datasets and storage parameters for one sizing each."""
     rng = np.random.default_rng(61 + charge_from_dispatch)
     for i in range(10):
         data = random_dataset(rng, dt_hours=(1.0, 0.5)[i % 2])
@@ -321,10 +327,29 @@ def test_sized_energy_matches_size_dispatch_and_simulate(charge_from_dispatch):
                 baseload_gw=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
                 baseload_eaf=0.8,
             )
-            sized = replace(mix, dispatch_gw=size_dispatch(mix, data, params))
-            result = simulate(sized, data, params)
-            expected = (sized, result.served_energy_twh, result.dispatch_energy_twh)
-            assert repr(sized_energy(mix, data, params)) == repr(expected)
+            yield mix, data, params
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+def test_sized_energy_matches_size_dispatch_and_simulate(charge_from_dispatch):
+    for mix, data, params in _sizing_draws(charge_from_dispatch):
+        sized = replace(mix, dispatch_gw=size_dispatch(mix, data, params))
+        result = simulate(sized, data, params)
+        expected = (sized, result.served_energy_twh, result.dispatch_energy_twh)
+        assert repr(sized_energy(mix, data, params)) == repr(expected)
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+def test_sized_simulation_matches_size_dispatch_and_simulate(charge_from_dispatch):
+    for mix, data, params in _sizing_draws(charge_from_dispatch):
+        sized = replace(mix, dispatch_gw=size_dispatch(mix, data, params))
+        result = simulate(sized, data, params)
+        with mock.patch.object(_kernels, "balance_loop", wraps=_kernels.balance_loop) as passes:
+            got_mix, got = sized_simulation(mix, data, params)
+        # with the flag off the sizing pass is the simulation
+        assert passes.call_count == 1 + charge_from_dispatch
+        assert repr((got_mix, got)) == repr((sized, result))
+        assert got.trace._ledger.tobytes() == result.trace._ledger.tobytes()
 
 
 @st.composite
@@ -387,11 +412,11 @@ def test_sizing_matches_balance_loop_bitwise(case):
     )
     want = ledger[_kernels.ROW_DISPATCH]
     with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
-        row = dispatch._uncapped_dispatch(mix, data, params)
+        got = dispatch._sizing_pass(mix, data, params)[1]
         sized, served, energy = sized_energy(mix, data, params)
     # a mix without battery energy skips the step loop, any other runs it
     assert steps.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
-    assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), ledger.view(np.int64))
     assert _bits(sized.dispatch_gw) == _bits(np.max(want))
     assert _bits(energy) == _bits(float(np.sum(want)) * (data.dt_hours / 1000.0))
     assert _bits(served) == _bits(float(np.sum(demand)) * (data.dt_hours / 1000.0))

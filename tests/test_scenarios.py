@@ -437,6 +437,9 @@ def test_rigidity_rejects_bad_inputs():
         run_rigidity(good, data, params, step=0.0)
     with pytest.raises(ValueError, match="step"):
         run_rigidity(good, data, params, step=1.0)
+    for tiny in (1e-320, 1e-17):
+        with pytest.raises(ValueError, match="step must move 1.0"):
+            run_rigidity(good, data, params, step=tiny)
     with pytest.raises(ValueError, match="does not serve"):
         run_rigidity(CapacityMix(pv_gw=1.9, battery_power_gw=1.0, battery_hours=12.0), data, params)
     firm = CapacityMix(pv_gw=2.0, battery_power_gw=1.0, battery_hours=12.0, dispatch_gw=10.0)
@@ -542,20 +545,40 @@ def test_rigidity_keeps_the_sweep_when_charging_from_dispatch():
     assert repr(report) == repr(want)
 
 
-def test_last_rigidity_k_is_the_sweeps_last_probe():
+def test_rigidity_stops_at_its_demand_limit():
+    # a stand-in simulate fails from a chosen multiplier on: at the last k
+    # within the limit, at the first k past it, or never
+    data = _day_night_dataset(48, day_first=True)
+    mix = CapacityMix(pv_gw=2.0, battery_power_gw=1.0, battery_hours=12.0)
+
+    def failing_from(multiplier):
+        def stand_in(mix, data, params):
+            # flat 1 GW demand: its scaled values are the multiplier itself
+            unserved = 1.0 if data.demand.values[0] >= multiplier else 0.0
+            return mock.Mock(unserved_energy_twh=unserved)
+
+        return stand_in
+
     for step in [0.01, 0.003, 0.07, 0.1, 1 / 3, 0.5, 0.999, 1e-4, 7e-5]:
-        last = scenarios._last_rigidity_k(step)
-        assert 1.0 + last * step <= scenarios.RIGIDITY_MAX_MULTIPLIER, step
-        assert 1.0 + (last + 1) * step > scenarios.RIGIDITY_MAX_MULTIPLIER, step
+        last = 0
+        while 1.0 + (last + 1) * step <= scenarios.RIGIDITY_MAX_MULTIPLIER:
+            last += 1
+        for fail_k, want in [(last, last), (last + 1, None), (None, None)]:
+            threshold = math.inf if fail_k is None else 1.0 + fail_k * step
+            with mock.patch.object(scenarios, "simulate", failing_from(threshold)):
+                report, error = _rigidity_outcome(run_rigidity, mix, data, SimParams(), step)
+            if want is None:
+                assert error == "no failure up to multiplier 2.0, mix is not storage-limited"
+            else:
+                assert report.failure_multiplier == 1.0 + want * step, (step, fail_k)
 
 
 def _rigidity_probes(mix, data, params, step):
-    """How many simulations ``run_rigidity`` runs before it sizes the
-    failing mix, and its report or error message."""
+    """How many simulations ``run_rigidity`` runs, and its report or error
+    message; the failure point runs ``sized_simulation``, not ``simulate``."""
     with mock.patch.object(scenarios, "simulate", wraps=scenarios.simulate) as calls:
         report, error = _rigidity_outcome(run_rigidity, mix, data, params, step)
-    # a report's last simulation is the sized mix's, not a probe
-    return calls.call_count - (report is not None), report, error
+    return calls.call_count, report, error
 
 
 def test_rigidity_probes_double_then_bisect():
@@ -574,6 +597,23 @@ def test_rigidity_probes_double_then_bisect():
             assert probes <= 2 * math.ceil(math.log2(k)) + 2, (k, probes)
         largest = max(largest, k)
     assert largest > 50
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+def test_rigidity_runs_one_pass_at_its_failure_point(charge_from_dispatch):
+    rng = np.random.default_rng(31)
+    reports = 0
+    for _ in range(20):
+        mix, data, params, step = _rigidity_case(rng, charge_from_dispatch)
+        with mock.patch.object(_kernels, "balance_loop", wraps=_kernels.balance_loop) as passes:
+            probes, report, _ = _rigidity_probes(mix, data, params, step)
+        if report is not None:
+            # with the flag on the sized mix is simulated after its sizing
+            assert passes.call_count == probes + 1 + charge_from_dispatch
+            reports += 1
+        else:
+            assert passes.call_count == probes
+    assert reports > 5
 
 
 def test_rigidity_probes_at_a_fine_step():

@@ -123,6 +123,16 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         fixed = _config(conf, **FIXED_MIX)
         table[f"{group}-simulate-fixed"] = (fixed, ["simulate", "--trace"])
         table[f"{group}-rigidity-fixed"] = (fixed, ["scenario", "rigidity", "--trace"])
+    # firm backup at 30 GW: the bisection reaches twice the demand unfailed
+    table["week-rigidity-firm"] = (
+        _config(week_conf, **FIXED_MIX, dispatch_gw=30),
+        ["scenario", "rigidity", "--trace"],
+    )
+    # a step too small to move 1.0: a configuration error
+    table["week-rigidity-tiny-step"] = (
+        _config(week_conf, rigidity_step="1e-320"),
+        ["scenario", "rigidity", "--trace"],
+    )
     table["week-all-settings"] = (_config(week_conf, **ALL_SETTINGS), ["optimize", "--trace"])
     table["week-bad-setting"] = (
         _config(week_conf, round_trip_efficiency=2),
