@@ -12,9 +12,11 @@ stages.
    the charge, the discharge and the state of charge.  With
    ``charge_from_dispatch`` off and a charged start it first runs
    ``_running_sum_prefix``: until a clamp binds, the state of charge is a
-   numpy running sum of the steps' flows.  From the first clamp on (or from
-   the start), it steps as plain Python on Python floats, and only where
-   the battery can move: a surplus into a full battery and a deficit on an
+   numpy running sum of the steps' flows.  With the flag off and an empty
+   start of +0.0, the battery stays empty until the first step with
+   surplus.  From the first clamp on (or from that surplus, or from the
+   start), it steps as plain Python on Python floats, and only where the
+   battery can move: a surplus into a full battery and a deficit on an
    empty one change nothing, so those steps skip the charge and the
    discharge.
 3. Curtailment, dispatch and unserved demand follow from those rows as
@@ -24,6 +26,13 @@ Each stage uses the float operations of the element-indexed loop in its
 order, so the ledger is the same bit for bit.  A battery that cannot act
 (no power, or no energy and an empty start) leaves stage 2 with nothing to
 do, so it is skipped and the pass is pure numpy.
+
+Two tests here let ``dispatch.SizingTable`` answer a mix from another
+mix's pass.  ``_battery_is_idle`` says when stage 2 is skipped, so the
+ledger does not depend on the battery.  ``_capacity_never_binds`` says
+when, with the flag off and a +0.0 start, no step of a pass meets the
+capacity, so the ledger is that of every battery of the same power that
+clears the same margin.
 """
 
 from __future__ import annotations
@@ -170,6 +179,11 @@ def _battery_steps(
     ``signed``, moves ``full`` and ``empty`` out of reach for those passes,
     and they step every step with no sign test per step.
 
+    With the flag off, a pass that starts at +0.0 (and is not ``signed``)
+    steps from its first surplus: every step before it is a deficit on the
+    empty battery or idle, a pinned step that keeps the SOC at +0.0 and
+    writes no flow.  A pass without surplus steps nothing.
+
     The loop has no floors at zero.  ``balance_loop`` checks that the start
     lies in ``[0, battery_energy_cap]`` and the clamps keep the SOC there,
     so the headroom and the stored energy are never negative, nor is a flow
@@ -186,10 +200,16 @@ def _battery_steps(
     empty = -math.inf if signed else 0.0
 
     start = 0
-    if soc > 0.0 and not charge_from_dispatch:
-        start, soc = _running_sum_prefix(
-            surplus, residual, dt, battery_power, battery_energy_cap, efficiency, soc, out
-        )
+    if not charge_from_dispatch:
+        if soc > 0.0:
+            start, soc = _running_sum_prefix(
+                surplus, residual, dt, battery_power, battery_energy_cap, efficiency, soc, out
+            )
+        elif not signed:
+            # an empty battery stays pinned at +0.0 until its first surplus
+            charging = np.flatnonzero(surplus > 0.0)
+            start = int(charging[0]) if charging.shape[0] else surplus.shape[0]
+            out[ROW_SOC, :start] = 0.0
 
     charge_row = memoryview(out[ROW_CHARGE_FROM_REN])
     charge_extra_row = memoryview(out[ROW_CHARGE_FROM_DISPATCH])
@@ -247,6 +267,21 @@ def _battery_steps(
                 charge_extra_row[t] = charge_extra
 
         soc_row[t] = soc
+
+
+def _capacity_never_binds(battery_power, battery_energy_cap, efficiency, dt, peak_soc):
+    """Whether the capacity binds in no step of a pass whose SOC never exceeds ``peak_soc``.
+
+    Takes the floats ``balance_loop`` hands the step loop, and tests the
+    loop's own headroom ``(cap - soc) / (efficiency * dt)`` at the peak.
+    Every charge starts from a SOC of at most the peak, and the headroom
+    cannot rise with the SOC, rounding included, so when it is at least
+    ``battery_power`` at the peak, the headroom clamp never binds on a
+    charge of at most that power.  The overfill clamp and the full-battery
+    skip need the SOC to reach the capacity, and a peak there has a
+    headroom of at most 0.0, so they never bind either.
+    """
+    return (battery_energy_cap - peak_soc) / (efficiency * dt) >= battery_power
 
 
 def _running_sum_prefix(

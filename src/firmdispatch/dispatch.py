@@ -23,7 +23,11 @@ demand unserved, obtained from a single pass with the cap removed.
 ``sized_energy`` with the energy it serves and dispatches, from one such
 pass.  ``optimize`` sizes through a ``SizingTable``, which memoizes
 ``sized_energy`` for one dataset and one ``SimParams``, so searches under
-different cost books size each mix once.
+different cost books size each mix once, and shares one pass between mixes
+whose sizings must be equal: an idle battery's with the storage-free mix,
+and, with an empty start, a battery that never fills with every battery of
+the same power that clears the same margin.  ``simulate_trace`` runs the
+pass of ``simulate`` and returns its ledger without the totals.
 
 One rule lets a sized mix cost one pass: with
 ``battery_charges_from_dispatch`` off, simulating a mix at its sized
@@ -147,6 +151,14 @@ class DispatchTrace:
     def battery_charge_gw(self) -> NDArray[np.float64]:
         return self._ledger[_kernels.ROW_CHARGE_FROM_REN] + self.charge_from_dispatch_gw
 
+    @property
+    def unserved_energy_twh(self) -> float:
+        return _twh(self.unserved_gw, self.dt_hours)
+
+    @property
+    def final_soc_gwh(self) -> float:
+        return float(self.soc_gwh[-1])
+
 
 @dataclass(frozen=True)
 class DispatchResult:
@@ -241,12 +253,19 @@ def simulate(
     -------
     DispatchResult
     """
+    return _summarize(mix, data, simulate_trace(mix, data, params))
+
+
+def simulate_trace(
+    mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
+) -> DispatchTrace:
+    """The ledger of ``simulate(mix, data, params)`` without its totals."""
     out = _run_balance(mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch)
-    return _summarize(mix, data, out)
+    return DispatchTrace(data.demand.values, out, data.dt_hours)
 
 
-def _summarize(mix: CapacityMix, data: AlignedDataset, out: NDArray[np.float64]) -> DispatchResult:
-    """Energy totals of one balance pass of ``mix`` over ``data``, its ledger ``out`` attached."""
+def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> DispatchResult:
+    """Energy totals of one balance pass of ``mix`` over ``data``, its ledger ``trace`` attached."""
     demand = data.demand.values
     dt = data.dt_hours
     to_twh = dt / 1000.0
@@ -254,7 +273,7 @@ def _summarize(mix: CapacityMix, data: AlignedDataset, out: NDArray[np.float64])
     pv_cf_sum = float(np.sum(data.pv_cf.values))
     wind_energy = mix.wind_gw * wind_cf_sum * to_twh
     pv_energy = mix.pv_gw * pv_cf_sum * to_twh
-    dispatch_draw = out[_kernels.ROW_DISPATCH] + out[_kernels.ROW_CHARGE_FROM_DISPATCH]
+    dispatch_draw = trace.dispatch_gw + trace.charge_from_dispatch_gw
     dispatch_energy = _twh(dispatch_draw, dt)
     peak_dispatch = float(np.max(dispatch_draw))
     total_hours = data.total_hours
@@ -263,17 +282,17 @@ def _summarize(mix: CapacityMix, data: AlignedDataset, out: NDArray[np.float64])
     if mix.dispatch_gw > 0.0:
         dispatch_cf = dispatch_energy / (mix.dispatch_gw * total_hours / 1000.0)
     renewable_gen = wind_energy + pv_energy
-    curtailed = _twh(out[_kernels.ROW_CURTAILED], dt)
+    curtailed = _twh(trace.curtailed_gw, dt)
     curtailed_fraction = curtailed / renewable_gen if renewable_gen > 0.0 else 0.0
 
     return DispatchResult(
         wind_energy_twh=wind_energy,
         pv_energy_twh=pv_energy,
         renewable_gen_twh=renewable_gen,
-        baseload_energy_twh=_twh(out[_kernels.ROW_BASELOAD], dt),
-        battery_discharge_twh=_twh(out[_kernels.ROW_DISCHARGE], dt),
+        baseload_energy_twh=_twh(trace.baseload_gw, dt),
+        battery_discharge_twh=_twh(trace.battery_discharge_gw, dt),
         dispatch_energy_twh=dispatch_energy,
-        unserved_energy_twh=_twh(out[_kernels.ROW_UNSERVED], dt),
+        unserved_energy_twh=trace.unserved_energy_twh,
         curtailed_twh=curtailed,
         demand_energy_twh=_twh(demand, dt),
         peak_dispatch_gw=peak_dispatch,
@@ -281,8 +300,8 @@ def _summarize(mix: CapacityMix, data: AlignedDataset, out: NDArray[np.float64])
         wind_cf=wind_cf_sum * dt / total_hours,
         pv_cf=pv_cf_sum * dt / total_hours,
         curtailed_fraction=curtailed_fraction,
-        final_soc_gwh=float(out[_kernels.ROW_SOC, -1]),
-        trace=DispatchTrace(demand, out, dt),
+        final_soc_gwh=trace.final_soc_gwh,
+        trace=trace,
     )
 
 
@@ -320,7 +339,7 @@ def sized_simulation(
     sized, out = _sizing_pass(mix, data, params)
     if params.battery_charges_from_dispatch:
         return sized, simulate(sized, data, params)
-    return sized, _summarize(sized, data, out)
+    return sized, _summarize(sized, data, DispatchTrace(data.demand.values, out, data.dt_hours))
 
 
 def sized_energy(
@@ -329,20 +348,41 @@ def sized_energy(
     """Size one mix; return ``(sized mix, served TWh, dispatch TWh)``.
 
     The result equals bit for bit the mix and the ``served_energy_twh``
-    and ``dispatch_energy_twh`` of ``sized_simulation``.
+    and ``dispatch_energy_twh`` of ``sized_simulation``.  The sized
+    ``dispatch_gw`` and both energies are read from the ledgers of its
+    balance passes alone, so mixes whose passes agree get the same three
+    figures; ``SizingTable`` relies on this to answer a mix from another
+    mix's pass.
     """
+    return _sized_energy(mix, data, params)[0]
+
+
+def _sized_energy(
+    mix: CapacityMix, data: AlignedDataset, params: SimParams
+) -> tuple[tuple[CapacityMix, float, float], NDArray[np.float64]]:
+    """``sized_energy`` and the ledger of its sizing pass."""
     sized, out = _sizing_pass(mix, data, params)
     if params.battery_charges_from_dispatch:
         result = simulate(sized, data, params)
-        return sized, result.served_energy_twh, result.dispatch_energy_twh
+        return (sized, result.served_energy_twh, result.dispatch_energy_twh), out
     # a sized mix leaves nothing unserved
     dt = data.dt_hours
-    return sized, _twh(data.demand.values, dt), _twh(out[_kernels.ROW_DISPATCH], dt)
+    return (sized, _twh(data.demand.values, dt), _twh(out[_kernels.ROW_DISPATCH], dt)), out
+
+
+def _shared(mix: CapacityMix, sized: tuple[CapacityMix, float, float]):
+    """``mix`` sized by a pass run for another mix with the same ledger."""
+    return replace(mix, dispatch_gw=sized[0].dispatch_gw), sized[1], sized[2]
 
 
 # The fields of a mix that its sizing reads, in field order; dispatch_gw is replaced.
 _sizing_key = operator.attrgetter(
     *(f.name for f in fields(CapacityMix) if f.name != "dispatch_gw")
+)
+# The fields a sizing reads when its battery is idle, and when it never fills.
+_storage_free_key = operator.attrgetter("wind_gw", "pv_gw", "baseload_gw", "baseload_eaf")
+_never_full_key = operator.attrgetter(
+    "wind_gw", "pv_gw", "battery_power_gw", "baseload_gw", "baseload_eaf"
 )
 
 
@@ -356,12 +396,37 @@ class SizingTable:
     ``repr`` tells apart every two distinct floats, ``-0.0`` and ``0.0``
     included, and an int from the equal float, so a hit returns bit for bit
     what ``sized_energy`` would return for the mix given.
+
+    A mix met for the first time shares the balance pass of an earlier mix
+    where the two sizings must agree bit for bit, by one of two rules, and
+    takes that pass's sized ``dispatch_gw`` and energies.
+
+    1. **Idle battery.**  When ``_kernels._battery_is_idle`` holds (no
+       power, or no energy and an empty start), the step loop is skipped
+       and every battery flow is +0.0, so the sizing reads only the wind,
+       PV, ``baseload_gw`` and ``baseload_eaf``: all such mixes share one
+       storage-free pass.  Their ledgers can differ only in the sign of a
+       zero state of charge, which no sizing reads.
+    2. **Capacity never reached.**  With ``battery_charges_from_dispatch``
+       off and a +0.0 start, a pass whose capacity passes
+       ``_kernels._capacity_never_binds`` at the pass's peak state of
+       charge binds no clamp that reads the capacity.  Another capacity of
+       the same wind, PV, power and baseload that passes the same test at
+       that peak sees, step by step, the same state of charge, at most the
+       peak, so none of its clamps binds either and its ledger is the
+       same bit for bit, whether it is larger or smaller.  With the flag
+       on, spare dispatch also charges the battery, and a charged start
+       scales with the capacity, so the rule is not tried.
     """
 
     def __init__(self, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
         self._entries: dict[str, tuple[CapacityMix, float, float]] = {}
+        # the storage-free pass of each wind, PV and baseload (rule 1), and
+        # the peak SOC of each never-full pass with its sizing (rule 2)
+        self._storage_free: dict[str, tuple[CapacityMix, float, float]] = {}
+        self._never_full: dict[str, tuple[float, tuple[CapacityMix, float, float]]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -375,12 +440,45 @@ class SizingTable:
             raise ValueError(f"the sizing table was built for {self.params!r}, not {params!r}")
 
     def sized_energy(self, mix: CapacityMix) -> tuple[CapacityMix, float, float]:
-        """``sized_energy(mix, data, params)``, sized once per key."""
+        """``sized_energy(mix, data, params)``, sized once per key, from a
+        shared pass where one of the two rules holds."""
         key = repr(_sizing_key(mix))
         hit = self._entries.get(key)
         if hit is None:
-            hit = self._entries[key] = sized_energy(mix, self.data, self.params)
+            hit = self._entries[key] = self._size(mix)
         return hit
+
+    def _size(self, mix: CapacityMix) -> tuple[CapacityMix, float, float]:
+        data, params = self.data, self.params
+        energy = mix.battery_energy_gwh
+        start = params.initial_soc_fraction * energy
+        if _kernels._battery_is_idle(mix.battery_power_gw, energy, start):
+            key = repr(_storage_free_key(mix))
+            if key not in self._storage_free:
+                self._storage_free[key] = _sized_energy(mix, data, params)[0]
+            return _shared(mix, self._storage_free[key])
+        empty_start = start == 0.0 and math.copysign(1.0, start) > 0.0
+        if params.battery_charges_from_dispatch or not empty_start:
+            return _sized_energy(mix, data, params)[0]
+        key = repr(_never_full_key(mix))
+        never_full = self._never_full.get(key)
+        if never_full is not None and self._never_fills(mix, never_full[0]):
+            return _shared(mix, never_full[1])
+        sized, out = _sized_energy(mix, data, params)
+        peak = float(np.max(out[_kernels.ROW_SOC]))
+        if self._never_fills(mix, peak):
+            self._never_full[key] = peak, sized
+        return sized
+
+    def _never_fills(self, mix: CapacityMix, peak_soc: float) -> bool:
+        """Whether ``mix``'s battery never fills in a pass that peaks at ``peak_soc``."""
+        return _kernels._capacity_never_binds(
+            float(mix.battery_power_gw),
+            float(mix.battery_energy_gwh),
+            float(self.params.round_trip_efficiency),
+            float(self.data.dt_hours),
+            peak_soc,
+        )
 
 
 def write_trace_csv(trace: DispatchTrace, path) -> None:

@@ -33,9 +33,11 @@ from .dispatch import (
     DEFAULT_PARAMS,
     CapacityMix,
     DispatchResult,
+    DispatchTrace,
     SimParams,
     SizingTable,
     simulate,
+    simulate_trace,
     sized_simulation,
 )
 from .optimizer import (
@@ -269,16 +271,16 @@ def _pv_probe_mix(pv_gw: float, power_gw: float, energy_gwh: float) -> CapacityM
 
 def _pv_only_probe(
     data: AlignedDataset, params: SimParams, peak: float, pv_gw: float, energy_gwh: float
-) -> tuple[DispatchResult, bool]:
-    """Simulate ``pv_gw`` of PV with ``energy_gwh`` of battery at ``peak``
-    power or more; feasible if no demand goes unserved and the battery
-    ends no lower than it started."""
+) -> tuple[DispatchTrace, bool]:
+    """Run ``pv_gw`` of PV with ``energy_gwh`` of battery at ``peak`` power
+    or more; return the ledger and whether the probe is feasible: no demand
+    goes unserved and the battery ends no lower than it started."""
     power = max(peak, pv_gw) if energy_gwh > 0.0 else 0.0
     mix = _pv_probe_mix(pv_gw, power, energy_gwh)
-    result = simulate(mix, data, params)
+    trace = simulate_trace(mix, data, params)
     initial_soc = params.initial_soc_fraction * mix.battery_energy_gwh
-    closed = result.final_soc_gwh + 1e-9 >= initial_soc
-    return result, result.unserved_energy_twh == 0.0 and closed
+    closed = trace.final_soc_gwh + 1e-9 >= initial_soc
+    return trace, trace.unserved_energy_twh == 0.0 and closed
 
 
 def _bisect(lo: float, hi: float, tol: float, feasible: Callable[[float], bool]) -> float:
@@ -324,17 +326,17 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     # A probe is run once per (PV, energy) pair, keyed by the exact floats:
     # the PV bisection's first midpoint can repeat a doubling probe.  Each
     # bisection ends on its last feasible probe, whose ledger the sizing
-    # reads next, so that one result is kept with the verdicts.
+    # reads next, so that one ledger is kept with the verdicts.
     verdicts: dict[tuple[float, float], bool] = {}
-    last_feasible: dict[tuple[float, float], DispatchResult] = {}
+    last_feasible: dict[tuple[float, float], DispatchTrace] = {}
 
     def feasible(pv_gw: float, energy_gwh: float) -> bool:
         key = (pv_gw, energy_gwh)
         if key not in verdicts:
-            result, verdicts[key] = _pv_only_probe(data, params, peak, pv_gw, energy_gwh)
+            trace, verdicts[key] = _pv_only_probe(data, params, peak, pv_gw, energy_gwh)
             if verdicts[key]:
                 last_feasible.clear()
-                last_feasible[key] = result
+                last_feasible[key] = trace
         return verdicts[key]
 
     def feasible_pv(pv_gw: float) -> bool:
@@ -359,7 +361,7 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
         return feasible(pv_star, energy_gwh)
 
     unconstrained = last_feasible[pv_star, huge_energy]
-    energy_hi = float(np.max(unconstrained.trace.soc_gwh)) * (1.0 + 1e-9) + 1e-9
+    energy_hi = float(np.max(unconstrained.soc_gwh)) * (1.0 + 1e-9) + 1e-9
     energy_hi = min(energy_hi, huge_energy)
     if not feasible_energy(energy_hi):
         energy_hi = huge_energy
@@ -369,8 +371,8 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
 
     final = last_feasible[pv_star, energy_star]
     flows = max(
-        float(np.max(final.trace.battery_charge_gw)),
-        float(np.max(final.trace.battery_discharge_gw)),
+        float(np.max(final.battery_charge_gw)),
+        float(np.max(final.battery_discharge_gw)),
     )
     mix = _pv_probe_mix(pv_star, flows if energy_star > 0.0 else 0.0, energy_star)
     result = simulate(mix, data, params)
@@ -443,7 +445,9 @@ def run_rigidity(
         return 1.0 + k * step <= RIGIDITY_MAX_MULTIPLIER
 
     def fails(k: int) -> bool:
-        return not within_limit(k) or simulate(mix, scaled(k), params).unserved_energy_twh > 0.0
+        if not within_limit(k):
+            return True
+        return simulate_trace(mix, scaled(k), params).unserved_energy_twh > 0.0
 
     if params.battery_charges_from_dispatch:
         k = next(filter(fails, itertools.count()))

@@ -623,11 +623,6 @@ def test_sizing_table_keeps_exact_coordinates_apart(monkeypatch):
     rng = np.random.default_rng(61)
     data = random_dataset(rng, n_steps=48)
     params = SimParams(initial_soc_fraction=0.3)
-    calls = []
-    monkeypatch.setattr(
-        dispatch, "sized_energy", lambda *args: calls.append(args[0]) or sized_energy(*args)
-    )
-    table = SizingTable(data, params)
     keyed = ("wind_gw", "pv_gw", "battery_power_gw", "battery_hours", "baseload_gw", "baseload_eaf")
     mix = CapacityMix(
         wind_gw=10.0,
@@ -644,10 +639,107 @@ def test_sizing_table_keeps_exact_coordinates_apart(monkeypatch):
         + [zero]
         + [replace(zero, **{name: -0.0}) for name in keyed]
     )
-    for m in mixes:
-        assert repr(table.sized_energy(m)) == repr(sized_energy(m, data, params))
-    assert calls == mixes and len(table) == len(mixes)
+    want = [repr(sized_energy(m, data, params)) for m in mixes]
+    calls = []
+    fresh = dispatch._sized_energy
+    monkeypatch.setattr(
+        dispatch, "_sized_energy", lambda *args: calls.append(repr(args[0])) or fresh(*args)
+    )
+    table = SizingTable(data, params)
+    assert [repr(table.sized_energy(m)) for m in mixes] == want
+    # the idle batteries of -0.0 power and -0.0 hours share zero's
+    # storage-free pass; every other mix runs its own
+    shared = {repr(replace(zero, **{name: -0.0})) for name in ("battery_power_gw", "battery_hours")}
+    sized = [repr(m) for m in mixes if repr(m) not in shared]
+    assert calls == sized and len(sized) == len(mixes) - 2 and len(table) == len(mixes)
     # a mix met again is not sized again; its dispatch_gw is not part of the key
     for m in mixes:
         assert table.sized_energy(replace(m, dispatch_gw=7.0)) is table.sized_energy(m)
-    assert calls == mixes
+    assert calls == sized
+
+
+# The hours ladder of the default search space, with the signed zero, and
+# the orders a table may meet its rungs in.
+_LADDER = (-0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
+_ORDERS = ("ascending", "descending", "shuffled")
+
+
+def _rung_order(rng, order):
+    rungs = list(_LADDER)
+    if order == "descending":
+        rungs.reverse()
+    elif order == "shuffled":
+        rng.shuffle(rungs)
+    return rungs
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_sizing_table_shares_a_pass_only_where_the_sizing_is_equal(monkeypatch, order):
+    # every mix the table answers from another mix's pass, by an idle
+    # battery (rule 1) or a capacity never reached (rule 2), equals its own
+    # sizing by repr
+    rng = np.random.default_rng(1900 + _ORDERS.index(order))
+    calls = []
+    fresh = dispatch._sized_energy
+    monkeypatch.setattr(dispatch, "_sized_energy", lambda *args: calls.append(1) or fresh(*args))
+    hits = {"idle": 0, "never full": 0}
+    for _ in range(30):
+        data = random_dataset(rng, n_steps=int(rng.integers(24, 120)))
+        params = SimParams(
+            round_trip_efficiency=float(rng.choice([1.0, rng.uniform(0.5, 1.0)])),
+            initial_soc_fraction=float(rng.choice([0.0, 0.0, -0.0, rng.random(), 1.0])),
+            battery_charges_from_dispatch=bool(rng.integers(0, 2)),
+        )
+        empty_start = repr(params.initial_soc_fraction) == "0.0"
+        table = SizingTable(data, params)
+        # wind and PV with and without baseload, then wind alone
+        wind, pv, baseload = rng.uniform(0.0, 30.0, 3)
+        systems = [(wind, pv, 0.0), (wind, pv, baseload / 5.0), (rng.uniform(0.0, 30.0), 0.0, 0.0)]
+        for wind, pv, baseload in systems:
+            for power in (0.0, -0.0, float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.5, 8.0))):
+                for hours in _rung_order(rng, order):
+                    mix = CapacityMix(
+                        wind_gw=float(wind),
+                        pv_gw=float(pv),
+                        battery_power_gw=power,
+                        battery_hours=hours,
+                        dispatch_gw=float(rng.uniform(0.0, 20.0)),
+                        baseload_gw=float(baseload),
+                        baseload_eaf=0.7,
+                    )
+                    before = len(calls)
+                    got = table.sized_energy(mix)
+                    ran = len(calls) > before
+                    assert repr(got) == repr(sized_energy(mix, data, params)), (mix, params)
+                    if ran:
+                        continue
+                    start = params.initial_soc_fraction * mix.battery_energy_gwh
+                    if _kernels._battery_is_idle(power, mix.battery_energy_gwh, start):
+                        hits["idle"] += 1
+                    else:
+                        assert empty_start and not params.battery_charges_from_dispatch
+                        hits["never full"] += 1
+    assert hits["idle"] > 1000 and hits["never full"] > 50, hits
+
+
+def test_sizing_table_shares_a_pass_at_a_margin_of_exactly_the_power(monkeypatch):
+    # 2 GW of surplus, then 1 GW, then deficits: at dt = 1 and efficiency 1
+    # the state of charge peaks at 3 GWh under any battery of 2 GW and 3
+    # GWh or more.  At 5 GWh the headroom at the peak is the power exactly,
+    # so no clamp binds and the pass of a 96 GWh battery is shared; one ulp
+    # less capacity runs its own pass.
+    data = _dataset(
+        np.array([1.0, 1.0, 5.0, 5.0]), np.array([0.75, 0.5, 0.0, 0.0]), np.zeros(4)
+    )
+    params = SimParams(round_trip_efficiency=1.0)
+    calls = []
+    fresh = dispatch._sized_energy
+    monkeypatch.setattr(
+        dispatch, "_sized_energy", lambda mix, *rest: calls.append(mix) or fresh(mix, *rest)
+    )
+    table = SizingTable(data, params)
+    big = CapacityMix(wind_gw=4.0, battery_power_gw=2.0, battery_hours=48.0)
+    mixes = [replace(big, battery_hours=h) for h in (48.0, 2.5, math.nextafter(2.5, 0.0))]
+    for mix in mixes:
+        assert repr(table.sized_energy(mix)) == repr(fresh(mix, data, params)[0])
+    assert calls == [mixes[0], mixes[2]]

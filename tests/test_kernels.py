@@ -408,3 +408,29 @@ def test_prefix_is_not_tried_with_the_flag_on():
     args = (demand, ren, 1.0, 0.0, 50.0, cap, 0.85, 0.5 * cap, 40.0, True)
     got = _bitwise_ledger(args)
     assert np.any(got[ROW_CHARGE_FROM_DISPATCH] > 0.0)
+
+
+# ===================== empty start =====================
+#
+# With the flag off, a battery that starts at +0.0 stays there until the
+# first step with surplus, so the step loop starts at that step; a pass
+# without surplus steps nothing.
+
+
+@pytest.mark.parametrize("hours", [0.0, -0.0, 4.0, 48.0])
+def test_empty_start_waits_for_the_first_surplus(hours):
+    rng = np.random.default_rng(1340)
+    n = 60
+    for first in (0, 1, 23, n - 1, n):
+        for start in (0.0, -0.0):
+            demand, ren = _swings(rng, n, 6.0)
+            # deficits and idle steps before the first surplus, none at all for n
+            ren[:first] = 0.0
+            if first < n:
+                demand[first], ren[first] = 0.0, float(rng.uniform(0.1, 6.0))
+            cap = 3.0 * hours
+            args = (demand, ren, 0.5, 0.0, 3.0, cap, 0.9, start * cap, 2.0, False)
+            got = _bitwise_ledger(args)
+            if hours and not np.signbit(start):
+                # +0.0 bits in every step before the first surplus
+                assert not np.any(got[ROW_SOC, :first].view(np.int64))

@@ -102,6 +102,19 @@ YEAR_SPACE = {
     "refine_tolerance_gw": 5.1,
     "refine_tolerance_hours": 8.1,
 }
+# A small grid on the default battery hours ladder, 0 to 48 hours, with
+# storage cheap enough that refinement walks the battery.
+LADDER_SPACE = {
+    "wind_gw_max": 40,
+    "wind_gw_step": 20,
+    "pv_gw_max": 30,
+    "pv_gw_step": 15,
+    "battery_power_gw_max": 10,
+    "battery_power_gw_step": 5,
+    "capex_battery_usd_per_kwh": 10,
+    "refine_tolerance_gw": 2.5,
+    "refine_tolerance_hours": 2.0,
+}
 # An oversized PV + battery mix that serves the drought year.
 OVERSIZED_PV_MIX = {"pv_gw": 60, "battery_power_gw": 32, "battery_hours": 120}
 
@@ -150,6 +163,13 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         table[f"{prefix}-fuel-sensitivity"] = (
             _config("", **YEAR, **YEAR_SPACE, battery_charges_from_dispatch=flag),
             ["scenario", "fuel-sensitivity", "--trace"],
+        )
+    # the default hours ladder over a small grid, refined: many batteries of
+    # one wind, PV and power never fill, so their sizings share one pass
+    for prefix, flag in (("year", "false"), ("year-flag", "true")):
+        table[f"{prefix}-ladder-optimize"] = (
+            _config("", **YEAR, **LADDER_SPACE, battery_charges_from_dispatch=flag),
+            ["optimize", "--trace"],
         )
     table["year-rigidity"] = (
         _config("", **YEAR, initial_soc_fraction=0.5),
