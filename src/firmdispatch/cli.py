@@ -21,8 +21,16 @@ from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .config import MIX_KEYS, ConfigError, RunConfig, parse_config, render_manifest
-from .dispatch import CapacityMix, DispatchResult, simulate, write_trace_csv
+from .config import (
+    MIX_KEYS,
+    ConfigError,
+    RunConfig,
+    _fixed_mix,
+    _search_space,
+    parse_config,
+    render_manifest,
+)
+from .dispatch import DispatchResult, simulate, write_trace_csv
 from .optimizer import (
     PEAK_MULTIPLES,
     STEP_FRACTION_OF_PEAK,
@@ -118,26 +126,7 @@ def _space_from(config: RunConfig, data: AlignedDataset) -> SearchSpace:
             "peak demand is 0 GW, so the search bounds cannot be scaled from it: "
             "set " + ", ".join(keys) + " in the configuration"
         )
-    bounds = {
-        axis: tuple(getattr(config, f"{axis}_{end}") for end in ("min", "max", "step"))
-        for axis in PEAK_MULTIPLES
-    }
-    return SearchSpace(
-        **bounds,
-        battery_hours=config.battery_hours_ladder,
-        baseload_gw=config.baseload_gw,
-        baseload_eaf=config.baseload_eaf,
-    )
-
-
-def _fixed_mix(config: RunConfig) -> CapacityMix | None:
-    if all(getattr(config, key) is None for key in MIX_KEYS):
-        return None
-    return CapacityMix(
-        **{key: getattr(config, key) or 0.0 for key in MIX_KEYS},
-        baseload_gw=config.baseload_gw,
-        baseload_eaf=config.baseload_eaf,
-    )
+    return _search_space(config)
 
 
 class _Output(NamedTuple):

@@ -5,7 +5,9 @@ and blank lines ignored.  Keys are checked strictly, an unknown or repeated
 key is an error rather than a silent ignore.  The storage-model, cost-book
 and tolerance keys are the field names of ``SimParams``, ``CostBook`` and
 ``OptimizeOptions``, which ``RunConfig`` holds whole; those classes check
-their values when the file is parsed.  ``render_manifest`` writes a resolved
+their values when the file is parsed.  The search bounds that are set and
+the fixed mix are checked then too, by ``SearchSpace`` and ``CapacityMix``,
+whatever the command.  ``render_manifest`` writes a resolved
 configuration back out in the same format, so a run manifest is itself a
 valid configuration that reproduces the run.
 """
@@ -18,8 +20,14 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .costing import DEFAULT_BOOK, CostBook
-from .dispatch import DEFAULT_PARAMS, SimParams
-from .optimizer import DEFAULT_BATTERY_HOURS, DEFAULT_OPTIONS, OptimizeOptions
+from .dispatch import DEFAULT_PARAMS, CapacityMix, SimParams
+from .optimizer import (
+    DEFAULT_BATTERY_HOURS,
+    DEFAULT_OPTIONS,
+    PEAK_MULTIPLES,
+    OptimizeOptions,
+    SearchSpace,
+)
 
 
 class ConfigError(ValueError):
@@ -142,8 +150,9 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
     Raises
     ------
     ConfigError
-        On syntax errors, unknown or repeated keys, unparseable values, or
-        an inconsistent dataset specification.
+        On syntax errors, unknown or repeated keys, unparseable values, an
+        inconsistent dataset specification, or a value ``validate`` rejects,
+        search bounds and the fixed mix among them.
     ValueError
         From ``SimParams``, ``CostBook`` or ``OptimizeOptions`` for a value
         they reject.
@@ -218,12 +227,18 @@ def validate(config: RunConfig) -> None:
             f"rigidity_step must move 1.0 + step above 1.0, got {config.rigidity_step!r}"
         )
 
-    for name in (*MIX_KEYS, "baseload_gw", "battery_price_usd_per_kwh"):
-        value = getattr(config, name)
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-    if not (0.0 <= config.baseload_eaf <= 1.0):
-        raise ConfigError(f"baseload_eaf must be in [0, 1], got {config.baseload_eaf!r}")
+    # The search bounds, ladder and baseload obey SearchSpace's rules, and
+    # the fixed mix CapacityMix's, whatever the command.
+    try:
+        _search_space(config)
+        _fixed_mix(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    battery_price = config.battery_price_usd_per_kwh
+    if not (math.isfinite(battery_price) and battery_price >= 0.0):
+        raise ConfigError(
+            f"battery_price_usd_per_kwh must be finite and >= 0, got {battery_price!r}"
+        )
     for price in config.fuel_prices_usd_per_gj:
         if not (math.isfinite(price) and price > 0.0):
             raise ConfigError(
@@ -239,6 +254,33 @@ def validate(config: RunConfig) -> None:
             )
     if config.command is not None and config.command not in ("simulate", "optimize", "scenario"):
         raise ConfigError(f"unknown command {config.command!r}")
+
+
+def _search_space(config: RunConfig) -> SearchSpace:
+    """The search space a configuration sets.  An unset max stands in as
+    its axis's min, and an unset step as 1.0, so before they are scaled
+    from peak demand only the bounds that are set are checked."""
+    bounds = {}
+    for axis in PEAK_MULTIPLES:
+        lo, hi, step = (getattr(config, f"{axis}_{end}") for end in ("min", "max", "step"))
+        bounds[axis] = (lo, lo if hi is None else hi, 1.0 if step is None else step)
+    return SearchSpace(
+        **bounds,
+        battery_hours=config.battery_hours_ladder,
+        baseload_gw=config.baseload_gw,
+        baseload_eaf=config.baseload_eaf,
+    )
+
+
+def _fixed_mix(config: RunConfig) -> CapacityMix | None:
+    """The fixed mix of simulate and rigidity runs, None if no key sets one."""
+    if all(getattr(config, key) is None for key in MIX_KEYS):
+        return None
+    return CapacityMix(
+        **{key: getattr(config, key) or 0.0 for key in MIX_KEYS},
+        baseload_gw=config.baseload_gw,
+        baseload_eaf=config.baseload_eaf,
+    )
 
 
 def render_manifest(config: RunConfig) -> str:

@@ -7,10 +7,15 @@ need (pv-only), how close to its limit does such a system run (rigidity),
 what changes when legacy baseload stays online (residual-baseload), and how
 does the answer move with fuel price (fuel-sensitivity).
 
-The pv-only bisections stop at fixed resolutions, ``PV_TOL_GW`` of PV and
-``ENERGY_TOL_GWH`` of battery energy, and search PV up to a million times
-peak demand.  Rigidity raises demand up to ``RIGIDITY_MAX_MULTIPLIER``
-times its level; a mix that still serves it there is not storage-limited.
+pv-only and rigidity each look for the threshold of a feasibility test
+that is monotone in one quantity: the least PV, the least battery energy,
+the first failing demand multiplier.  One search, ``_least_passing``, finds
+all three by doubling and bisection.  The pv-only searches stop at fixed
+resolutions, ``PV_TOL_GW`` of PV and ``ENERGY_TOL_GWH`` of battery energy,
+and search PV up to a million times peak demand.  Rigidity raises demand up
+to ``RIGIDITY_MAX_MULTIPLIER`` times its level; a mix that still serves it
+there is not storage-limited.  Each limit is part of its test: a value past
+it passes without a simulation, and an answer past it means none.
 
 Reports render to CSV with one row per figure, using the conventional table
 row labels, values at full precision.  Each row's label and unit are
@@ -283,31 +288,51 @@ def _pv_only_probe(
     return trace, trace.unserved_energy_twh == 0.0 and closed
 
 
-def _bisect(lo: float, hi: float, tol: float, feasible: Callable[[float], bool]) -> float:
-    """Halve an infeasible ``lo`` / feasible ``hi`` bracket to within
-    ``tol``; return its feasible end."""
+def _least_passing(
+    passes: Callable[[float], bool],
+    first: float,
+    tol: float,
+    midpoint: Callable[[float, float], float] = lambda lo, hi: 0.5 * (lo + hi),
+) -> float:
+    """The least ``x >= 0`` that ``passes``, to within ``tol``, when passing
+    is monotone in ``x``: int or float, as ``first`` is.
+
+    Probes ``first``, doubling it until a probe passes, then halves the
+    bracket between the last failing probe and that one at ``midpoint``
+    until it is at most ``tol`` wide, and returns its passing end.  Zero
+    is probed last, and only when the bracket never left it: its lower end
+    is then zero, never probed, and the answer within ``tol`` of it.  No
+    value is probed twice.  A caller bounds the search by letting every
+    value past its limit pass without a simulation, and reads an answer
+    past that limit as none.
+    """
+    lo, hi = 0 * first, first
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        mid = midpoint(lo, hi)
+        if passes(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo if lo == 0 and passes(lo) else hi
 
 
 def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> ScenarioReport:
     """Smallest PV and battery serving all demand with no wind or firm plant.
 
-    Sizing is resource-driven, so no cost book enters.  Bisection on PV
-    capacity with an effectively unconstrained battery finds the least PV
-    to ``PV_TOL_GW``; bisection on battery energy at that PV finds the
-    least storage to ``ENERGY_TOL_GWH``.  A probe
-    counts as feasible only if no demand goes unserved and the battery ends
-    the period no lower than it started: the initial charge
-    (``params.initial_soc_fraction``) bootstraps a dataset that begins at
-    night, but panels, not the starting inventory, must carry the year.
-    Reported battery power is the largest charge or discharge flow actually
-    used, so the reported mix reproduces the zero-unserved result.
+    Sizing is resource-driven, so no cost book enters.  ``_least_passing``
+    finds the least PV to ``PV_TOL_GW`` with an effectively unconstrained
+    battery, doubling PV from peak demand and then bisecting, and then the
+    least battery energy at that PV to ``ENERGY_TOL_GWH``, bisecting below
+    a bound already known feasible.  A probe counts as feasible only if no
+    demand goes unserved and the battery ends the period no lower than it
+    started: the initial charge (``params.initial_soc_fraction``)
+    bootstraps a dataset that begins at night, but panels, not the starting
+    inventory, must carry the year.  Zero PV or zero energy is probed only
+    when a search ends within its resolution of zero, and no probe runs
+    twice.  Reported battery power is the largest charge or discharge flow
+    actually used, so the reported mix reproduces the zero-unserved result.
 
     Raises
     ------
@@ -323,81 +348,45 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     pv_cap = 1e6 * peak
     huge_energy = 1e9 * max(peak, 1.0)
 
-    # A probe is run once per (PV, energy) pair, keyed by the exact floats:
-    # the PV bisection's first midpoint can repeat a doubling probe.  Each
-    # bisection ends on its last feasible probe, whose ledger the sizing
-    # reads next, so that one ledger is kept with the verdicts.
-    verdicts: dict[tuple[float, float], bool] = {}
-    last_feasible: dict[tuple[float, float], DispatchTrace] = {}
+    # Each search ends on its last feasible probe, whose ledger the next
+    # step reads, so that one ledger is kept.
+    last_feasible: DispatchTrace | None = None
 
     def feasible(pv_gw: float, energy_gwh: float) -> bool:
-        key = (pv_gw, energy_gwh)
-        if key not in verdicts:
-            trace, verdicts[key] = _pv_only_probe(data, params, peak, pv_gw, energy_gwh)
-            if verdicts[key]:
-                last_feasible.clear()
-                last_feasible[key] = trace
-        return verdicts[key]
+        nonlocal last_feasible
+        trace, verdict = _pv_only_probe(data, params, peak, pv_gw, energy_gwh)
+        if verdict:
+            last_feasible = trace
+        return verdict
 
-    def feasible_pv(pv_gw: float) -> bool:
-        return feasible(pv_gw, huge_energy)
+    pv_star = _least_passing(
+        lambda pv_gw: pv_gw > pv_cap or feasible(pv_gw, huge_energy), max(peak, 1.0), PV_TOL_GW
+    )
+    if pv_star > pv_cap:
+        raise InfeasibleError(f"no PV capacity up to {pv_cap:g} GW serves all demand")
 
-    if feasible_pv(0.0):
-        pv_star = 0.0
-    else:
-        hi = max(peak, 1.0)
-        while hi <= pv_cap and not feasible_pv(hi):
-            hi *= 2.0
-        if hi > pv_cap:
-            raise InfeasibleError(f"no PV capacity up to {pv_cap:g} GW serves all demand")
-        pv_star = _bisect(0.0, hi, PV_TOL_GW, feasible_pv)
+    # Least battery energy at the sized PV, below a bound known feasible.
+    # With no initial charge the unconstrained run bounds it tightly: a cap
+    # at the highest state of charge ever reached never binds.  With an
+    # initial charge the starting inventory scales with capacity, so the
+    # tight bound must be re-probed and falls back to the unconstrained size.
+    tight = float(np.max(last_feasible.soc_gwh)) * (1.0 + 1e-9) + 1e-9
+    energy_hi = tight if tight < huge_energy and feasible(pv_star, tight) else huge_energy
+    energy_star = _least_passing(
+        lambda energy_gwh: energy_gwh >= energy_hi or feasible(pv_star, energy_gwh),
+        energy_hi,
+        ENERGY_TOL_GWH,
+    )
 
-    # Least battery energy at the sized PV.  With no initial charge the
-    # unconstrained run bounds it tightly: a cap at the highest state of
-    # charge ever reached never binds.  With an initial charge the starting
-    # inventory scales with capacity, so the tight bound must be re-probed
-    # and falls back to the unconstrained size.
-    def feasible_energy(energy_gwh: float) -> bool:
-        return feasible(pv_star, energy_gwh)
-
-    unconstrained = last_feasible[pv_star, huge_energy]
-    energy_hi = float(np.max(unconstrained.soc_gwh)) * (1.0 + 1e-9) + 1e-9
-    energy_hi = min(energy_hi, huge_energy)
-    if not feasible_energy(energy_hi):
-        energy_hi = huge_energy
-    if feasible_energy(0.0):
-        energy_hi = 0.0
-    energy_star = _bisect(0.0, energy_hi, ENERGY_TOL_GWH, feasible_energy)
-
-    final = last_feasible[pv_star, energy_star]
     flows = max(
-        float(np.max(final.battery_charge_gw)),
-        float(np.max(final.battery_discharge_gw)),
+        float(np.max(last_feasible.battery_charge_gw)),
+        float(np.max(last_feasible.battery_discharge_gw)),
     )
     mix = _pv_probe_mix(pv_star, flows if energy_star > 0.0 else 0.0, energy_star)
     result = simulate(mix, data, params)
     if result.unserved_energy_twh != 0.0:
         raise RuntimeError("sized PV-only mix failed to reproduce a served system")
     return build_report(mix, result, data, label="pv-only")
-
-
-def _double_and_bisect(fails: Callable[[int], bool]) -> int:
-    """The first failing ``k >= 1`` when failure is monotone in ``k``.
-
-    Probes ``k = 1, 2, 4, ...`` until one fails, then bisects the integers
-    between the last serving ``k`` and that one: at most ``2 ceil(log2 k)``
-    probes, or one at ``k = 1``.
-    """
-    serving, k = 0, 1
-    while not fails(k):
-        serving, k = k, 2 * k
-    while k - serving > 1:
-        mid = (serving + k) // 2
-        if fails(mid):
-            k = mid
-        else:
-            serving = mid
-    return k
 
 
 def run_rigidity(
@@ -412,11 +401,12 @@ def run_rigidity(
     ``k >= 1``, and the first ``k`` with unserved energy is the failure
     point.  A ``k`` past ``RIGIDITY_MAX_MULTIPLIER`` counts as failing
     unsimulated, so every search stops at that limit; a first failing
-    ``k`` past it means no failure.  With ``battery_charges_from_dispatch`` off, failure is
-    monotone in demand, so ``_double_and_bisect`` finds that ``k`` in about
-    ``2 log2 k`` simulations (10 for a failure at ``k = 21``), and the
-    unscaled demand (``k = 0``) is probed only when the search ends at
-    ``k = 1``: a serving ``k = 1`` already shows that it is served.  With
+    ``k`` past it means no failure.  With ``battery_charges_from_dispatch``
+    off, failure is monotone in demand, so ``_least_passing`` doubles ``k``
+    from 1 and then bisects the integers, finding that ``k`` in about
+    ``2 log2 k`` simulations (10 for a failure at ``k = 21``); the unscaled
+    demand (``k = 0``) is probed only when the search ends at ``k = 1``: a
+    serving ``k = 1`` already shows that it is served.  With
     the flag on, a battery run empty can be topped up from spare dispatch
     and serve a larger demand again, so a bisection could land on a later
     failure; the unscaled demand is checked first and then every ``k`` in
@@ -452,9 +442,7 @@ def run_rigidity(
     if params.battery_charges_from_dispatch:
         k = next(filter(fails, itertools.count()))
     else:
-        k = _double_and_bisect(fails)
-        if k == 1 and fails(0):
-            k = 0
+        k = _least_passing(fails, 1, 1, lambda lo, hi: (lo + hi) // 2)
     if k == 0:
         raise ValueError("mix does not serve the baseline demand, rigidity is undefined")
     if not within_limit(k):

@@ -445,6 +445,48 @@ def test_cli_bad_setting_exits_two_before_the_dataset_is_read(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("wind_gw_max: -5", "wind_gw range must satisfy 0 <= min <= max, got (0.0, -5.0)"),
+        ("pv_gw_min: 3\npv_gw_max: 2", "pv_gw range must satisfy 0 <= min <= max, got (3.0, 2.0)"),
+        (
+            "battery_power_gw_min: nan",
+            "battery_power_gw range must satisfy 0 <= min <= max, got (nan, nan)",
+        ),
+        ("pv_gw_step: 0", "pv_gw step must be positive, got 0.0"),
+        ("wind_gw_step: inf", "wind_gw step must be positive, got inf"),
+        ("battery_hours_ladder: 8,2", "battery_hours must be strictly increasing, got (8.0, 2.0)"),
+        ("battery_hours_ladder: 0,-1", "battery_hours must be finite and >= 0, got (0.0, -1.0)"),
+        ("pv_gw: nan", "pv_gw must be finite and >= 0, got nan"),
+    ],
+)
+def test_parse_config_checks_the_set_search_bounds_and_the_mix(line, message):
+    # by SearchSpace's and CapacityMix's own rules, whatever the command;
+    # an unset max or step is scaled from peak demand later
+    with pytest.raises(ConfigError) as raised:
+        parse_config("synthetic_hours: 48\n" + line + "\n")
+    assert str(raised.value) == message
+    parse_config("synthetic_hours: 48\nwind_gw_min: 1e6\npv_gw_max: 0\nbattery_power_gw_step: 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["optimize"], ["scenario", "pv-only"], ["scenario", "rigidity"]]
+)
+def test_cli_bad_search_bound_exits_two_before_the_dataset_is_read(tmp_path, capsys, argv):
+    conf = _write_conf(
+        tmp_path,
+        "demand_csv: nope.csv\nwind_cf_csv: w\npv_cf_csv: p\npv_gw: 5\n"
+        "wind_gw_max: -5\npv_gw_step: 0\nbattery_hours_ladder: 8,2\n",
+    )
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: wind_gw range must satisfy 0 <= min <= max, got (0.0, -5.0)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     ("argv", "scenario"),
     [(["optimize"], None), (["simulate"], None), (["scenario", "base"], "base")],
 )

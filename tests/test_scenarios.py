@@ -21,6 +21,8 @@ from firmdispatch import (
     SearchSpace,
     SimParams,
     TimeSeries,
+    align,
+    load_series,
     run_base,
     run_fuel_sensitivity,
     run_low_storage,
@@ -42,7 +44,7 @@ from firmdispatch.scenarios import (
     write_rigidity_csv,
 )
 
-from conftest import random_dataset, random_mix, random_params
+from conftest import FIXTURES, random_dataset, random_mix, random_params
 from oracle import evaluate, rigidity_sweep
 
 # stop after the coarse grid so two runs share an identical candidate set
@@ -335,6 +337,97 @@ def test_pv_only_runs_no_balance_pass_twice(monkeypatch, data, soc_fraction):
     run_pv_only(data, SimParams(initial_soc_fraction=soc_fraction))
     assert len(passes) > 10
     assert len(set(passes)) == len(passes)
+
+
+def _pv_only_passes(data, soc_fraction):
+    """How many balance passes ``run_pv_only`` runs, and its report or
+    ``InfeasibleError`` message."""
+    with mock.patch.object(_kernels, "balance_loop", wraps=_kernels.balance_loop) as passes:
+        try:
+            outcome = run_pv_only(data, SimParams(initial_soc_fraction=soc_fraction))
+        except InfeasibleError as exc:
+            outcome = str(exc)
+    return passes.call_count, outcome
+
+
+def test_pv_only_pass_counts_on_the_week_fixture():
+    week = align(
+        load_series(FIXTURES / "demand.csv", KIND_DEMAND, 1.0),
+        load_series(FIXTURES / "wind_cf.csv", KIND_CAPACITY_FACTOR, 1.0),
+        load_series(FIXTURES / "pv_cf.csv", KIND_CAPACITY_FACTOR, 1.0),
+    )
+    # demand at night: neither zero PV nor zero energy is probed
+    passes, report = _pv_only_passes(week, 0.5)
+    assert passes == 55
+    assert report.pv_gw > 0.0 and report.battery_energy_gwh > 0.0
+    # no start charge: no PV up to the cap carries the first night, so PV
+    # doubles 20 times to past the cap, then bisects up to it, simulating
+    # only the 6 midpoints at or below it
+    passes, message = _pv_only_passes(week, 0.0)
+    assert passes == 26
+    assert message == "no PV capacity up to 1.35314e+07 GW serves all demand"
+
+
+def test_pv_only_probes_zero_energy_last():
+    # demand only while the sun shines: 1 GW of PV passes at once and is
+    # bisected to within PV_TOL_GW (7 failing midpoints), then the tight
+    # energy bound passes, zero energy passes, and the sized mix runs
+    data = _day_night_dataset(96, day_first=True)
+    data = replace(data, demand=replace(data.demand, values=data.pv_cf.values.copy()))
+    passes, report = _pv_only_passes(data, 0.0)
+    assert (report.pv_gw, report.battery_energy_gwh) == (1.0, 0.0)
+    assert passes == 1 + 7 + 2 + 1
+
+
+def test_pv_only_finds_pv_between_the_last_doubling_and_its_cap():
+    # 1 GW of flat demand under flat sun at a capacity factor of 1.2e-6
+    # needs about 833,333 GW of PV: more than the last doubling below the
+    # cap of a million GW (524,288) and less than the cap
+    data = _flat_dataset(1.0, 0.0, 1.2e-6, n_steps=24)
+    report = run_pv_only(data)
+    assert 0.0 <= report.pv_gw - 1.0 / 1.2e-6 <= scenarios.PV_TOL_GW
+    assert report.battery_energy_gwh == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(1, 1000))
+def test_least_passing_finds_the_least_passing_int(threshold, first):
+    probes = []
+
+    def passes(k):
+        probes.append(k)
+        return k >= threshold
+
+    k = scenarios._least_passing(passes, first, 1, lambda lo, hi: (lo + hi) // 2)
+    assert type(k) is int and k == threshold
+    assert len(set(probes)) == len(probes)
+    assert 0 not in probes or k <= 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-3]),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 10.0),
+    st.booleans(),
+)
+def test_least_passing_finds_the_least_passing_float(threshold, first, tol, strict):
+    # a monotone predicate on the reals passes from a threshold on, at it
+    # or just after it
+    def at(x):
+        return x > threshold if strict else x >= threshold
+
+    probes = []
+
+    def passes(x):
+        probes.append(x)
+        return at(x)
+
+    x = scenarios._least_passing(passes, first, tol)
+    assert type(x) is float
+    assert at(x) and x - threshold <= tol
+    assert len(set(probes)) == len(probes)
+    assert 0.0 not in probes or x <= tol
 
 
 @st.composite

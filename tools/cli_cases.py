@@ -151,6 +151,14 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config(week_conf, round_trip_efficiency=2),
         ["optimize", "--trace"],
     )
+    # search bounds that no search could use: a configuration error, though
+    # simulate runs no search
+    table["week-bad-bounds"] = (
+        _config(
+            week_conf, **FIXED_MIX, wind_gw_max=-5, pv_gw_step=0, battery_hours_ladder="8,2"
+        ),
+        ["simulate", "--trace"],
+    )
     table["week-fuel-collision"] = (
         _config(week_conf, fuel_prices_usd_per_gj="10,10.0000001"),
         ["scenario", "fuel-sensitivity", "--trace"],
@@ -171,6 +179,12 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
             _config("", **YEAR, **LADDER_SPACE, battery_charges_from_dispatch=flag),
             ["optimize", "--trace"],
         )
+    # half-charged storage carries the first night: pv-only doubles PV,
+    # bisects it, then bisects battery energy below a re-probed tight bound
+    table["year-pv-only"] = (
+        _config("", **YEAR, initial_soc_fraction=0.5),
+        ["scenario", "pv-only", "--trace"],
+    )
     table["year-rigidity"] = (
         _config("", **YEAR, initial_soc_fraction=0.5),
         ["scenario", "rigidity", "--trace"],
