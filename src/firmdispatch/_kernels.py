@@ -313,10 +313,11 @@ def _running_sum_prefix(
     soc = np.add.accumulate(np.concatenate(([soc0], increments)))
     before, after = soc[:-1], soc[1:]
 
-    clamps = charging & (
-        (charge > (battery_energy_cap - before) / (efficiency * dt))
-        | (after > battery_energy_cap)
-    )
+    # A subnormal efficiency * dt can overflow the headroom to +inf, as the
+    # step loop's own division does; that headroom never binds.
+    with np.errstate(over="ignore"):
+        headroom = (battery_energy_cap - before) / (efficiency * dt)
+    clamps = charging & ((charge > headroom) | (after > battery_energy_cap))
     clamps |= discharging & ((discharge > before / dt) | (after < 0.0))
     hits = np.flatnonzero(clamps)
     stop = int(hits[0]) if hits.shape[0] else clamps.shape[0]

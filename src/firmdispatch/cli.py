@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -29,20 +28,13 @@ from .config import (
     _search_space,
     parse_config,
     render_manifest,
+    resolve_space,
 )
 from .dispatch import DispatchResult, simulate, write_trace_csv
-from .optimizer import (
-    PEAK_MULTIPLES,
-    STEP_FRACTION_OF_PEAK,
-    OptimResult,
-    SearchSpace,
-    optimize,
-    write_trajectory_csv,
-)
+from .optimizer import AXES, OptimResult, SearchSpace, optimize, write_trajectory_csv
 from .profiles import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
-    AlignedDataset,
     align,
     demand_stats,
     load_series,
@@ -100,28 +92,17 @@ def _load_dataset(config: RunConfig):
     return align(demand, wind, pv)
 
 
-def _resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
-    """Fill unset search bounds from peak demand, in place on a copy."""
-    step = STEP_FRACTION_OF_PEAK * peak_gw
-    updates = {}
-    for axis, peak_multiple in PEAK_MULTIPLES.items():
-        if getattr(config, f"{axis}_max") is None:
-            updates[f"{axis}_max"] = peak_multiple * peak_gw
-        if getattr(config, f"{axis}_step") is None:
-            updates[f"{axis}_step"] = step
-    return replace(config, **updates) if updates else config
-
-
-def _space_from(config: RunConfig, data: AlignedDataset) -> SearchSpace:
-    # A zero peak resolves unset steps to 0; say so, not that a step is bad.
-    zero_steps = [axis for axis in PEAK_MULTIPLES if getattr(config, f"{axis}_step") == 0.0]
-    if zero_steps and demand_stats(data.demand).peak_gw <= 0.0:
-        keys = [
-            f"{axis}_{end}"
-            for axis in zero_steps
-            for end in ("max", "step")
-            if getattr(config, f"{axis}_{end}") == 0.0
-        ]
+def _space_from(config: RunConfig) -> SearchSpace:
+    # Only a zero peak leaves a step of the power axes unset; say so, and
+    # name the keys that would have scaled from it.
+    keys = [
+        f"{axis}_{end}"
+        for axis in AXES[:-1]
+        if getattr(config, f"{axis}_step") is None
+        for end in ("max", "step")
+        if not getattr(config, f"{axis}_{end}")
+    ]
+    if keys:
         raise ConfigError(
             "peak demand is 0 GW, so the search bounds cannot be scaled from it: "
             "set " + ", ".join(keys) + " in the configuration"
@@ -157,19 +138,20 @@ def _simulate(config, data, params, book, options) -> _Outcome:
 
 
 def _optimize(config, data, params, book, options) -> _Outcome:
-    optim = optimize(_space_from(config, data), data, params, book, options)
+    optim = optimize(_space_from(config), data, params, book, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
     return _Outcome(report, [_Output("", optim, report.result)])
 
 
 def _base(config, data, params, book, options) -> _Outcome:
-    report, optim = run_base(data, params, book, _space_from(config, data), options)
+    report, optim = run_base(data, params, book, space=_space_from(config), options=options)
     return _Outcome(report, [_Output("", optim, report.result)])
 
 
 def _low_storage(config, data, params, book, options) -> _Outcome:
+    price = config.battery_price_usd_per_kwh
     report, delta, optim = run_low_storage(
-        data, params, book, _space_from(config, data), config.battery_price_usd_per_kwh, options
+        data, params, book, space=_space_from(config), battery_price=price, options=options
     )
     return _Outcome(report, [_Output("", optim, report.result)], low_storage_extra_rows(delta))
 
@@ -190,21 +172,17 @@ def _rigidity(config, data, params, book, options) -> _Outcome:
 def _residual_baseload(config, data, params, book, options) -> _Outcome:
     if config.baseload_gw <= 0.0:
         raise ConfigError("residual-baseload needs baseload_gw > 0 in the configuration")
+    baseload = {"baseload_gw": config.baseload_gw, "eaf": config.baseload_eaf}
     report, optim = run_residual_baseload(
-        data,
-        params,
-        book,
-        _space_from(config, data),
-        config.baseload_gw,
-        config.baseload_eaf,
-        options,
+        data, params, book, space=_space_from(config), options=options, **baseload
     )
     return _Outcome(report, [_Output("", optim, report.result)])
 
 
 def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
+    prices = config.fuel_prices_usd_per_gj
     runs = run_fuel_sensitivity(
-        data, params, book, _space_from(config, data), config.fuel_prices_usd_per_gj, options
+        data, params, book, space=_space_from(config), fuel_prices=prices, options=options
     )
     return _Outcome(
         [report for _, report, _ in runs],
@@ -238,7 +216,7 @@ def _run(args: argparse.Namespace) -> int:
     config.scenario = args.name if args.command == "scenario" else None
 
     data = _load_dataset(config)
-    config = _resolve_space(config, demand_stats(data.demand).peak_gw)
+    config = resolve_space(config, demand_stats(data.demand).peak_gw)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,27 +7,29 @@ and tolerance keys are the field names of ``SimParams``, ``CostBook`` and
 ``OptimizeOptions``, which ``RunConfig`` holds whole; those classes check
 their values when the file is parsed.  The search bounds that are set and
 the fixed mix are checked then too, by ``SearchSpace`` and ``CapacityMix``,
-whatever the command.  ``render_manifest`` writes a resolved
-configuration back out in the same format, so a run manifest is itself a
-valid configuration that reproduces the run.
+and the scenario knobs by the scenarios' own checks, whatever the command.
+Once the dataset is loaded, ``resolve_space`` scales the unset search
+bounds from its peak demand and checks the whole space again.
+``render_manifest`` writes a resolved configuration back out in the same
+format, so a run manifest is itself a valid configuration that reproduces
+the run.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .costing import DEFAULT_BOOK, CostBook
 from .dispatch import DEFAULT_PARAMS, CapacityMix, SimParams
-from .optimizer import (
-    DEFAULT_BATTERY_HOURS,
-    DEFAULT_OPTIONS,
-    PEAK_MULTIPLES,
-    OptimizeOptions,
-    SearchSpace,
-)
+from .optimizer import DEFAULT_BATTERY_HOURS, DEFAULT_OPTIONS, OptimizeOptions, SearchSpace
+from .scenarios import SCENARIO_NAMES, _check_battery_price, _check_fuel_price, _check_rigidity_step
+
+# Unset search bounds: each power axis runs from its min to a multiple of
+# peak demand in coarse steps of a fixed fraction of peak.
+PEAK_MULTIPLES = {"wind_gw": 3.0, "pv_gw": 2.0, "battery_power_gw": 1.5}
+STEP_FRACTION_OF_PEAK = 0.1
 
 
 class ConfigError(ValueError):
@@ -220,50 +222,51 @@ def validate(config: RunConfig) -> None:
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
-    if not (0.0 < config.rigidity_step < 1.0):
-        raise ConfigError(f"rigidity_step must be in (0, 1), got {config.rigidity_step!r}")
-    if 1.0 + config.rigidity_step == 1.0:
-        raise ConfigError(
-            f"rigidity_step must move 1.0 + step above 1.0, got {config.rigidity_step!r}"
-        )
-
-    # The search bounds, ladder and baseload obey SearchSpace's rules, and
-    # the fixed mix CapacityMix's, whatever the command.
+    # The search bounds, ladder and baseload obey SearchSpace's rules, the
+    # fixed mix CapacityMix's, and the knobs their scenarios', whatever the
+    # command.
     try:
+        _check_rigidity_step(config.rigidity_step)
         _search_space(config)
         _fixed_mix(config)
+        _check_battery_price(config.battery_price_usd_per_kwh)
+        for price in config.fuel_prices_usd_per_gj:
+            _check_fuel_price(price)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    battery_price = config.battery_price_usd_per_kwh
-    if not (math.isfinite(battery_price) and battery_price >= 0.0):
-        raise ConfigError(
-            f"battery_price_usd_per_kwh must be finite and >= 0, got {battery_price!r}"
-        )
-    for price in config.fuel_prices_usd_per_gj:
-        if not (math.isfinite(price) and price > 0.0):
-            raise ConfigError(
-                f"fuel_prices_usd_per_gj must be positive and finite, got {price!r}"
-            )
 
-    if config.scenario is not None:
-        from .scenarios import SCENARIO_NAMES
-
-        if config.scenario not in SCENARIO_NAMES:
-            raise ConfigError(
-                f"unknown scenario {config.scenario!r}, expected one of {SCENARIO_NAMES}"
-            )
+    if config.scenario is not None and config.scenario not in SCENARIO_NAMES:
+        raise ConfigError(f"unknown scenario {config.scenario!r}, expected one of {SCENARIO_NAMES}")
     if config.command is not None and config.command not in ("simulate", "optimize", "scenario"):
         raise ConfigError(f"unknown command {config.command!r}")
 
 
+def resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
+    """A copy of ``config`` with its unset search bounds scaled from peak
+    demand, which ``validate`` checks again: a set min above a scaled max,
+    or a grid too fine to search, raises ``ConfigError``.  At a zero peak
+    the steps stay unset: a max of 0.0 is a bound, but a step of 0.0 is not."""
+    updates = {}
+    for axis, multiple in PEAK_MULTIPLES.items():
+        if getattr(config, f"{axis}_max") is None:
+            updates[f"{axis}_max"] = multiple * peak_gw
+        if getattr(config, f"{axis}_step") is None and peak_gw > 0.0:
+            updates[f"{axis}_step"] = STEP_FRACTION_OF_PEAK * peak_gw
+    resolved = replace(config, **updates)
+    validate(resolved)
+    return resolved
+
+
 def _search_space(config: RunConfig) -> SearchSpace:
     """The search space a configuration sets.  An unset max stands in as
-    its axis's min, and an unset step as 1.0, so before they are scaled
-    from peak demand only the bounds that are set are checked."""
+    its axis's min, and an unset step as the axis's span (1.0 on an empty
+    one), at most two rungs, so before they are scaled from peak demand
+    only the bounds that are set are checked."""
     bounds = {}
     for axis in PEAK_MULTIPLES:
         lo, hi, step = (getattr(config, f"{axis}_{end}") for end in ("min", "max", "step"))
-        bounds[axis] = (lo, lo if hi is None else hi, 1.0 if step is None else step)
+        hi = lo if hi is None else hi
+        bounds[axis] = (lo, hi, ((hi - lo) or 1.0) if step is None else step)
     return SearchSpace(
         **bounds,
         battery_hours=config.battery_hours_ladder,

@@ -271,9 +271,10 @@ def scale_demand(data: AlignedDataset, multiplier: float) -> AlignedDataset:
 
 
 def _smooth(noise: NDArray[np.float64], width: int) -> NDArray[np.float64]:
-    # Moving-average smoothing with edge padding, keeps output length.
+    # Moving-average smoothing with mirrored edges, keeps output length; a
+    # series shorter than the window is mirrored more than once.
     kernel = np.ones(width) / width
-    padded = np.concatenate([noise[:width][::-1], noise, noise[-width:][::-1]])
+    padded = np.pad(noise, width, mode="symmetric")
     return np.convolve(padded, kernel, mode="same")[width:-width]
 
 

@@ -50,7 +50,6 @@ from .optimizer import (
     OptimResult,
     OptimizeOptions,
     SearchSpace,
-    default_space,
     optimize,
 )
 from .profiles import AlignedDataset, demand_stats, scale_demand
@@ -71,6 +70,25 @@ RIGIDITY_MAX_MULTIPLIER = 2.0
 
 class InfeasibleError(Exception):
     """The requested system cannot serve demand within the given bounds."""
+
+
+# One check per scenario knob, shared by the scenarios and the run
+# configuration, so each message names the configuration key.
+def _check_rigidity_step(step: float) -> None:
+    if not (0.0 < step < 1.0):
+        raise ValueError(f"rigidity_step must be in (0, 1), got {step!r}")
+    if 1.0 + step == 1.0:
+        raise ValueError(f"rigidity_step must move 1.0 + step above 1.0, got {step!r}")
+
+
+def _check_battery_price(price: float) -> None:
+    if not (math.isfinite(price) and price >= 0.0):
+        raise ValueError(f"battery_price_usd_per_kwh must be finite and >= 0, got {price!r}")
+
+
+def _check_fuel_price(price: float) -> None:
+    if not (math.isfinite(price) and price > 0.0):
+        raise ValueError(f"fuel_prices_usd_per_gj must be positive and finite, got {price!r}")
 
 
 def _row(label: str, unit: str, baseload: bool = False, scale: float = 1.0):
@@ -207,7 +225,8 @@ def run_base(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
     book: CostBook = DEFAULT_BOOK,
-    space: SearchSpace | None = None,
+    *,
+    space: SearchSpace,
     options: OptimizeOptions = DEFAULT_OPTIONS,
     table: SizingTable | None = None,
 ) -> tuple[ScenarioReport, OptimResult]:
@@ -216,8 +235,6 @@ def run_base(
     ``table`` is handed to ``optimize``, so searches of one dataset can
     share their sized mixes.
     """
-    if space is None:
-        space = default_space(demand_stats(data.demand))
     if space.baseload_gw != 0.0:
         raise ValueError("the base scenario carries no baseload, use residual-baseload instead")
     optim = optimize(space, data, params, book, options, table)
@@ -229,7 +246,8 @@ def run_low_storage(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
     book: CostBook = DEFAULT_BOOK,
-    space: SearchSpace | None = None,
+    *,
+    space: SearchSpace,
     battery_price: float = 10.0,
     options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> tuple[ScenarioReport, LowStorageDelta, OptimResult]:
@@ -240,17 +258,16 @@ def run_low_storage(
     reach.  With ``battery_price`` equal to the book value it reproduces
     the base optimum exactly and sizes nothing.
     """
-    if not (math.isfinite(battery_price) and battery_price >= 0.0):
-        raise ValueError(f"battery_price must be finite and >= 0, got {battery_price!r}")
+    _check_battery_price(battery_price)
     table = SizingTable(data, params)
-    base_optim = run_base(data, params, book, space, options, table)[1]
+    base_optim = run_base(data, params, book, space=space, options=options, table=table)[1]
     base_gw = base_optim.best.mix.dispatch_gw
     base_twh = base_optim.best.result.dispatch_energy_twh
     # the base winner's ledger need not live through the second search, so
     # the base report is never bound and the base search is dropped here
     del base_optim
     cheap_book = replace(book, capex_battery_usd_per_kwh=battery_price)
-    report, optim = run_base(data, params, cheap_book, space, options, table)
+    report, optim = run_base(data, params, cheap_book, space=space, options=options, table=table)
     report = replace(report, label="low-storage")
     delta = LowStorageDelta(
         battery_price_usd_per_kwh=battery_price,
@@ -423,10 +440,7 @@ def run_rigidity(
         does not serve the unscaled demand, or no failure occurs up to
         ``RIGIDITY_MAX_MULTIPLIER`` (a mix with firm backup does not fail).
     """
-    if not (0.0 < step < 1.0):
-        raise ValueError(f"step must be in (0, 1), got {step!r}")
-    if 1.0 + step == 1.0:
-        raise ValueError(f"step must move 1.0 + step above 1.0, got {step!r}")
+    _check_rigidity_step(step)
 
     def scaled(k: int) -> AlignedDataset:
         return scale_demand(data, 1.0 + k * step) if k else data
@@ -469,7 +483,8 @@ def run_residual_baseload(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
     book: CostBook = DEFAULT_BOOK,
-    space: SearchSpace | None = None,
+    *,
+    space: SearchSpace,
     baseload_gw: float = 10.0,
     eaf: float = 0.70,
     options: OptimizeOptions = DEFAULT_OPTIONS,
@@ -479,8 +494,6 @@ def run_residual_baseload(
     Baseload is must-run and free in the objective; only the wind, PV,
     battery, and firm additions are costed and searched.
     """
-    if space is None:
-        space = default_space(demand_stats(data.demand))
     space = replace(space, baseload_gw=baseload_gw, baseload_eaf=eaf)
     optim = optimize(space, data, params, book, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="residual-baseload")
@@ -491,7 +504,8 @@ def run_fuel_sensitivity(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
     book: CostBook = DEFAULT_BOOK,
-    space: SearchSpace | None = None,
+    *,
+    space: SearchSpace,
     fuel_prices: Sequence[float] = (20.0, 10.0),
     options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> list[tuple[float, ScenarioReport, OptimResult]]:
@@ -508,8 +522,7 @@ def run_fuel_sensitivity(
     if not prices:
         raise ValueError("fuel_prices must not be empty")
     for p in prices:
-        if not (math.isfinite(p) and p > 0.0):
-            raise ValueError(f"fuel prices must be positive and finite, got {p!r}")
+        _check_fuel_price(p)
     repeated = [label for label, n in Counter(f"{p:g}" for p in prices).items() if n > 1]
     if repeated:
         raise ValueError(
@@ -520,7 +533,7 @@ def run_fuel_sensitivity(
     runs = []
     for price in prices:
         priced = replace(book, fuel_price_usd_per_gj=price)
-        report, optim = run_base(data, params, priced, space, options, table)
+        report, optim = run_base(data, params, priced, space=space, options=options, table=table)
         report = replace(report, label=f"fuel {price:g} USD/GJ")
         runs.append((price, report, optim))
     return runs

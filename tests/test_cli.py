@@ -1,9 +1,15 @@
 """Configuration parsing, manifests, and the command line entry point."""
 
+import contextlib
+import io
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
@@ -350,13 +356,16 @@ def _zero_demand_conf(tmp_path, extra=""):
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["scenario", "pv-only"]])
-def test_cli_zero_demand_resolves_zero_steps(tmp_path, argv):
+def test_cli_zero_demand_leaves_steps_unset_and_reruns(tmp_path, argv):
+    # a max scaled from a zero peak is a bound, a step of 0 GW is not
     conf = _zero_demand_conf(tmp_path)
-    out = tmp_path / "out"
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
     assert main(argv + ["--config", str(conf), "--out", str(out)]) == 0
     manifest = (out / "run_manifest").read_text()
     assert "wind_gw_max: 0.0" in manifest
-    assert "wind_gw_step: 0.0" in manifest
+    assert "_gw_step:" not in manifest
+    assert main(argv + ["--config", str(out / "run_manifest"), "--out", str(rerun)]) == 0
+    assert (rerun / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["optimize"], ["scenario", "fuel-sensitivity"]])
@@ -679,3 +688,97 @@ def test_cli_unknown_scenario_name_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["scenario", "warp", "--config", str(conf)])
     assert exc.value.code == 2
+
+
+# ===================== every input runs or exits 2 =====================
+
+_COMMANDS = [["simulate"], ["optimize"]] + [["scenario", name] for name in SCENARIO_NAMES]
+
+
+# Rules a drawn configuration may break, one at a time, by the keys that
+# break each: a step of 0, one too small to count rungs with, an axis of 4e7
+# rungs, a min above the max scaled from peak demand, a ladder out of order,
+# a rigidity step that cannot move 1.0.
+_BROKEN_RULES = [
+    {"wind_gw_step": 0},
+    {"pv_gw_step": 1e-320},
+    {"battery_power_gw_max": 40, "battery_power_gw_step": 1e-6},
+    {"pv_gw_min": 100},
+    {"battery_hours_ladder": "8,2"},
+    {"rigidity_step": 1e-320},
+]
+
+
+@st.composite
+def _config_texts(draw):
+    """A run file on a 24-48 h synthetic dataset that breaks at most one of
+    ``_BROKEN_RULES``.
+
+    Every search is short: its grid has a few dozen points at most, since
+    an axis whose max scales from peak demand gets a coarse step and one
+    whose step scales gets a small max, and refinement stops at 1 GW or
+    coarser.
+    """
+    keys = {"synthetic_hours": draw(st.integers(24, 48)), "seed": draw(st.integers(0, 3))}
+    for axis in ("wind_gw", "pv_gw", "battery_power_gw"):
+        bounds = draw(
+            st.sampled_from(
+                [(None, None, 20), (None, 3, None), (None, 0, None), (None, 20, 10), (2, 10, 8)]
+            )
+        )
+        keys.update({f"{axis}_{end}": v for end, v in zip(("min", "max", "step"), bounds)})
+    for key, values in {
+        "battery_hours_ladder": ["0,2,8", "0,4", "0"],
+        "wind_gw": [5, 30],
+        "pv_gw": [10, 40],
+        "battery_power_gw": [5, 20],
+        "battery_hours": [4, 24],
+        "dispatch_gw": [0, 15],
+        "baseload_gw": [0, 4],
+        "baseload_eaf": [0.7, 1],
+        "round_trip_efficiency": [0.85, 1, 1e-320],
+        "initial_soc_fraction": [0, 0.5, 1],
+        "battery_charges_from_dispatch": ["false", "true"],
+        "rigidity_step": [0.01, 0.1],
+        "battery_price_usd_per_kwh": [10, 0],
+        "fuel_prices_usd_per_gj": ["20,10", "15"],
+    }.items():
+        keys[key] = draw(st.sampled_from([None, *values]))
+    keys["refine_tolerance_gw"] = draw(st.sampled_from([1, 2.5]))
+    keys["refine_tolerance_hours"] = draw(st.sampled_from([1, 4]))
+    if draw(st.integers(0, 2)) == 2:
+        keys.update(draw(st.sampled_from(_BROKEN_RULES)))
+    return "".join(f"{key}: {value}\n" for key, value in keys.items() if value is not None)
+
+
+def _run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _written(out) -> dict[str, bytes]:
+    """The files a run wrote, its manifest's output_dir line aside."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    manifest = files["run_manifest"].splitlines(keepends=True)
+    kept = [line for line in manifest if not line.startswith(b"output_dir:")]
+    files["run_manifest"] = b"".join(kept)
+    return files
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_config_texts())
+def test_cli_every_input_runs_or_exits_two_and_every_manifest_reruns(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        conf = _write_conf(tmp, text)
+        for i, argv in enumerate(_COMMANDS):
+            out, rerun = tmp / f"out{i}", tmp / f"rerun{i}"
+            code, err = _run_main(argv + ["--config", str(conf), "--out", str(out)])
+            assert code in (0, 2, 3), (argv, err)
+            assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0), err
+            if code == 0:
+                manifest = str(out / "run_manifest")
+                assert _run_main(argv + ["--config", manifest, "--out", str(rerun)]) == (0, "")
+                assert _written(rerun) == _written(out), argv

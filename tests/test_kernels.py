@@ -399,6 +399,23 @@ def test_prefix_meets_signed_zero_capacity_and_start(hours):
         _bitwise_ledger(args)
 
 
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_prefix_meets_a_subnormal_efficiency(dt):
+    # the headroom (cap - soc) / (efficiency * dt) overflows to +inf, as it
+    # does in the step loop, where it never binds; numpy must not warn of it
+    rng = np.random.default_rng(1325)
+    demand, ren = _swings(rng, 48, 6.0)
+    args = (demand, ren, dt, 0.0, 3.0, 12.0, 1e-320, 6.0, np.inf, False)
+    got = np.full((N_ROWS, 48), 7.0)
+    want = np.full((N_ROWS, 48), -7.0)
+    balance_loop(*args, got)
+    # the oracle steps numpy scalars, whose division warns where Python's does not
+    with np.errstate(over="ignore"):
+        reference_loop(*args, want)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.any(got[ROW_CHARGE_FROM_REN] > 0.0)
+
+
 def test_prefix_is_not_tried_with_the_flag_on():
     # spare dispatch tops the battery up in idle and charging steps, which a
     # running sum of surplus and residual alone would miss

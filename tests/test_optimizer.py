@@ -28,11 +28,10 @@ from firmdispatch.costing import crf
 from firmdispatch.dispatch import TRACE_COLUMNS
 from firmdispatch.optimizer import (
     TRAJECTORY_COLUMNS,
-    default_space,
     grid_axis,
     write_trajectory_csv,
 )
-from firmdispatch.profiles import DemandStats, demand_stats, synthesize_dataset
+from firmdispatch.profiles import demand_stats, synthesize_dataset
 
 from conftest import FIXTURES, random_dataset
 from oracle import evaluate
@@ -58,16 +57,6 @@ def test_grid_axis_inclusive_bounds():
     for hi in (3.0 * peak, 1.5 * peak):
         axis = grid_axis(0.0, hi, 0.1 * peak)
         assert axis[-1] == hi and max(axis) <= hi
-
-
-def test_default_space_scales_with_peak():
-    space = default_space(DemandStats(peak_gw=10.0, average_gw=8.0, annual_energy_twh=70.0))
-    assert space.wind_gw == (0.0, 30.0, 1.0)
-    assert space.pv_gw == (0.0, 20.0, 1.0)
-    assert space.battery_power_gw == (0.0, 15.0, 1.0)
-    assert space.battery_hours[0] == 0.0
-    with pytest.raises(ValueError, match="peak demand"):
-        default_space(DemandStats(peak_gw=0.0, average_gw=0.0, annual_energy_twh=0.0))
 
 
 def test_search_space_validation():

@@ -237,6 +237,15 @@ def test_synthesize_dataset_contract():
     assert np.all(night == 0.0)
 
 
+@pytest.mark.parametrize("hours", [24, 47])
+def test_synthesize_dataset_shorter_than_a_smoothing_window(hours):
+    # PV weather is smoothed over 48 h, longer than the series
+    data = synthesize_dataset(seed=1, total_hours=hours)
+    assert data.n_steps == hours
+    for cf in (data.wind_cf.values, data.pv_cf.values):
+        assert np.all(cf >= 0.0) and np.all(cf <= 1.0)
+
+
 def test_synthesize_dataset_droughts_zero_both_resources():
     data = synthesize_dataset(seed=9, total_hours=240, droughts=[(50, 122), (200, 210)])
     plain = synthesize_dataset(seed=9, total_hours=240)

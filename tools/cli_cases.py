@@ -23,6 +23,11 @@ run writes, the tool stores its ``stdout``, ``stderr`` and ``exit_code``.
 The inputs are written under ``OUT_DIR/inputs`` from this checkout's
 ``fixtures/``, and ``OUT_DIR`` is replaced by ``<OUT>`` in stdout, stderr
 and ``run_manifest``, so only the source tree can make two runs differ.
+
+In every mode, each case that exits 0 is run again from its own
+``run_manifest`` into a sibling directory, which is compared and removed.
+The tool names each case whose re-run does not exit 0 or writes a file
+that differs, the ``output_dir`` line of the manifest aside, and exits 1.
 """
 
 from __future__ import annotations
@@ -159,9 +164,17 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         ),
         ["simulate", "--trace"],
     )
+    # a subnormal step asks for an infinite grid: a configuration error
+    table["week-subnormal-step"] = (_config(week_conf, wind_gw_step="1e-320"), ["optimize"])
     table["week-fuel-collision"] = (
         _config(week_conf, fuel_prices_usd_per_gj="10,10.0000001"),
         ["scenario", "fuel-sensitivity", "--trace"],
+    )
+    # a set min above the max scaled from peak demand: a configuration
+    # error, though simulate runs no search
+    table["synth-min-above-scaled-max"] = (
+        _config("", synthetic_hours=48, pv_gw_min=100, wind_gw=30),
+        ["simulate"],
     )
     table["year-low-storage"] = (
         _config("", **YEAR, **YEAR_SPACE),
@@ -213,12 +226,8 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
     return table
 
 
-def run_case(src: Path, out_dir: Path, name: str, conf: str, args: list[str]) -> int:
-    conf_path = out_dir / "inputs" / f"{name}.conf"
-    conf_path.write_text(conf, encoding="utf-8")
-    case_dir = out_dir / name
-    case_dir.mkdir()
-    proc = subprocess.run(
+def _run_cli(src: Path, args: list[str], conf_path: Path, out: Path):
+    return subprocess.run(
         [
             sys.executable,
             "-c",
@@ -227,29 +236,74 @@ def run_case(src: Path, out_dir: Path, name: str, conf: str, args: list[str]) ->
             "--config",
             str(conf_path),
             "--out",
-            str(case_dir),
+            str(out),
         ],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
+
+
+def _comparable(path: Path | None) -> bytes | None:
+    """A written file's bytes, a manifest's ``output_dir`` line aside."""
+    if path is None:
+        return None
+    data = path.read_bytes()
+    if path.name == "run_manifest":
+        lines = data.splitlines(keepends=True)
+        data = b"".join(line for line in lines if not line.startswith(b"output_dir:"))
+    return data
+
+
+def rerun_problems(src: Path, case_dir: Path, args: list[str]) -> list[str]:
+    """Run a case again from its ``run_manifest``; what differs from the first run."""
+    rerun_dir = case_dir.with_name(case_dir.name + ".rerun")
+    proc = _run_cli(src, args, case_dir / "run_manifest", rerun_dir)
+    first = {path.name: path for path in case_dir.iterdir()}
+    again = {path.name: path for path in rerun_dir.iterdir()} if rerun_dir.exists() else {}
+    problems = [f"exit {proc.returncode}"] if proc.returncode else []
+    problems += [
+        f"{name} differs"
+        for name in sorted(first.keys() | again.keys())
+        if _comparable(first.get(name)) != _comparable(again.get(name))
+    ]
+    shutil.rmtree(rerun_dir, ignore_errors=True)
+    return problems
+
+
+def run_case(
+    src: Path, out_dir: Path, name: str, conf: str, args: list[str]
+) -> tuple[int, list[str]]:
+    """Run one case; its exit code and, after exit 0, its re-run's problems."""
+    conf_path = out_dir / "inputs" / f"{name}.conf"
+    conf_path.write_text(conf, encoding="utf-8")
+    case_dir = out_dir / name
+    case_dir.mkdir()
+    proc = _run_cli(src, args, conf_path, case_dir)
+    problems = rerun_problems(src, case_dir, args) if proc.returncode == 0 else []
     texts = {"stdout": proc.stdout, "stderr": proc.stderr, "exit_code": f"{proc.returncode}\n"}
     manifest = case_dir / "run_manifest"
     if manifest.exists():
         texts["run_manifest"] = manifest.read_text(encoding="utf-8")
     for file_name, text in texts.items():
         (case_dir / file_name).write_text(text.replace(str(out_dir), MASK), encoding="utf-8")
-    return proc.returncode
+    return proc.returncode, problems
 
 
-def run_table(src: Path, out_dir: Path) -> None:
+def run_table(src: Path, out_dir: Path) -> list[str]:
+    """Run every case into ``out_dir``; the cases whose re-run from their
+    manifest differs."""
     (out_dir / "inputs").mkdir(parents=True, exist_ok=True)
     for name in DATASET:
         shutil.copyfile(ROOT / "fixtures" / name, out_dir / "inputs" / name)
     week_conf = (ROOT / "fixtures" / "week.conf").read_text(encoding="utf-8")
+    failed = []
     for name, (conf, case_args) in cases(week_conf).items():
-        code = run_case(src, out_dir, name, conf, case_args)
-        print(f"{name}: exit {code}")
+        code, problems = run_case(src, out_dir, name, conf, case_args)
+        print(f"{name}: exit {code}" + "".join(f"; re-run: {p}" for p in problems))
+        if problems:
+            failed.append(name)
+    return failed
 
 
 def digests(out_dir: Path) -> dict[str, str]:
@@ -309,12 +363,14 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir or tmp).resolve()
         if out_dir.exists() and any(out_dir.iterdir()):
             parser.error(f"{out_dir} is not empty")
-        run_table(src, out_dir)
-        if args.update:
+        failed = run_table(src, out_dir)
+        if args.update and not failed:
             write_digests(digests(out_dir))
-        elif args.check:
-            return check_digests(digests(out_dir))
-    return 0
+        code = check_digests(digests(out_dir)) if args.check else 0
+    if failed:
+        print(f"{len(failed)} cases do not re-run from run_manifest: {', '.join(failed)}")
+        return 1
+    return code
 
 
 if __name__ == "__main__":
