@@ -50,12 +50,21 @@ class CostBook:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not (0.0 < self.interest_rate < 1.0):
-            raise ValueError(f"interest_rate must be in (0, 1), got {self.interest_rate!r}")
+        rate = self.interest_rate
+        if not (0.0 < rate < 1.0):
+            raise ValueError(f"interest_rate must be in (0, 1), got {rate!r}")
+        if 1.0 + rate == 1.0:
+            raise ValueError(f"interest_rate must move 1.0 + interest_rate above 1.0, got {rate!r}")
         for name in _LIFETIMES:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            try:
+                crf(rate, value)
+            except ValueError:
+                raise ValueError(
+                    f"{name} must keep (1 + interest_rate) ** {name} finite, got {value!r}"
+                ) from None
 
 
 # The prices that must be finite and >= 0 and the lifetimes that must be
@@ -64,8 +73,6 @@ _PRICES = tuple(
     f.name for f in fields(CostBook) if f.type == "float" and f.name != "interest_rate"
 )
 _LIFETIMES = tuple(f.name for f in fields(CostBook) if f.type == "int")
-
-DEFAULT_BOOK = CostBook()
 
 
 @dataclass(frozen=True)
@@ -87,14 +94,23 @@ def crf(rate: float, years: int) -> float:
 
     Fraction of an overnight cost payable each year to amortize it over
     ``years`` at annual interest ``rate``:
-    ``rate * (1 + rate)**years / ((1 + rate)**years - 1)``.
+    ``rate * (1 + rate)**years / ((1 + rate)**years - 1)``.  ``ValueError``
+    if ``rate`` is too small to move 1.0 or ``(1 + rate)**years`` overflows.
     """
     if not (0.0 < rate < 1.0):
         raise ValueError(f"rate must be in (0, 1), got {rate!r}")
+    if 1.0 + rate == 1.0:
+        raise ValueError(f"rate must move 1.0 + rate above 1.0, got {rate!r}")
     if not (isinstance(years, int) and years >= 1):
         raise ValueError(f"years must be a positive integer, got {years!r}")
-    growth = (1.0 + rate) ** years
+    try:
+        growth = (1.0 + rate) ** years
+    except OverflowError:
+        raise ValueError(f"(1 + rate) ** years overflows at rate {rate!r}, got {years!r}") from None
     return rate * growth / (growth - 1.0)
+
+
+DEFAULT_BOOK = CostBook()
 
 
 def annualized_capital(mix: CapacityMix, book: CostBook) -> float:

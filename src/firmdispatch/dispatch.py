@@ -19,10 +19,10 @@ header ``TRACE_COLUMNS``.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
-``sized_simulation`` returns the sized mix with its simulation, and
-``sized_energy`` with the energy it serves and dispatches, from one such
-pass.  ``optimize`` sizes through a ``SizingTable``, which memoizes
-``sized_energy`` for one dataset and one ``SimParams``, so searches under
+``sized_simulation`` returns the sized mix with its simulation.
+``optimize`` sizes through a ``SizingTable``, which reads a mix's sized
+``dispatch_gw`` and the energy it serves and dispatches off the ledger of
+that simulation for one dataset and one ``SimParams``, so searches under
 different cost books size each mix once, and shares one pass between mixes
 whose sizings must be equal: an idle battery's with the storage-free mix,
 and, with an empty start, a battery that never fills with every battery of
@@ -159,6 +159,11 @@ class DispatchTrace:
     def final_soc_gwh(self) -> float:
         return float(self.soc_gwh[-1])
 
+    @property
+    def dispatch_energy_twh(self) -> float:
+        """Energy from dispatchable plant, battery charging from it included."""
+        return _twh(self.dispatch_gw + self.charge_from_dispatch_gw, self.dt_hours)
+
 
 @dataclass(frozen=True)
 class DispatchResult:
@@ -212,7 +217,7 @@ def _run_balance(
     params: SimParams,
     dispatch_cap: float,
     charge_from_dispatch: bool,
-) -> NDArray[np.float64]:
+) -> DispatchTrace:
     demand = data.demand.values
     out = np.empty((_kernels.N_ROWS, demand.shape[0]), dtype=np.float64)
     _kernels.balance_loop(
@@ -228,7 +233,7 @@ def _run_balance(
         charge_from_dispatch,
         out,
     )
-    return out
+    return DispatchTrace(demand, out, data.dt_hours)
 
 
 def simulate(
@@ -260,8 +265,7 @@ def simulate_trace(
     mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
 ) -> DispatchTrace:
     """The ledger of ``simulate(mix, data, params)`` without its totals."""
-    out = _run_balance(mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch)
-    return DispatchTrace(data.demand.values, out, data.dt_hours)
+    return _run_balance(mix, data, params, mix.dispatch_gw, params.battery_charges_from_dispatch)
 
 
 def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> DispatchResult:
@@ -273,9 +277,8 @@ def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> 
     pv_cf_sum = float(np.sum(data.pv_cf.values))
     wind_energy = mix.wind_gw * wind_cf_sum * to_twh
     pv_energy = mix.pv_gw * pv_cf_sum * to_twh
-    dispatch_draw = trace.dispatch_gw + trace.charge_from_dispatch_gw
-    dispatch_energy = _twh(dispatch_draw, dt)
-    peak_dispatch = float(np.max(dispatch_draw))
+    dispatch_energy = trace.dispatch_energy_twh
+    peak_dispatch = float(np.max(trace.dispatch_gw + trace.charge_from_dispatch_gw))
     total_hours = data.total_hours
 
     dispatch_cf = 0.0
@@ -305,13 +308,16 @@ def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> 
     )
 
 
-def _sizing_pass(
+def _sized(
     mix: CapacityMix, data: AlignedDataset, params: SimParams
-) -> tuple[CapacityMix, NDArray[np.float64]]:
-    """The mix at its sized capacity and the ledger of the one sizing pass:
-    no dispatch cap, battery charged from renewables only."""
-    out = _run_balance(mix, data, params, np.inf, False)
-    return replace(mix, dispatch_gw=float(np.max(out[_kernels.ROW_DISPATCH]))), out
+) -> tuple[CapacityMix, DispatchTrace]:
+    """The mix at its sized capacity and the ledger of its ``simulate``:
+    with the flag off, the sizing pass's own, by the rule above."""
+    trace = _run_balance(mix, data, params, np.inf, False)
+    sized = replace(mix, dispatch_gw=float(np.max(trace.dispatch_gw)))
+    if params.battery_charges_from_dispatch:
+        trace = simulate_trace(sized, data, params)
+    return sized, trace
 
 
 def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> float:
@@ -328,7 +334,8 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     bound but may exceed the minimum, since spare dispatch can pre-charge
     the battery ahead of the worst deficit.
     """
-    return _sizing_pass(mix, data, params)[0].dispatch_gw
+    # the sizing pass alone, whatever the flag
+    return _sized(mix, data, replace(params, battery_charges_from_dispatch=False))[0].dispatch_gw
 
 
 def sized_simulation(
@@ -336,43 +343,8 @@ def sized_simulation(
 ) -> tuple[CapacityMix, DispatchResult]:
     """Size one mix; return it with ``dispatch_gw`` from ``size_dispatch``
     and its ``simulate``, equal bit for bit, ledger included."""
-    sized, out = _sizing_pass(mix, data, params)
-    if params.battery_charges_from_dispatch:
-        return sized, simulate(sized, data, params)
-    return sized, _summarize(sized, data, DispatchTrace(data.demand.values, out, data.dt_hours))
-
-
-def sized_energy(
-    mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS
-) -> tuple[CapacityMix, float, float]:
-    """Size one mix; return ``(sized mix, served TWh, dispatch TWh)``.
-
-    The result equals bit for bit the mix and the ``served_energy_twh``
-    and ``dispatch_energy_twh`` of ``sized_simulation``.  The sized
-    ``dispatch_gw`` and both energies are read from the ledgers of its
-    balance passes alone, so mixes whose passes agree get the same three
-    figures; ``SizingTable`` relies on this to answer a mix from another
-    mix's pass.
-    """
-    return _sized_energy(mix, data, params)[0]
-
-
-def _sized_energy(
-    mix: CapacityMix, data: AlignedDataset, params: SimParams
-) -> tuple[tuple[CapacityMix, float, float], NDArray[np.float64]]:
-    """``sized_energy`` and the ledger of its sizing pass."""
-    sized, out = _sizing_pass(mix, data, params)
-    if params.battery_charges_from_dispatch:
-        result = simulate(sized, data, params)
-        return (sized, result.served_energy_twh, result.dispatch_energy_twh), out
-    # a sized mix leaves nothing unserved
-    dt = data.dt_hours
-    return (sized, _twh(data.demand.values, dt), _twh(out[_kernels.ROW_DISPATCH], dt)), out
-
-
-def _shared(mix: CapacityMix, sized: tuple[CapacityMix, float, float]):
-    """``mix`` sized by a pass run for another mix with the same ledger."""
-    return replace(mix, dispatch_gw=sized[0].dispatch_gw), sized[1], sized[2]
+    sized, trace = _sized(mix, data, params)
+    return sized, _summarize(sized, data, trace)
 
 
 # The fields of a mix that its sizing reads, in field order; dispatch_gw is replaced.
@@ -387,15 +359,17 @@ _never_full_key = operator.attrgetter(
 
 
 class SizingTable:
-    """``sized_energy`` memoized per mix for one dataset and one ``SimParams``.
+    """Sized mixes memoized for one dataset and one ``SimParams``.
 
-    A mix's sizing depends on its capacities, the data and the params, never
+    ``sized_energy(mix)`` returns bit for bit the mix and the
+    ``served_energy_twh`` and ``dispatch_energy_twh`` of
+    ``sized_simulation``, read off the same ledger.  A mix's sizing depends on its capacities, the data and the params, never
     on a cost book, so searches that differ only in their books can share
     one table and size each mix once.  An entry is keyed by the ``repr`` of
     every field of the mix but ``dispatch_gw``, which sizing replaces:
     ``repr`` tells apart every two distinct floats, ``-0.0`` and ``0.0``
     included, and an int from the equal float, so a hit returns bit for bit
-    what ``sized_energy`` would return for the mix given.
+    what a fresh sizing of the mix given would.
 
     A mix met for the first time shares the balance pass of an earlier mix
     where the two sizings must agree bit for bit, by one of two rules, and
@@ -422,11 +396,10 @@ class SizingTable:
     def __init__(self, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
+        self._demand_twh = _twh(data.demand.values, data.dt_hours)
         self._entries: dict[str, tuple[CapacityMix, float, float]] = {}
-        # the storage-free pass of each wind, PV and baseload (rule 1), and
-        # the peak SOC of each never-full pass with its sizing (rule 2)
-        self._storage_free: dict[str, tuple[CapacityMix, float, float]] = {}
-        self._never_full: dict[str, tuple[float, tuple[CapacityMix, float, float]]] = {}
+        # the figures of each shared pass, by rule 1's or rule 2's key
+        self._passes: dict[str, tuple[float | None, float, float, float]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -440,8 +413,8 @@ class SizingTable:
             raise ValueError(f"the sizing table was built for {self.params!r}, not {params!r}")
 
     def sized_energy(self, mix: CapacityMix) -> tuple[CapacityMix, float, float]:
-        """``sized_energy(mix, data, params)``, sized once per key, from a
-        shared pass where one of the two rules holds."""
+        """``(sized mix, served TWh, dispatch TWh)``, sized once per key,
+        from a shared pass where one of the two rules holds."""
         key = repr(_sizing_key(mix))
         hit = self._entries.get(key)
         if hit is None:
@@ -449,30 +422,30 @@ class SizingTable:
         return hit
 
     def _size(self, mix: CapacityMix) -> tuple[CapacityMix, float, float]:
-        data, params = self.data, self.params
+        params = self.params
         energy = mix.battery_energy_gwh
         start = params.initial_soc_fraction * energy
-        if _kernels._battery_is_idle(mix.battery_power_gw, energy, start):
-            key = repr(_storage_free_key(mix))
-            if key not in self._storage_free:
-                self._storage_free[key] = _sized_energy(mix, data, params)[0]
-            return _shared(mix, self._storage_free[key])
         empty_start = start == 0.0 and math.copysign(1.0, start) > 0.0
-        if params.battery_charges_from_dispatch or not empty_start:
-            return _sized_energy(mix, data, params)[0]
-        key = repr(_never_full_key(mix))
-        never_full = self._never_full.get(key)
-        if never_full is not None and self._never_fills(mix, never_full[0]):
-            return _shared(mix, never_full[1])
-        sized, out = _sized_energy(mix, data, params)
-        peak = float(np.max(out[_kernels.ROW_SOC]))
-        if self._never_fills(mix, peak):
-            self._never_full[key] = peak, sized
-        return sized
+        never_full = empty_start and not params.battery_charges_from_dispatch
+        if _kernels._battery_is_idle(mix.battery_power_gw, energy, start):
+            key, never_full = repr(_storage_free_key(mix)), False
+        else:
+            key = repr(_never_full_key(mix)) if never_full else None
+        shared = self._passes.get(key)
+        if shared is None or not self._never_fills(mix, shared[0]):
+            sized, trace = _sized(mix, self.data, params)
+            peak = float(np.max(trace.soc_gwh)) if never_full else None
+            served = self._demand_twh - trace.unserved_energy_twh
+            shared = peak, sized.dispatch_gw, served, trace.dispatch_energy_twh
+            if key is not None and self._never_fills(mix, peak):
+                self._passes[key] = shared
+        _, dispatch_gw, served, dispatched = shared
+        return replace(mix, dispatch_gw=dispatch_gw), served, dispatched
 
-    def _never_fills(self, mix: CapacityMix, peak_soc: float) -> bool:
-        """Whether ``mix``'s battery never fills in a pass that peaks at ``peak_soc``."""
-        return _kernels._capacity_never_binds(
+    def _never_fills(self, mix: CapacityMix, peak_soc: float | None) -> bool:
+        """Whether ``mix``'s battery never fills in a pass that peaks at
+        ``peak_soc``; an idle battery's pass has no peak and fits its key."""
+        return peak_soc is None or _kernels._capacity_never_binds(
             float(mix.battery_power_gw),
             float(mix.battery_energy_gwh),
             float(self.params.round_trip_efficiency),

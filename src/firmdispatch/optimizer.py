@@ -13,7 +13,7 @@ Every point, coarse or refined, goes through one memoized point function,
 keyed by its coordinates rounded to 1e-9: a point met again, in the grid
 or in refinement, is a cache hit and is neither sized nor recorded twice.
 A new point is sized through a ``dispatch.SizingTable`` and priced with
-``costing.cost_from_energy``.  The table memoizes ``sized_energy`` by the
+``costing.cost_from_energy``.  The table memoizes each sizing by the
 exact coordinates and baseload of a mix.  Sizing never reads the cost
 book, so searches that differ only in their books can share one table,
 and a mix one of them sized costs the others no balance pass.  A mix

@@ -456,6 +456,27 @@ def test_cli_bad_setting_exits_two_before_the_dataset_is_read(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("line", "message"),
     [
+        (
+            "interest_rate: 1e-320",
+            "interest_rate must move 1.0 + interest_rate above 1.0, got 1e-320",
+        ),
+        (
+            "life_wind_years: 10000",
+            "life_wind_years must keep (1 + interest_rate) ** life_wind_years finite, got 10000",
+        ),
+    ],
+)
+def test_cli_cost_book_crf_cannot_take_exits_two(tmp_path, capsys, line, message):
+    conf = _write_conf(tmp_path, SMALL_SYNTH + line + "\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
         ("wind_gw_max: -5", "wind_gw range must satisfy 0 <= min <= max, got (0.0, -5.0)"),
         ("pv_gw_min: 3\npv_gw_max: 2", "pv_gw range must satisfy 0 <= min <= max, got (3.0, 2.0)"),
         (
@@ -631,6 +652,14 @@ def test_cli_traced_search_writes_its_winner_ledger_without_another_pass(
         assert (out / f"trace{suffix}.csv").read_bytes() == expected.read_bytes()
 
 
+def _week_conf(extra=""):
+    """``fixtures/week.conf`` with absolute dataset paths, then ``extra``."""
+    week = (FIXTURES / "week.conf").read_text(encoding="utf-8")
+    for name in ("demand.csv", "wind_cf.csv", "pv_cf.csv"):
+        week = week.replace(f": {name}", f": {FIXTURES / name}")
+    return week + extra
+
+
 # The week mix of tools/cli_cases.py; rigidity sizes a firm gap for it.
 _WEEK_MIX = "wind_gw: 40\npv_gw: 28\nbattery_power_gw: 20\nbattery_hours: 8\n"
 
@@ -651,11 +680,8 @@ def test_cli_trace_runs_no_balance_pass(tmp_path, monkeypatch, argv, extra):
     passes = []
     loop = _kernels.balance_loop
     monkeypatch.setattr(_kernels, "balance_loop", lambda *args: passes.append(1) or loop(*args))
-    week = (FIXTURES / "week.conf").read_text(encoding="utf-8")
-    for name in ("demand.csv", "wind_cf.csv", "pv_cf.csv"):
-        week = week.replace(f": {name}", f": {FIXTURES / name}")
     # half-charged storage lets pv-only's sun-only mix carry the first night
-    conf = _write_conf(tmp_path, week + "initial_soc_fraction: 0.5\n" + extra)
+    conf = _write_conf(tmp_path, _week_conf("initial_soc_fraction: 0.5\n" + extra))
     counts = {}
     for flags in ([], ["--trace"]):
         passes.clear()
@@ -664,6 +690,63 @@ def test_cli_trace_runs_no_balance_pass(tmp_path, monkeypatch, argv, extra):
         assert any(out.glob("trace*.csv")) == bool(flags)
         counts[tuple(flags)] = len(passes)
     assert counts[("--trace",)] == counts[()]
+
+
+# A synthetic year with a 72 h drought, the benchmark's year-low-storage
+# space on it, and a small grid on the default hours ladder.
+_YEAR = "synthetic_hours: 8760\nsynthetic_droughts: 139-211\nseed: 1\n"
+_YEAR_SPACE = """\
+wind_gw_max: 40
+wind_gw_step: 10
+pv_gw_max: 30
+pv_gw_step: 30
+battery_power_gw_max: 10
+battery_power_gw_step: 10
+battery_hours_ladder: 0,8,24
+refine_tolerance_gw: 5.1
+refine_tolerance_hours: 8.1
+"""
+_LADDER_SPACE = """\
+wind_gw_max: 40
+wind_gw_step: 20
+pv_gw_max: 30
+pv_gw_step: 15
+battery_power_gw_max: 10
+battery_power_gw_step: 5
+capex_battery_usd_per_kwh: 10
+refine_tolerance_gw: 2.5
+refine_tolerance_hours: 2.0
+"""
+
+# The balance passes each search runs, pinned so that a change to how
+# mixes are sized cannot add one unseen.
+_PASS_COUNTS = {
+    "year-low-storage": (["scenario", "low-storage"], _YEAR + _YEAR_SPACE, 32),
+    "year-ladder-optimize": (["optimize"], _YEAR + _LADDER_SPACE, 141),
+    "year-flag-ladder-optimize": (
+        ["optimize"],
+        _YEAR + _LADDER_SPACE + "battery_charges_from_dispatch: true\n",
+        369,
+    ),
+    "week-optimize": (["optimize"], _week_conf(), 125),
+    "week-residual-baseload": (
+        ["scenario", "residual-baseload"],
+        _week_conf("baseload_gw: 3\n"),
+        128,
+    ),
+}
+
+
+@pytest.mark.parametrize(("argv", "text", "count"), list(_PASS_COUNTS.values()), ids=list(_PASS_COUNTS))
+def test_cli_search_runs_its_pinned_number_of_balance_passes(
+    tmp_path, monkeypatch, argv, text, count
+):
+    passes = []
+    loop = _kernels.balance_loop
+    monkeypatch.setattr(_kernels, "balance_loop", lambda *args: passes.append(1) or loop(*args))
+    conf = _write_conf(tmp_path, text)
+    assert main(argv + ["--config", str(conf), "--out", str(tmp_path / "out")]) == 0
+    assert len(passes) == count
 
 
 def test_cli_scenario_residual_baseload_needs_baseload(tmp_path, capsys):

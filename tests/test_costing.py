@@ -38,6 +38,37 @@ def test_crf_validation():
             crf(0.08, years)
 
 
+def test_crf_rejects_a_rate_too_small_to_move_one_and_an_overflowing_growth():
+    # 1.0 + rate == 1.0 would divide by zero, and 1.08 ** 10000 overflows
+    for rate in (1e-320, 1e-17):
+        with pytest.raises(ValueError, match=r"^rate must move 1\.0 \+ rate above 1\.0"):
+            crf(rate, 30)
+    for years in (10000, 10**400):
+        with pytest.raises(ValueError, match=r"^\(1 \+ rate\) \*\* years overflows"):
+            crf(0.08, years)
+    # the smallest rate that moves 1.0 and the longest life that does not
+    # overflow at 8 % still give a factor
+    assert math.isfinite(crf(math.ulp(1.0), 30))
+    assert crf(0.08, 9222) == pytest.approx(0.08, rel=1e-15)
+
+
+def test_cost_book_rejects_what_crf_cannot_take_by_its_key():
+    with pytest.raises(ValueError) as raised:
+        CostBook(interest_rate=1e-320)
+    assert str(raised.value) == (
+        "interest_rate must move 1.0 + interest_rate above 1.0, got 1e-320"
+    )
+    for name in LIFETIMES:
+        with pytest.raises(ValueError) as raised:
+            CostBook(**{name: 10000})
+        assert str(raised.value) == (
+            f"{name} must keep (1 + interest_rate) ** {name} finite, got 10000"
+        )
+    # a lower rate takes the same life
+    book = CostBook(interest_rate=0.01, life_wind_years=10000)
+    assert crf(book.interest_rate, book.life_wind_years) == pytest.approx(0.01, rel=1e-15)
+
+
 def test_amortized_dispatch_capacity_charge():
     # 800 USD/kW at 8 % over 30 years comes to just over 71 USD/kW-yr
     annual = crf(0.08, 30) * 800.0

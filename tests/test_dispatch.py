@@ -25,7 +25,6 @@ from firmdispatch import dispatch
 from firmdispatch.dispatch import (
     TRACE_COLUMNS,
     DispatchTrace,
-    sized_energy,
     sized_simulation,
     write_trace_csv,
 )
@@ -330,13 +329,25 @@ def _sizing_draws(charge_from_dispatch):
             yield mix, data, params
 
 
+def _sized_figures(mix, data, params):
+    """The sized mix and its served and dispatch energy, by ``sized_simulation``."""
+    sized, result = sized_simulation(mix, data, params)
+    return sized, result.served_energy_twh, result.dispatch_energy_twh
+
+
 @pytest.mark.parametrize("charge_from_dispatch", [False, True])
 def test_sized_energy_matches_size_dispatch_and_simulate(charge_from_dispatch):
+    tables = {}
     for mix, data, params in _sizing_draws(charge_from_dispatch):
         sized = replace(mix, dispatch_gw=size_dispatch(mix, data, params))
         result = simulate(sized, data, params)
-        expected = (sized, result.served_energy_twh, result.dispatch_energy_twh)
-        assert repr(sized_energy(mix, data, params)) == repr(expected)
+        expected = repr((sized, result.served_energy_twh, result.dispatch_energy_twh))
+        # one table per draw, so later mixes may share earlier mixes' passes
+        table = tables.setdefault(id(data), SizingTable(data, params))
+        assert repr(table.sized_energy(mix)) == expected
+        # met again at another dispatch_gw, the mix is answered from the table
+        again = replace(mix, dispatch_gw=mix.dispatch_gw + 1.0)
+        assert repr(table.sized_energy(again)) == expected
 
 
 @pytest.mark.parametrize("charge_from_dispatch", [False, True])
@@ -412,8 +423,8 @@ def test_sizing_matches_balance_loop_bitwise(case):
     )
     want = ledger[_kernels.ROW_DISPATCH]
     with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
-        got = dispatch._sizing_pass(mix, data, params)[1]
-        sized, served, energy = sized_energy(mix, data, params)
+        got = dispatch._run_balance(mix, data, params, np.inf, False)._ledger
+        sized, served, energy = _sized_figures(mix, data, params)
     # a mix without battery energy skips the step loop, any other runs it
     assert steps.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
     assert np.array_equal(got.view(np.int64), ledger.view(np.int64))
@@ -639,11 +650,11 @@ def test_sizing_table_keeps_exact_coordinates_apart(monkeypatch):
         + [zero]
         + [replace(zero, **{name: -0.0}) for name in keyed]
     )
-    want = [repr(sized_energy(m, data, params)) for m in mixes]
+    want = [repr(_sized_figures(m, data, params)) for m in mixes]
     calls = []
-    fresh = dispatch._sized_energy
+    fresh = dispatch._sized
     monkeypatch.setattr(
-        dispatch, "_sized_energy", lambda *args: calls.append(repr(args[0])) or fresh(*args)
+        dispatch, "_sized", lambda *args: calls.append(repr(args[0])) or fresh(*args)
     )
     table = SizingTable(data, params)
     assert [repr(table.sized_energy(m)) for m in mixes] == want
@@ -680,8 +691,8 @@ def test_sizing_table_shares_a_pass_only_where_the_sizing_is_equal(monkeypatch, 
     # sizing by repr
     rng = np.random.default_rng(1900 + _ORDERS.index(order))
     calls = []
-    fresh = dispatch._sized_energy
-    monkeypatch.setattr(dispatch, "_sized_energy", lambda *args: calls.append(1) or fresh(*args))
+    fresh = dispatch._sized
+    monkeypatch.setattr(dispatch, "_sized", lambda *args: calls.append(1) or fresh(*args))
     hits = {"idle": 0, "never full": 0}
     for _ in range(30):
         data = random_dataset(rng, n_steps=int(rng.integers(24, 120)))
@@ -710,7 +721,7 @@ def test_sizing_table_shares_a_pass_only_where_the_sizing_is_equal(monkeypatch, 
                     before = len(calls)
                     got = table.sized_energy(mix)
                     ran = len(calls) > before
-                    assert repr(got) == repr(sized_energy(mix, data, params)), (mix, params)
+                    assert repr(got) == repr(_sized_figures(mix, data, params)), (mix, params)
                     if ran:
                         continue
                     start = params.initial_soc_fraction * mix.battery_energy_gwh
@@ -732,14 +743,14 @@ def test_sizing_table_shares_a_pass_at_a_margin_of_exactly_the_power(monkeypatch
         np.array([1.0, 1.0, 5.0, 5.0]), np.array([0.75, 0.5, 0.0, 0.0]), np.zeros(4)
     )
     params = SimParams(round_trip_efficiency=1.0)
-    calls = []
-    fresh = dispatch._sized_energy
-    monkeypatch.setattr(
-        dispatch, "_sized_energy", lambda mix, *rest: calls.append(mix) or fresh(mix, *rest)
-    )
-    table = SizingTable(data, params)
     big = CapacityMix(wind_gw=4.0, battery_power_gw=2.0, battery_hours=48.0)
     mixes = [replace(big, battery_hours=h) for h in (48.0, 2.5, math.nextafter(2.5, 0.0))]
-    for mix in mixes:
-        assert repr(table.sized_energy(mix)) == repr(fresh(mix, data, params)[0])
+    want = [repr(_sized_figures(mix, data, params)) for mix in mixes]
+    calls = []
+    fresh = dispatch._sized
+    monkeypatch.setattr(
+        dispatch, "_sized", lambda mix, *rest: calls.append(mix) or fresh(mix, *rest)
+    )
+    table = SizingTable(data, params)
+    assert [repr(table.sized_energy(mix)) for mix in mixes] == want
     assert calls == [mixes[0], mixes[2]]

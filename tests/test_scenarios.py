@@ -205,10 +205,8 @@ def test_low_storage_at_book_price_reproduces_base(week_data, tiny_space, base_r
 
 def test_low_storage_at_book_price_sizes_each_mix_once(week_data, tiny_space, monkeypatch):
     calls = []
-    sized_energy = dispatch._sized_energy
-    monkeypatch.setattr(
-        dispatch, "_sized_energy", lambda *args: calls.append(1) or sized_energy(*args)
-    )
+    sized = dispatch._sized
+    monkeypatch.setattr(dispatch, "_sized", lambda *args: calls.append(1) or sized(*args))
     per_search = []
     search = scenarios.optimize
 

@@ -166,6 +166,10 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
     )
     # a subnormal step asks for an infinite grid: a configuration error
     table["week-subnormal-step"] = (_config(week_conf, wind_gw_step="1e-320"), ["optimize"])
+    # a rate too small to move 1.0, and a life whose growth factor
+    # overflows: configuration errors, not a crash in the cost book
+    table["week-tiny-interest"] = (_config(week_conf, interest_rate="1e-320"), ["optimize"])
+    table["week-long-life"] = (_config(week_conf, life_wind_years=10000), ["optimize"])
     table["week-fuel-collision"] = (
         _config(week_conf, fuel_prices_usd_per_gj="10,10.0000001"),
         ["scenario", "fuel-sensitivity", "--trace"],
