@@ -153,11 +153,10 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
     ------
     ConfigError
         On syntax errors, unknown or repeated keys, unparseable values, an
-        inconsistent dataset specification, or a value ``validate`` rejects,
-        search bounds and the fixed mix among them.
-    ValueError
-        From ``SimParams``, ``CostBook`` or ``OptimizeOptions`` for a value
-        they reject.
+        inconsistent dataset specification, a value ``SimParams``,
+        ``CostBook`` or ``OptimizeOptions`` rejects (with that class's
+        message), or a value ``validate`` rejects, search bounds and the
+        fixed mix among them.
     """
     values: dict[str | None, dict[str, object]] = {}
     seen = set()
@@ -185,7 +184,10 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
 
     config = RunConfig(**values.pop(None, {}))
     for owner, settings in values.items():
-        setattr(config, owner, replace(getattr(config, owner), **settings))
+        try:
+            setattr(config, owner, replace(getattr(config, owner), **settings))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if base_dir is not None:
         base = Path(base_dir)
         for key in _PATH_KEYS:

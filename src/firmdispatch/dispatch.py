@@ -42,12 +42,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from . import _kernels
 from .profiles import AlignedDataset
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 TRACE_COLUMNS = (
     "step",

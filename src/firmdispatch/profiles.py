@@ -11,15 +11,19 @@ Units follow grid convention: demand in GW, capacity factors dimensionless in
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Sequence
+from itertools import filterfalse
+from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 KIND_DEMAND = "demand-GW"
 KIND_CAPACITY_FACTOR = "capacity-factor"
@@ -146,11 +150,18 @@ def load_series(
     """Read one series from CSV.
 
     The CSV must have a header row including exactly one ``value`` column;
-    spaces around header names are ignored.  A ``timestamp`` column, if
-    present, is carried as opaque text and ignored.  Blank lines are
+    spaces around header names are ignored.  Any other column, such as a
+    ``timestamp``, is carried as opaque text and ignored.  Blank lines are
     skipped, and error messages give the line number in the file.
     Capacity factors within ``CF_CLAMP_TOL`` of the [0, 1] bounds are clamped
     to the bound; demand gets no such tolerance.
+
+    The shape ``dump_series`` writes, a lone ``value`` header over one
+    ASCII number per line with LF or CRLF endings and no ``"``, is read
+    without csv, by one ``float`` per undecoded line.  Any other shape, and
+    any such text with a fault in it, is decoded and read row by row with
+    ``csv.reader``; both give every value as ``float`` of its cell, bit
+    for bit.
 
     Parameters
     ----------
@@ -171,8 +182,9 @@ def load_series(
     Raises
     ------
     ValueError
-        On malformed CSV, a missing or repeated ``value`` column, empty
-        input, non-finite or out-of-range values.
+        On malformed CSV (a cell longer than ``csv.field_size_limit()``), a
+        missing or repeated ``value`` column, empty input, non-finite or
+        out-of-range values.
     """
     if isinstance(source, bytes):
         raw = source
@@ -185,44 +197,77 @@ def load_series(
         raw = source.read()
         name = label or getattr(source, "name", "<stream>")
 
-    text = raw.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{name}: empty input, expected a CSV header row")
-    fields = [f.strip() for f in header]
-    if "value" not in fields:
-        raise ValueError(f"{name}: no 'value' column in header {header!r}")
-    if fields.count("value") > 1:
-        raise ValueError(f"{name}: more than one 'value' column in header {header!r}")
-    column = fields.index("value")
-
-    values: list[float] = []
-    for row in reader:
-        if not row:  # a blank line
-            continue
-        cell = row[column] if column < len(row) else ""
-        if cell.strip() == "":
-            raise ValueError(f"{name}: missing value on line {reader.line_num}")
-        try:
-            x = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"{name}: unparseable value {cell!r} on line {reader.line_num}"
-            ) from None
-        if not math.isfinite(x):
-            raise ValueError(f"{name}: non-finite value on line {reader.line_num}")
-        values.append(x)
-    if not values:
-        raise ValueError(f"{name}: no data rows")
-
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _read_value_only(raw)
+    if arr is None:
+        arr = np.asarray(_read_rows(raw.decode("utf-8-sig"), name), dtype=np.float64)
     if kind == KIND_CAPACITY_FACTOR:
         # Rounding noise just outside the bounds is clamped, real excursions are not.
         low = (arr < 0.0) & (arr >= -CF_CLAMP_TOL)
         high = (arr > 1.0) & (arr <= 1.0 + CF_CLAMP_TOL)
         arr = np.where(low, 0.0, np.where(high, 1.0, arr))
     return TimeSeries(values=arr, dt_hours=dt_hours, kind=kind, label=label or name)
+
+
+_BLANK_LINES = frozenset((b"\n", b"\r\n"))
+
+
+def _read_value_only(raw: bytes) -> NDArray[np.float64] | None:
+    r"""The values of CSV bytes with a lone ``value`` header, or None.
+
+    None leaves the text to ``_read_rows``: a text of another shape, a line
+    ``float`` cannot read (a quoted or non-ASCII cell among them), a
+    non-finite value or no rows.  A ``\r`` outside ``\r\n`` ends a csv row
+    but not a ``float``, so it is left there too.
+    """
+    body = raw.removeprefix(codecs.BOM_UTF8)
+    if not body.startswith((b"value\n", b"value\r\n")) or (
+        b"\r" in body and body.count(b"\r") != body.count(b"\r\n")
+    ):
+        return None
+    lines = io.BytesIO(body)
+    next(lines)  # the header
+    try:
+        arr = np.fromiter(map(float, filterfalse(_BLANK_LINES.__contains__, lines)), np.float64)
+    except ValueError:
+        return None
+    return arr if arr.size and np.isfinite(arr).all() else None
+
+
+def _read_rows(text: str, name: str) -> list[float]:
+    """The ``value`` cells of CSV ``text``, checked row by row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{name}: empty input, expected a CSV header row")
+        fields = [f.strip() for f in header]
+        if "value" not in fields:
+            raise ValueError(f"{name}: no 'value' column in header {header!r}")
+        if fields.count("value") > 1:
+            raise ValueError(f"{name}: more than one 'value' column in header {header!r}")
+        column = fields.index("value")
+
+        values: list[float] = []
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            cell = row[column] if column < len(row) else ""
+            if cell.strip() == "":
+                raise ValueError(f"{name}: missing value on line {reader.line_num}")
+            try:
+                x = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{name}: unparseable value {cell!r} on line {reader.line_num}"
+                ) from None
+            if not math.isfinite(x):
+                raise ValueError(f"{name}: non-finite value on line {reader.line_num}")
+            values.append(x)
+    except csv.Error as exc:
+        raise ValueError(f"{name}: malformed CSV on line {reader.line_num}: {exc}") from None
+    if not values:
+        raise ValueError(f"{name}: no data rows")
+    return values
 
 
 def dump_series(series: TimeSeries) -> str:

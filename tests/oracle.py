@@ -8,11 +8,19 @@ from that simulation with ``system_cost``: two balance passes where
 ``rigidity_sweep`` is the rigidity search as a plain sweep: it checks the
 unscaled demand, then probes every multiplier ``1.0 + k * step`` in order
 until one fails, where ``run_rigidity`` may double and bisect.
+
+``load_series`` reads every series row by row with ``csv.reader``, where
+``profiles.load_series`` reads the value-only shape without csv.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from dataclasses import replace
+
+import numpy as np
 
 from firmdispatch import (
     AlignedDataset,
@@ -27,7 +35,13 @@ from firmdispatch import (
 from firmdispatch.costing import DEFAULT_BOOK, cost_from_energy
 from firmdispatch.dispatch import DEFAULT_PARAMS
 from firmdispatch.optimizer import Evaluation
-from firmdispatch.profiles import demand_stats, scale_demand
+from firmdispatch.profiles import (
+    CF_CLAMP_TOL,
+    KIND_CAPACITY_FACTOR,
+    TimeSeries,
+    demand_stats,
+    scale_demand,
+)
 from firmdispatch.scenarios import RIGIDITY_MAX_MULTIPLIER, RigidityReport
 
 
@@ -94,3 +108,46 @@ def rigidity_sweep(
         mix=sized,
         result=result,
     )
+
+
+def load_series(raw: bytes, kind: str, dt_hours: float = 1.0, label: str = "") -> TimeSeries:
+    """Read one series from CSV bytes, every row through ``csv.reader``."""
+    name = label or "<bytes>"
+    text = raw.decode("utf-8-sig")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{name}: empty input, expected a CSV header row")
+    fields = [f.strip() for f in header]
+    if "value" not in fields:
+        raise ValueError(f"{name}: no 'value' column in header {header!r}")
+    if fields.count("value") > 1:
+        raise ValueError(f"{name}: more than one 'value' column in header {header!r}")
+    column = fields.index("value")
+
+    values: list[float] = []
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        cell = row[column] if column < len(row) else ""
+        if cell.strip() == "":
+            raise ValueError(f"{name}: missing value on line {reader.line_num}")
+        try:
+            x = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{name}: unparseable value {cell!r} on line {reader.line_num}"
+            ) from None
+        if not math.isfinite(x):
+            raise ValueError(f"{name}: non-finite value on line {reader.line_num}")
+        values.append(x)
+    if not values:
+        raise ValueError(f"{name}: no data rows")
+
+    arr = np.asarray(values, dtype=np.float64)
+    if kind == KIND_CAPACITY_FACTOR:
+        # Rounding noise just outside the bounds is clamped, real excursions are not.
+        low = (arr < 0.0) & (arr >= -CF_CLAMP_TOL)
+        high = (arr > 1.0) & (arr <= 1.0 + CF_CLAMP_TOL)
+        arr = np.where(low, 0.0, np.where(high, 1.0, arr))
+    return TimeSeries(values=arr, dt_hours=dt_hours, kind=kind, label=label or name)

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -264,9 +267,8 @@ def test_every_key_names_exactly_one_field():
     ],
 )
 def test_parse_config_settings_are_checked_by_their_class(line, message):
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(ConfigError) as raised:
         parse_config("synthetic_hours: 48\n" + line + "\n")
-    assert type(raised.value) is ValueError
     assert str(raised.value) == message
 
 
@@ -448,9 +450,31 @@ def test_cli_bad_setting_exits_two_before_the_dataset_is_read(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["optimize", "--config", str(conf), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "invalid input: round_trip_efficiency must be in (0, 1], got 2.0\n"
+        "configuration error: round_trip_efficiency must be in (0, 1], got 2.0\n"
     )
     assert not out.exists()
+
+
+def test_cli_series_cell_longer_than_csv_holds_exits_two(tmp_path, capsys):
+    lines = (FIXTURES / "demand.csv").read_text().splitlines()
+    lines[4] = "1" * 140_000  # reads as inf, so the row walk meets it
+    (tmp_path / "demand.csv").write_text("\n".join(lines) + "\n")
+    for name in ("wind_cf.csv", "pv_cf.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    conf = _write_conf(tmp_path, (FIXTURES / "week.conf").read_text() + _WEEK_MIX)
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: demand.csv: malformed CSV on line 5: "
+        "field larger than field limit (131072)\n"
+    )
+
+
+def test_cli_import_leaves_numpy_typing_unloaded():
+    code = "import sys, firmdispatch.cli; print('numpy.typing' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize(
@@ -470,7 +494,7 @@ def test_cli_cost_book_crf_cannot_take_exits_two(tmp_path, capsys, line, message
     conf = _write_conf(tmp_path, SMALL_SYNTH + line + "\n")
     out = tmp_path / "out"
     assert main(["optimize", "--config", str(conf), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 

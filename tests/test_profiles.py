@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from firmdispatch import (
     KIND_CAPACITY_FACTOR,
@@ -21,7 +24,8 @@ from firmdispatch.profiles import (
     synthesize_dataset,
 )
 
-from conftest import random_dataset
+import oracle
+from conftest import FIXTURES, random_dataset
 
 
 def test_timeseries_basic_contract():
@@ -160,6 +164,122 @@ def test_load_series_clamps_rounding_noise_only():
     # demand gets no clamp tolerance
     with pytest.raises(ValueError, match="negative"):
         load_series(f"value\n{-CF_CLAMP_TOL / 2}\n".encode(), KIND_DEMAND)
+
+
+
+def _count_csv_readers(monkeypatch):
+    """The argument tuples of every ``csv.reader`` call from here on."""
+    calls = []
+    reader = csv.reader
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting)
+    return calls
+
+
+def test_load_series_reads_a_value_only_file_without_csv(monkeypatch):
+    text = (FIXTURES / "demand.csv").read_bytes()
+    expected = oracle.load_series(text, KIND_DEMAND).values.view(np.int64).tolist()
+    calls = _count_csv_readers(monkeypatch)
+    for raw in (text, text.replace(b"\n", b"\r\n"), b"\xef\xbb\xbf" + text + b"\n\n"):
+        assert load_series(raw, KIND_DEMAND).values.view(np.int64).tolist() == expected
+    assert calls == []
+
+
+def test_load_series_reads_other_shapes_and_faults_row_by_row(monkeypatch):
+    calls = _count_csv_readers(monkeypatch)
+    assert load_series(b'value\n"1.5"\n2\n', KIND_DEMAND).values.tolist() == [1.5, 2.0]
+    assert len(calls) == 1
+    # a lone \r ends a csv row, so the space before it is a row of its own
+    with pytest.raises(ValueError, match="missing value on line 2"):
+        load_series(b"value\n \r1.5\n", KIND_DEMAND)
+    with pytest.raises(ValueError, match="non-finite value on line 3"):
+        load_series(b"value\n1\n1e999\n", KIND_DEMAND)
+    with pytest.raises(ValueError, match="missing value on line 3"):
+        load_series(b"value\n1\n  \n", KIND_DEMAND)
+    assert len(calls) == 4
+
+
+def test_load_series_names_the_line_of_a_cell_csv_cannot_hold():
+    long_cell = "0" * 140_000 + "1"
+    assert len(long_cell) > csv.field_size_limit()
+    # read without csv, as float reads it
+    ts = load_series(f"value\n2\n{long_cell}\n".encode(), KIND_DEMAND)
+    assert ts.values.tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError) as raised:
+        load_series(f'value\n"2"\n{long_cell}\n'.encode(), KIND_DEMAND, label="d.csv")
+    assert str(raised.value) == (
+        "d.csv: malformed CSV on line 3: field larger than field limit (131072)"
+    )
+
+
+_NOISE = [b + s * k * CF_CLAMP_TOL for b in (0.0, 1.0) for s in (-1, 1) for k in (0.5, 2.0)]
+_FAULTS = [
+    "nan", "inf", "-inf", "1e999", "1_0", "+1.5", "-0.25", "-0.0", " 2.5 ", "\t3", "0x1",
+    "abc", "1,5", "", "  ", '"0.5"', '"0.5', '" 7"', "1e-3",
+    "١", "\u00a00.5", "0.5\u2009", "\u2028", "\x00", "\r0.5", " \r0.5",
+]
+
+
+@st.composite
+def _series_texts(draw):
+    """CSV bytes in many shapes, each with at most one faulty cell, and the
+    kind to read them as."""
+    header = draw(
+        st.one_of(
+            st.just("value"),
+            st.just("value"),
+            st.sampled_from(
+                ["value", " value ", "timestamp,value", "value,timestamp", "timestamp, value ",
+                 '"value"', "val", "value,value"]
+            ),
+        )
+    )
+    columns = [name.strip(' "') for name in header.split(",")]
+    column = columns.index("value") if "value" in columns else 0
+    cell = st.one_of(
+        st.floats(0.0, 1.0).map(repr),
+        st.floats(0.0, 1.0).map(lambda x: f" {x:.6g}"),
+        st.sampled_from(_NOISE).map(repr),
+    )
+    cells = draw(st.lists(cell, max_size=8))
+    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
+    if fault is not None:
+        cells.insert(draw(st.integers(0, len(cells))), fault)
+    blanks = [""] if draw(st.integers(0, 2)) else ["", " ", "\t"]
+    endings = [["\n"], ["\r\n"], ["\n", "\r\n"]]
+    if not draw(st.integers(0, 3)):  # a lone \r, which csv splits a row at
+        endings = [["\n", "\r"], ["\r"], ["\r\n", "\r"]]
+    ends = draw(st.sampled_from(endings))
+    lines = [header]
+    for text in cells:
+        lines.extend(draw(st.lists(st.sampled_from(blanks), max_size=1)))
+        lines.append(",".join(["t0"] * column + [text] + ["t0"] * (len(columns) - column - 1)))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = draw(st.sampled_from(["", "", "\ufeff", "\ufeff\ufeff"]))
+    kind = draw(st.sampled_from([KIND_DEMAND, KIND_CAPACITY_FACTOR]))
+    return (bom + text).encode("utf-8"), kind
+
+
+def _outcome(load, raw, kind):
+    try:
+        ts = load(raw, kind, 1.0, "s.csv")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ts.values.view(np.int64).tolist(), ts.label
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_series_texts())
+@example((b"value\n \r0.5\n", KIND_DEMAND))  # csv reads a blank cell before the \r
+def test_load_series_matches_the_row_walk_oracle(case):
+    raw, kind = case
+    assert _outcome(load_series, raw, kind) == _outcome(oracle.load_series, raw, kind)
 
 
 def test_dump_series_round_trips_exactly():

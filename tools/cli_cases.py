@@ -122,6 +122,16 @@ LADDER_SPACE = {
 }
 # An oversized PV + battery mix that serves the drought year.
 OVERSIZED_PV_MIX = {"pv_gw": 60, "battery_power_gw": 32, "battery_hours": 120}
+# Each fixture series by the week.conf key that names it.  The inputs also
+# hold each one as shaped-<name>, in the other shapes load_series reads.
+SERIES_KEYS = dict(zip(("demand_csv", "wind_cf_csv", "pv_cf_csv"), DATASET))
+
+
+def shaped(series: str) -> str:
+    """A value-only series with a BOM, CRLF endings, a ``timestamp``
+    column, quoted cells and a blank line after its first row."""
+    rows = [f'{hour},"{value}"' for hour, value in enumerate(series.splitlines()[1:])]
+    return "\ufeff" + "\r\n".join(["timestamp,value", rows[0], "", *rows[1:]]) + "\r\n"
 
 
 def _config(base: str, **keys) -> str:
@@ -152,6 +162,11 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         ["scenario", "rigidity", "--trace"],
     )
     table["week-all-settings"] = (_config(week_conf, **ALL_SETTINGS), ["optimize", "--trace"])
+    # the same series read row by row: the same outputs as week-optimize
+    table["week-shaped-csv-optimize"] = (
+        _config(week_conf, **{key: f"shaped-{name}" for key, name in SERIES_KEYS.items()}),
+        ["optimize", "--trace"],
+    )
     table["week-bad-setting"] = (
         _config(week_conf, round_trip_efficiency=2),
         ["optimize", "--trace"],
@@ -300,6 +315,8 @@ def run_table(src: Path, out_dir: Path) -> list[str]:
     (out_dir / "inputs").mkdir(parents=True, exist_ok=True)
     for name in DATASET:
         shutil.copyfile(ROOT / "fixtures" / name, out_dir / "inputs" / name)
+        series = (ROOT / "fixtures" / name).read_text(encoding="utf-8")
+        (out_dir / "inputs" / f"shaped-{name}").write_bytes(shaped(series).encode("utf-8"))
     week_conf = (ROOT / "fixtures" / "week.conf").read_text(encoding="utf-8")
     failed = []
     for name, (conf, case_args) in cases(week_conf).items():
