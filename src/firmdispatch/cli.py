@@ -2,10 +2,12 @@
 
 Three commands share one configuration format: ``simulate`` runs a fixed
 mix, ``optimize`` searches for the least-cost mix, and ``scenario <name>``
-runs one of the named studies.  Every run writes ``run_manifest``, a
-resolved configuration that reproduces the run byte for byte, alongside
-``report.csv`` and, where a search ran, ``trajectory.csv``.  ``--trace``
-adds the per-step ledger behind the report as ``trace.csv``; every report
+runs one of the named studies.  One runner per command reads all it needs
+from the resolved configuration and returns its reports, each with its
+file suffix and the search behind it.  From those alone every run writes
+``report.csv``, a ``trajectory.csv`` per search, and ``run_manifest``, a
+resolved configuration that reproduces the run byte for byte.  ``--trace``
+adds the per-step ledger behind each report as ``trace.csv``; every report
 carries the result it was read from, so writing the ledger runs no pass.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration or data validation
@@ -25,16 +27,17 @@ from .config import (
     ConfigError,
     RunConfig,
     _fixed_mix,
-    _search_space,
     parse_config,
     render_manifest,
     resolve_space,
+    search_space,
 )
-from .dispatch import DispatchResult, simulate, write_trace_csv
-from .optimizer import AXES, OptimResult, SearchSpace, optimize, write_trajectory_csv
+from .dispatch import simulate, write_trace_csv
+from .optimizer import OptimResult, optimize, write_trajectory_csv
 from .profiles import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
+    _decode_utf8,
     align,
     demand_stats,
     load_series,
@@ -92,102 +95,64 @@ def _load_dataset(config: RunConfig):
     return align(demand, wind, pv)
 
 
-def _space_from(config: RunConfig) -> SearchSpace:
-    # Only a zero peak leaves a step of the power axes unset; say so, and
-    # name the keys that would have scaled from it.
-    keys = [
-        f"{axis}_{end}"
-        for axis in AXES[:-1]
-        if getattr(config, f"{axis}_step") is None
-        for end in ("max", "step")
-        if not getattr(config, f"{axis}_{end}")
-    ]
-    if keys:
-        raise ConfigError(
-            "peak demand is 0 GW, so the search bounds cannot be scaled from it: "
-            "set " + ", ".join(keys) + " in the configuration"
-        )
-    return _search_space(config)
-
-
-class _Output(NamedTuple):
-    """A trajectory (where a search ran) and the result whose ledger ``--trace``
-    writes, named by file suffix; the result is the one a report was built from."""
-
-    suffix: str
-    optim: OptimResult | None
-    result: DispatchResult
-
-
 class _Outcome(NamedTuple):
-    """A run's report and, in write order, the outputs that go beside it."""
+    """A run's reports in write order, each with its file suffix and the
+    search it came from (None where none ran), and rows that follow them."""
 
-    report: ScenarioReport | list[ScenarioReport] | RigidityReport
-    outputs: list[_Output]
+    reports: list[tuple[str, ScenarioReport | RigidityReport, OptimResult | None]]
     extra_rows: Sequence[tuple[str, float, str]] = ()
 
 
-def _simulate(config, data, params, book, options) -> _Outcome:
+def _searched(run, config: RunConfig, data, **knobs):
+    """What the searching scenario ``run`` returns with the configuration's settings."""
+    space = search_space(config)
+    return run(data, config.params, config.book, space=space, options=config.options, **knobs)
+
+
+def _simulate(config, data) -> _Outcome:
     mix = _fixed_mix(config)
     if mix is None:
-        raise ConfigError(
-            "simulate needs a fixed mix: set at least one of " + ", ".join(MIX_KEYS)
-        )
-    report = build_report(mix, simulate(mix, data, params), data, label="simulate")
-    return _Outcome(report, [_Output("", None, report.result)])
+        raise ConfigError("simulate needs a fixed mix: set at least one of " + ", ".join(MIX_KEYS))
+    report = build_report(mix, simulate(mix, data, config.params), data, label="simulate")
+    return _Outcome([("", report, None)])
 
 
-def _optimize(config, data, params, book, options) -> _Outcome:
-    optim = optimize(_space_from(config), data, params, book, options)
+def _optimize(config, data) -> _Outcome:
+    optim = optimize(search_space(config), data, config.params, config.book, config.options)
     report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
-    return _Outcome(report, [_Output("", optim, report.result)])
+    return _Outcome([("", report, optim)])
 
 
-def _base(config, data, params, book, options) -> _Outcome:
-    report, optim = run_base(data, params, book, space=_space_from(config), options=options)
-    return _Outcome(report, [_Output("", optim, report.result)])
+def _base(config, data) -> _Outcome:
+    report, optim = _searched(run_base, config, data)
+    return _Outcome([("", report, optim)])
 
 
-def _low_storage(config, data, params, book, options) -> _Outcome:
+def _low_storage(config, data) -> _Outcome:
     price = config.battery_price_usd_per_kwh
-    report, delta, optim = run_low_storage(
-        data, params, book, space=_space_from(config), battery_price=price, options=options
-    )
-    return _Outcome(report, [_Output("", optim, report.result)], low_storage_extra_rows(delta))
+    report, delta, optim = _searched(run_low_storage, config, data, battery_price=price)
+    return _Outcome([("", report, optim)], low_storage_extra_rows(delta))
 
 
-def _pv_only(config, data, params, book, options) -> _Outcome:
-    report = run_pv_only(data, params)
-    return _Outcome(report, [_Output("", None, report.result)])
+def _pv_only(config, data) -> _Outcome:
+    return _Outcome([("", run_pv_only(data, config.params), None)])
 
 
-def _rigidity(config, data, params, book, options) -> _Outcome:
-    mix = _fixed_mix(config)
-    if mix is None:
-        mix = run_pv_only(data, params).mix
-    report = run_rigidity(mix, data, params, step=config.rigidity_step)
-    return _Outcome(report, [_Output("", None, report.result)])
+def _rigidity(config, data) -> _Outcome:
+    mix = _fixed_mix(config) or run_pv_only(data, config.params).mix
+    return _Outcome([("", run_rigidity(mix, data, config.params, step=config.rigidity_step), None)])
 
 
-def _residual_baseload(config, data, params, book, options) -> _Outcome:
+def _residual_baseload(config, data) -> _Outcome:
     if config.baseload_gw <= 0.0:
         raise ConfigError("residual-baseload needs baseload_gw > 0 in the configuration")
-    baseload = {"baseload_gw": config.baseload_gw, "eaf": config.baseload_eaf}
-    report, optim = run_residual_baseload(
-        data, params, book, space=_space_from(config), options=options, **baseload
-    )
-    return _Outcome(report, [_Output("", optim, report.result)])
+    report, optim = _searched(run_residual_baseload, config, data)
+    return _Outcome([("", report, optim)])
 
 
-def _fuel_sensitivity(config, data, params, book, options) -> _Outcome:
-    prices = config.fuel_prices_usd_per_gj
-    runs = run_fuel_sensitivity(
-        data, params, book, space=_space_from(config), fuel_prices=prices, options=options
-    )
-    return _Outcome(
-        [report for _, report, _ in runs],
-        [_Output(f"_fuel_{price:g}", optim, report.result) for price, report, optim in runs],
-    )
+def _fuel_sensitivity(config, data) -> _Outcome:
+    runs = _searched(run_fuel_sensitivity, config, data, fuel_prices=config.fuel_prices_usd_per_gj)
+    return _Outcome([(f"_fuel_{price:g}", report, optim) for price, report, optim in runs])
 
 
 # One runner per command, or per scenario under the scenario command.
@@ -205,13 +170,10 @@ _RUNNERS = {
 
 def _run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    text = config_path.read_text(encoding="utf-8")
+    text = _decode_utf8(config_path.read_bytes(), config_path.name, ConfigError)
     config = parse_config(text, base_dir=config_path.parent.resolve())
 
-    if args.out is not None:
-        config.output_dir = os.path.abspath(args.out)
-    else:
-        config.output_dir = os.path.abspath(config.output_dir)
+    config.output_dir = os.path.abspath(config.output_dir if args.out is None else args.out)
     config.command = args.command
     config.scenario = args.name if args.command == "scenario" else None
 
@@ -220,22 +182,23 @@ def _run(args: argparse.Namespace) -> int:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[args.name if args.command == "scenario" else args.command]
-    outcome = runner(config, data, config.params, config.book, config.options)
+    runner = _RUNNERS[config.scenario or config.command]
+    outcome = runner(config, data)
 
-    if isinstance(outcome.report, RigidityReport):
-        write_rigidity_csv(out_dir / "report.csv", outcome.report)
+    reports = [report for _, report, _ in outcome.reports]
+    if isinstance(reports[0], RigidityReport):
+        write_rigidity_csv(out_dir / "report.csv", reports[0])
     else:
-        write_report_csv(out_dir / "report.csv", outcome.report, extra_rows=outcome.extra_rows)
+        write_report_csv(out_dir / "report.csv", reports, extra_rows=outcome.extra_rows)
     written = ["report.csv"]
-    for output in outcome.outputs:
-        if output.optim is not None:
-            name = f"trajectory{output.suffix}.csv"
-            write_trajectory_csv(output.optim, out_dir / name)
+    for suffix, report, optim in outcome.reports:
+        if optim is not None:
+            name = f"trajectory{suffix}.csv"
+            write_trajectory_csv(optim, out_dir / name)
             written.append(name)
         if args.trace:
-            name = f"trace{output.suffix}.csv"
-            write_trace_csv(output.result.trace, out_dir / name)
+            name = f"trace{suffix}.csv"
+            write_trace_csv(report.result.trace, out_dir / name)
             written.append(name)
 
     (out_dir / "run_manifest").write_text(render_manifest(config), encoding="utf-8")

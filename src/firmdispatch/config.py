@@ -9,7 +9,8 @@ their values when the file is parsed.  The search bounds that are set and
 the fixed mix are checked then too, by ``SearchSpace`` and ``CapacityMix``,
 and the scenario knobs by the scenarios' own checks, whatever the command.
 Once the dataset is loaded, ``resolve_space`` scales the unset search
-bounds from its peak demand and checks the whole space again.
+bounds from its peak demand and checks the whole space again, and
+``search_space`` builds the space a search command searches.
 ``render_manifest`` writes a resolved configuration back out in the same
 format, so a run manifest is itself a valid configuration that reproduces
 the run.
@@ -30,6 +31,12 @@ from .scenarios import SCENARIO_NAMES, _check_battery_price, _check_fuel_price, 
 # peak demand in coarse steps of a fixed fraction of peak.
 PEAK_MULTIPLES = {"wind_gw": 3.0, "pv_gw": 2.0, "battery_power_gw": 1.5}
 STEP_FRACTION_OF_PEAK = 0.1
+
+# The most hours a synthetic dataset may have.  A run holds about 0.26 kB an
+# hour (pv-only --trace at initial_soc_fraction 0.5 peaked at 38, 59 and 81 MB
+# for 8,760, 87,600 and 175,200 h, the searches no higher; CPython 3.11, numpy
+# 2.4, x86-64), so 7.8 M hours fit in 2 GB; a million, 114 years, leave room.
+MAX_SYNTHETIC_HOURS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -219,8 +226,10 @@ def validate(config: RunConfig) -> None:
         raise ConfigError(
             f"synthetic datasets are hourly, dt_hours must be 1.0, got {config.dt_hours!r}"
         )
-    if config.synthetic_hours is not None and config.synthetic_hours < 24:
-        raise ConfigError(f"synthetic_hours must be at least 24, got {config.synthetic_hours}")
+    hours = config.synthetic_hours
+    if hours is not None and not 24 <= hours <= MAX_SYNTHETIC_HOURS:
+        bound = "at least 24" if hours < 24 else f"at most {MAX_SYNTHETIC_HOURS}"
+        raise ConfigError(f"synthetic_hours must be {bound}, got {hours}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
@@ -247,7 +256,8 @@ def resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
     """A copy of ``config`` with its unset search bounds scaled from peak
     demand, which ``validate`` checks again: a set min above a scaled max,
     or a grid too fine to search, raises ``ConfigError``.  At a zero peak
-    the steps stay unset: a max of 0.0 is a bound, but a step of 0.0 is not."""
+    the steps stay unset: a max of 0.0 is a bound, but a step of 0.0 is not,
+    so ``search_space`` refuses to search them."""
     updates = {}
     for axis, multiple in PEAK_MULTIPLES.items():
         if getattr(config, f"{axis}_max") is None:
@@ -257,6 +267,25 @@ def resolve_space(config: RunConfig, peak_gw: float) -> RunConfig:
     resolved = replace(config, **updates)
     validate(resolved)
     return resolved
+
+
+def search_space(config: RunConfig) -> SearchSpace:
+    """The space a search command searches, from a resolved configuration.
+    Only a zero peak leaves a step unset, and then ``ConfigError`` names
+    the keys that would have scaled from it."""
+    keys = [
+        f"{axis}_{end}"
+        for axis in PEAK_MULTIPLES
+        if getattr(config, f"{axis}_step") is None
+        for end in ("max", "step")
+        if not getattr(config, f"{axis}_{end}")
+    ]
+    if keys:
+        raise ConfigError(
+            "peak demand is 0 GW, so the search bounds cannot be scaled from it: "
+            "set " + ", ".join(keys) + " in the configuration"
+        )
+    return _search_space(config)
 
 
 def _search_space(config: RunConfig) -> SearchSpace:

@@ -208,9 +208,8 @@ def optimize(
     if table is None:
         table = SizingTable(data, params)
     table.check(data, params)
-    # Each point searched, by rounded coordinates, with its sized mix and cost.
+    # Each point searched, by rounded coordinates, with its sized mix and cost, in search order.
     cache: dict[tuple[float, float, float, float], tuple[CapacityMix, SystemCost]] = {}
-    trajectory: list[tuple[CapacityMix, float]] = []
 
     def point(coords: tuple[float, float, float, float]) -> tuple[CapacityMix, SystemCost]:
         key = _cache_key(*coords)
@@ -223,7 +222,6 @@ def optimize(
             )
             sized, served, energy = table.sized_energy(mix)
             hit = cache[key] = (sized, cost_from_energy(sized, served, energy, book))
-            trajectory.append((sized, hit[1].unit_cost_usd_per_mwh))
         return hit
 
     # min keeps the first of equal points, so grid order breaks exact ties.
@@ -260,6 +258,7 @@ def optimize(
 
     best_mix, best_cost = best
     winner = Evaluation(mix=best_mix, result=simulate(best_mix, data, params), cost=best_cost)
+    trajectory = [(mix, cost.unit_cost_usd_per_mwh) for mix, cost in cache.values()]
     return OptimResult(best=winner, trajectory=trajectory)
 
 

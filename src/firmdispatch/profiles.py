@@ -199,7 +199,8 @@ def load_series(
 
     arr = _read_value_only(raw)
     if arr is None:
-        arr = np.asarray(_read_rows(raw.decode("utf-8-sig"), name), dtype=np.float64)
+        text = _decode_utf8(raw, name).removeprefix("\ufeff")
+        arr = np.asarray(_read_rows(text, name), dtype=np.float64)
     if kind == KIND_CAPACITY_FACTOR:
         # Rounding noise just outside the bounds is clamped, real excursions are not.
         low = (arr < 0.0) & (arr >= -CF_CLAMP_TOL)
@@ -231,6 +232,16 @@ def _read_value_only(raw: bytes) -> NDArray[np.float64] | None:
     except ValueError:
         return None
     return arr if arr.size and np.isfinite(arr).all() else None
+
+
+def _decode_utf8(raw: bytes, name: str, error: type[ValueError] = ValueError) -> str:
+    """``raw`` as UTF-8 text, or ``error`` naming ``name`` and the line of its first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start] + b"_").splitlines())
+        bad = f"byte 0x{raw[exc.start]:02x} on line {line} is not UTF-8 ({exc.reason})"
+        raise error(f"{name}: {bad}") from None
 
 
 def _read_rows(text: str, name: str) -> list[float]:

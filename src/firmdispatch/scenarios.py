@@ -5,7 +5,8 @@ the least-cost system look like (base), does cheap storage displace firm
 capacity (low-storage), how much PV and battery would a solar-only system
 need (pv-only), how close to its limit does such a system run (rigidity),
 what changes when legacy baseload stays online (residual-baseload), and how
-does the answer move with fuel price (fuel-sensitivity).
+does the answer move with fuel price (fuel-sensitivity).  The four that
+search take their ``SearchSpace`` whole: residual-baseload's plant is in it.
 
 pv-only and rigidity each look for the threshold of a feasibility test
 that is monotone in one quantity: the least PV, the least battery energy,
@@ -350,18 +351,15 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     when a search ends within its resolution of zero, and no probe runs
     twice.  Reported battery power is the largest charge or discharge flow
     actually used, so the reported mix reproduces the zero-unserved result.
+    At zero peak demand every PV above zero is past the bound and passes
+    unsimulated, so the search sizes the empty mix in four balance passes.
 
     Raises
     ------
     InfeasibleError
         If no PV up to a million times peak demand serves all demand.
     """
-    stats = demand_stats(data.demand)
-    peak = stats.peak_gw
-    if peak == 0.0:
-        zero = _pv_probe_mix(0.0, 0.0, 0.0)
-        return build_report(zero, simulate(zero, data, params), data, label="pv-only")
-
+    peak = demand_stats(data.demand).peak_gw
     pv_cap = 1e6 * peak
     huge_energy = 1e9 * max(peak, 1.0)
 
@@ -485,16 +483,14 @@ def run_residual_baseload(
     book: CostBook = DEFAULT_BOOK,
     *,
     space: SearchSpace,
-    baseload_gw: float = 10.0,
-    eaf: float = 0.70,
     options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> tuple[ScenarioReport, OptimResult]:
     """Least-cost mix when legacy baseload stays online at a flat EAF.
 
-    Baseload is must-run and free in the objective; only the wind, PV,
-    battery, and firm additions are costed and searched.
+    The baseload plant is the one ``space`` carries, ``space.baseload_gw``
+    at ``space.baseload_eaf``.  It is must-run and free in the objective;
+    only the wind, PV, battery, and firm additions are costed and searched.
     """
-    space = replace(space, baseload_gw=baseload_gw, baseload_eaf=eaf)
     optim = optimize(space, data, params, book, options)
     report = build_report(optim.best.mix, optim.best.result, data, label="residual-baseload")
     return report, optim

@@ -114,6 +114,7 @@ def test_parse_config_dataset_rules():
     [
         ("dt_hours: 0.25", "dt_hours"),
         ("synthetic_hours: 12", "at least 24"),
+        ("synthetic_hours: 1000001", "at most 1000000"),
         ("seed: -1", "nonnegative"),
         ("rigidity_step: 0", "rigidity_step"),
         ("rigidity_step: 1.5", "rigidity_step"),
@@ -467,6 +468,42 @@ def test_cli_series_cell_longer_than_csv_holds_exits_two(tmp_path, capsys):
         "invalid input: demand.csv: malformed CSV on line 5: "
         "field larger than field limit (131072)\n"
     )
+
+
+def test_cli_series_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys):
+    (tmp_path / "demand.csv").write_bytes(b"value\n\xff\n")
+    for name in ("wind_cf.csv", "pv_cf.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    conf = _write_conf(tmp_path, (FIXTURES / "week.conf").read_text() + _WEEK_MIX)
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: demand.csv: byte 0xff on line 2 is not UTF-8 (invalid start byte)\n"
+    )
+
+
+def test_cli_config_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys):
+    conf = tmp_path / "latin.conf"
+    conf.write_bytes(SMALL_SYNTH.encode() + "# café\nwind_gw: 10\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: latin.conf: byte 0xe9 on line 10 is not UTF-8 "
+        "(invalid continuation byte)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hours", [1_000_001, 1_000_000_000_000])
+def test_cli_synthetic_hours_past_the_bound_exit_two_before_any_allocation(
+    tmp_path, capsys, hours
+):
+    conf = _write_conf(tmp_path, f"synthetic_hours: {hours}\nwind_gw: 10\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: synthetic_hours must be at most 1000000, got {hours}\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_import_leaves_numpy_typing_unloaded():

@@ -282,6 +282,25 @@ def test_load_series_matches_the_row_walk_oracle(case):
     assert _outcome(load_series, raw, kind) == _outcome(oracle.load_series, raw, kind)
 
 
+@pytest.mark.parametrize(
+    ("raw", "message"),
+    [
+        (b"value\n\xff\n", "byte 0xff on line 2 is not UTF-8 (invalid start byte)"),
+        (
+            b"\xef\xbb\xbftimestamp,value\r\n0,1\r\n1,\xe9\r\n",
+            "byte 0xe9 on line 3 is not UTF-8 (invalid continuation byte)",
+        ),
+        # a lone \r ends a line, as it ends a csv row
+        (b"value\r0.5\r\xc3", "byte 0xc3 on line 3 is not UTF-8 (unexpected end of data)"),
+    ],
+)
+def test_load_series_names_the_line_of_a_byte_that_is_not_utf8(raw, message):
+    with pytest.raises(ValueError) as raised:
+        load_series(raw, KIND_DEMAND, 1.0, "s.csv")
+    assert raised.type is ValueError
+    assert str(raised.value) == f"s.csv: {message}"
+
+
 def test_dump_series_round_trips_exactly():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -304,10 +304,15 @@ def test_pv_only_infeasible_without_sun():
         run_pv_only(data)
 
 
-def test_pv_only_zero_demand_short_circuits():
+@pytest.mark.parametrize("soc_fraction", [0.0, 0.5])
+def test_pv_only_zero_demand_searches_to_the_empty_mix(soc_fraction):
+    # a zero peak caps PV at zero: every PV above it passes unsimulated, so
+    # zero PV is probed once, then the tight and zero energies, then the mix
     data = _flat_dataset(0.0, 0.0, 1.0, n_steps=24)
-    report = run_pv_only(data)
+    passes, report = _pv_only_passes(data, soc_fraction)
+    assert passes == 4
     assert report.label == "pv-only"
+    assert report.mix == CapacityMix()
     assert report.pv_gw == 0.0
     assert report.battery_power_gw == 0.0
     assert report.annual_demand_twh == 0.0
@@ -729,9 +734,8 @@ def test_rigidity_probes_at_a_fine_step():
 
 
 def test_residual_baseload_report(week_data, tiny_space):
-    report, optim = run_residual_baseload(
-        week_data, space=tiny_space, baseload_gw=10.0, eaf=0.7
-    )
+    space = replace(tiny_space, baseload_gw=10.0, baseload_eaf=0.7)
+    report, optim = run_residual_baseload(week_data, space=space)
     assert report.label == "residual-baseload"
     assert report.baseload_gw == 10.0
     assert report.baseload_eaf_pct == pytest.approx(70.0)
@@ -746,9 +750,8 @@ def test_residual_baseload_report(week_data, tiny_space):
 
 
 def test_residual_baseload_covering_demand_needs_no_dispatch(week_data, tiny_space):
-    report, optim = run_residual_baseload(
-        week_data, space=tiny_space, baseload_gw=20.0, eaf=1.0, options=COARSE_ONLY
-    )
+    space = replace(tiny_space, baseload_gw=20.0, baseload_eaf=1.0)
+    report, optim = run_residual_baseload(week_data, space=space, options=COARSE_ONLY)
     assert report.net_peak_gw == 0.0
     assert report.dispatch_gw == 0.0
     assert report.dispatch_energy_twh == 0.0
@@ -757,7 +760,8 @@ def test_residual_baseload_covering_demand_needs_no_dispatch(week_data, tiny_spa
 
 def test_residual_baseload_zero_matches_base(week_data, tiny_space, base_run):
     _, base_optim = base_run
-    report, optim = run_residual_baseload(week_data, space=tiny_space, baseload_gw=0.0, eaf=0.7)
+    space = replace(tiny_space, baseload_gw=0.0, baseload_eaf=0.7)
+    report, optim = run_residual_baseload(week_data, space=space)
     best, base_best = optim.best.mix, base_optim.best.mix
     assert (best.wind_gw, best.pv_gw, best.battery_power_gw, best.battery_hours) == (
         base_best.wind_gw,
@@ -770,10 +774,11 @@ def test_residual_baseload_zero_matches_base(week_data, tiny_space, base_run):
 
 
 def test_residual_baseload_rejects_bad_inputs(week_data, tiny_space):
+    # the space carries the plant, and checks it
     with pytest.raises(ValueError, match="baseload_gw"):
-        run_residual_baseload(week_data, space=tiny_space, baseload_gw=-1.0)
+        run_residual_baseload(week_data, space=replace(tiny_space, baseload_gw=-1.0))
     with pytest.raises(ValueError, match="eaf"):
-        run_residual_baseload(week_data, space=tiny_space, eaf=1.2)
+        run_residual_baseload(week_data, space=replace(tiny_space, baseload_eaf=1.2))
 
 
 # ===================== fuel sensitivity =====================
@@ -850,11 +855,8 @@ def _scenario_runs(name, data, space, params):
     if name == "pv-only":
         return [(run_pv_only(data, params), None)]
     if name == "residual-baseload":
-        return [
-            run_residual_baseload(
-                data, params, space=space, baseload_gw=10.0, eaf=0.7, options=COARSE_ONLY
-            )
-        ]
+        plant = replace(space, baseload_gw=10.0, baseload_eaf=0.7)
+        return [run_residual_baseload(data, params, space=plant, options=COARSE_ONLY)]
     runs = run_fuel_sensitivity(
         data, params, space=space, fuel_prices=(20.0, 10.0), options=COARSE_ONLY
     )
@@ -931,9 +933,8 @@ def test_write_report_csv_single(tmp_path, week_data, base_run):
 
 def test_write_report_csv_side_by_side(tmp_path, week_data, tiny_space, base_run):
     base_report, _ = base_run
-    residual_report, _ = run_residual_baseload(
-        week_data, space=tiny_space, baseload_gw=10.0, eaf=0.7, options=COARSE_ONLY
-    )
+    space = replace(tiny_space, baseload_gw=10.0, baseload_eaf=0.7)
+    residual_report, _ = run_residual_baseload(week_data, space=space, options=COARSE_ONLY)
     path = tmp_path / "pair.csv"
     write_report_csv(path, [base_report, residual_report])
     rows = _read_csv(path)

@@ -189,10 +189,20 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config(week_conf, fuel_prices_usd_per_gj="10,10.0000001"),
         ["scenario", "fuel-sensitivity", "--trace"],
     )
+    # a baseload plant off the default availability: the search carries both
+    table["week-residual-eaf"] = (
+        _config(week_conf, baseload_gw=3, baseload_eaf=0.9),
+        ["scenario", "residual-baseload", "--trace"],
+    )
     # a set min above the max scaled from peak demand: a configuration
     # error, though simulate runs no search
     table["synth-min-above-scaled-max"] = (
         _config("", synthetic_hours=48, pv_gw_min=100, wind_gw=30),
+        ["simulate"],
+    )
+    # one hour past the bound: a configuration error before any allocation
+    table["synth-too-many-hours"] = (
+        _config("", synthetic_hours=1_000_001, wind_gw=30),
         ["simulate"],
     )
     table["year-low-storage"] = (
