@@ -5,20 +5,21 @@ charge or discharge is clamped it cannot be vectorized across time.
 Everything else in a step can: ``balance_loop`` runs a pass in three
 stages.
 
-1. Baseload, renewables to demand, the surplus and the residual demand
-   depend only on the step's inputs, so they are whole-array numpy
-   expressions.
-2. ``_battery_steps`` walks only the surplus and the residual and writes
-   the charge, the discharge and the state of charge.  With
-   ``charge_from_dispatch`` off and a charged start it first runs
-   ``_running_sum_prefix``: until a clamp binds, the state of charge is a
-   numpy running sum of the steps' flows.  With the flag off and an empty
-   start of +0.0, the battery stays empty until the first step with
-   surplus.  From the first clamp on (or from that surplus, or from the
-   start), it steps as plain Python on Python floats, and only where the
-   battery can move: a surplus into a full battery and a deficit on an
-   empty one change nothing, so those steps skip the charge and the
-   discharge.
+1. Baseload, renewables to demand, the surplus, the residual demand and
+   the signed flow ``ren_gen - (demand - base)`` depend only on the step's
+   inputs, so they are whole-array numpy expressions.  The flow is the
+   surplus where it is positive and the residual negated where it is
+   negative, bit for bit (``a - b`` is exactly ``-(b - a)``); a zero flow,
+   of either sign, is a step with neither.
+2. ``_battery_steps`` walks only the flow and writes the charge, the
+   discharge and the state of charge.  With ``charge_from_dispatch`` off
+   and a charged start it first runs ``_running_sum_prefix``: until a
+   clamp binds, the state of charge is a numpy running sum of the steps'
+   flows.  From the first clamp on (or from the start), it steps as plain
+   Python on Python floats, and only where the battery can move: a surplus
+   into a full battery and a deficit on an empty one change nothing, so
+   those steps skip the charge and the discharge.  An empty start thus
+   walks its deficits cheaply until the first surplus.
 3. Curtailment, dispatch and unserved demand follow from those rows as
    whole arrays again.
 
@@ -113,6 +114,7 @@ def balance_loop(
 
     base = np.where(baseload_out > demand, demand, baseload_out)
     residual = demand - base
+    flow = ren_gen - residual  # the surplus where positive, the residual negated where negative
     to_demand = np.where(ren_gen > residual, residual, ren_gen)
     residual -= to_demand
     surplus = ren_gen - to_demand
@@ -124,8 +126,7 @@ def balance_loop(
         out[ROW_SOC] = soc0
     else:
         _battery_steps(
-            surplus,
-            residual,
+            flow,
             float(dt),
             float(battery_power),
             battery_energy_cap,
@@ -144,8 +145,7 @@ def balance_loop(
 
 
 def _battery_steps(
-    surplus,
-    residual,
+    flow,
     dt,
     battery_power,
     battery_energy_cap,
@@ -155,23 +155,24 @@ def _battery_steps(
     charge_from_dispatch,
     out,
 ):
-    """Step the battery through the surplus and the residual demand.
+    """Step the battery through the signed flow: surplus above zero, residual demand below.
 
     Writes the charge, top-up and discharge rows, which the caller zeroes,
     only in steps the battery acts, and the state of charge at every step.
     A step with surplus has no residual demand left, so it charges or it
-    discharges, never both.  ``battery_power`` is positive.  The running-sum
-    prefix writes the steps before the first clamp, and the loop the rest.
-    A battery that starts empty clamps at its first deficit, and top-ups
-    from spare dispatch are not in the sum, so the prefix is tried only
-    with a positive start and the flag off.
+    discharges, never both, and a zero flow does neither.  ``battery_power``
+    is positive.  The running-sum prefix writes the steps before the first
+    clamp, and the loop the rest.  A battery that starts empty clamps at
+    its first deficit, and top-ups from spare dispatch are not in the sum,
+    so the prefix is tried only with a positive start and the flag off.
 
     The loop steps only where the battery can move.  A surplus into a full
     battery would clamp its charge to a headroom of +0.0, and a deficit on
     an empty one its discharge to a stored energy of +0.0: the rows hold
     +0.0 already and the SOC would not change, so such a pinned step skips
-    the branch and writes only its SOC.  A top-up then sees the charge and
-    the discharge at 0.0, as after the branch.  A top-up from spare
+    the branch and writes only its SOC.  A pass that starts empty at +0.0
+    with the flag off is pinned so until its first surplus, and one without
+    surplus writes +0.0 at every step and no flow.  A top-up from spare
     dispatch into a full battery clamps to a headroom of +0.0 the same way,
     so it is skipped too.  Those zeros are -0.0 instead under a -0.0
     capacity (``-0.0 - 0.0``) or from a -0.0 start (``-0.0 / dt``).  The
@@ -179,10 +180,12 @@ def _battery_steps(
     ``signed``, moves ``full`` and ``empty`` out of reach for those passes,
     and they step every step with no sign test per step.
 
-    With the flag off, a pass that starts at +0.0 (and is not ``signed``)
-    steps from its first surplus: every step before it is a deficit on the
-    empty battery or idle, a pinned step that keeps the SOC at +0.0 and
-    writes no flow.  A pass without surplus steps nothing.
+    The top-up reads the step's charge and discharge from their rows, not
+    from the loop's locals, which may still hold an earlier step's: a row
+    holds what the branch wrote, or the caller's +0.0 where no branch ran
+    or a pinned step skipped it, which is what the branch would have left.
+    The residual demand the top-up leaves to dispatch is the flow negated
+    in a deficit, and +0.0 otherwise.
 
     The loop has no floors at zero.  ``balance_loop`` checks that the start
     lies in ``[0, battery_energy_cap]`` and the clamps keep the SOC there,
@@ -190,7 +193,7 @@ def _battery_steps(
     clamped to them; a -0.0 is not below zero, so a floor never changed a
     value.
 
-    Inputs are read and rows written through memoryviews, so the steps run
+    The flow is read and rows written through memoryviews, so the steps run
     on Python floats: indexing a numpy array yields numpy scalars, whose
     arithmetic costs several times more.
     """
@@ -200,16 +203,10 @@ def _battery_steps(
     empty = -math.inf if signed else 0.0
 
     start = 0
-    if not charge_from_dispatch:
-        if soc > 0.0:
-            start, soc = _running_sum_prefix(
-                surplus, residual, dt, battery_power, battery_energy_cap, efficiency, soc, out
-            )
-        elif not signed:
-            # an empty battery stays pinned at +0.0 until its first surplus
-            charging = np.flatnonzero(surplus > 0.0)
-            start = int(charging[0]) if charging.shape[0] else surplus.shape[0]
-            out[ROW_SOC, :start] = 0.0
+    if soc > 0.0 and not charge_from_dispatch:
+        start, soc = _running_sum_prefix(
+            flow, dt, battery_power, battery_energy_cap, efficiency, soc, out
+        )
 
     charge_row = memoryview(out[ROW_CHARGE_FROM_REN])
     charge_extra_row = memoryview(out[ROW_CHARGE_FROM_DISPATCH])
@@ -217,13 +214,10 @@ def _battery_steps(
     soc_row = memoryview(out[ROW_SOC])
     efficiency_dt = efficiency * dt
 
-    steps = zip(memoryview(surplus)[start:], memoryview(residual)[start:])
-    for t, (excess, deficit) in enumerate(steps, start):
-        charge = 0.0
-        discharge = 0.0
-        if excess > 0.0:
+    for t, step in enumerate(memoryview(flow)[start:], start):
+        if step > 0.0:
             if soc < full:
-                charge = excess
+                charge = step
                 if charge > battery_power:
                     charge = battery_power
                 headroom = (battery_energy_cap - soc) / efficiency_dt
@@ -233,8 +227,8 @@ def _battery_steps(
                 if soc > battery_energy_cap:
                     soc = battery_energy_cap
                 charge_row[t] = charge
-        elif deficit > 0.0 and soc > empty:
-            discharge = deficit
+        elif step < 0.0 and soc > empty:
+            discharge = -step
             if discharge > battery_power:
                 discharge = battery_power
             available = soc / dt
@@ -243,17 +237,16 @@ def _battery_steps(
             soc -= discharge * dt
             if soc < 0.0:
                 soc = 0.0
-            deficit -= discharge
             discharge_row[t] = discharge
 
         # top up from spare dispatch only in steps the battery is not
         # discharging; simultaneous charge and discharge would be churn
-        if charge_from_dispatch and discharge == 0.0 and soc < full:
-            dispatched = deficit
+        if charge_from_dispatch and soc < full and discharge_row[t] == 0.0:
+            dispatched = -step if step < 0.0 else 0.0
             if dispatched > dispatch_cap:
                 dispatched = dispatch_cap
             spare = dispatch_cap - dispatched
-            power_left = battery_power - charge
+            power_left = battery_power - charge_row[t]
             if spare > 0.0 and power_left > 0.0:
                 charge_extra = spare
                 if charge_extra > power_left:
@@ -284,19 +277,18 @@ def _capacity_never_binds(battery_power, battery_energy_cap, efficiency, dt, pea
     return (battery_energy_cap - peak_soc) / (efficiency * dt) >= battery_power
 
 
-def _running_sum_prefix(
-    surplus, residual, dt, battery_power, battery_energy_cap, efficiency, soc0, out
-):
+def _running_sum_prefix(flow, dt, battery_power, battery_energy_cap, efficiency, soc0, out):
     """Write the battery rows up to the first step a clamp binds; return that step and its SOC.
 
-    Until then each step's flow is the surplus or the residual capped at
-    ``battery_power``, and the state of charge is a running sum of the
-    steps' increments.  Four checks of the step loop can change that:
-    headroom and overfill in a charging step, availability and underflow
-    in a discharging one.  Each is evaluated with the loop's own expression
-    on the accumulated SOC, and the step loop takes over at the first step
-    one binds (or at ``n`` if none does).  No flow is negative: an
-    unclamped flow is the least of two positives.
+    Until then a step with a positive flow charges it and one with a
+    negative flow discharges it negated, each capped at ``battery_power``,
+    and the state of charge is a running sum of the steps' increments.
+    Four checks of the step loop can change that: headroom and overfill in
+    a charging step, availability and underflow in a discharging one.  Each
+    is evaluated with the loop's own expression on the accumulated SOC, and
+    the step loop takes over at the first step one binds (or at ``n`` if
+    none does).  No charge or discharge is negative: an unclamped one is
+    the least of two positives.
 
     The sum is one ``np.add.accumulate``, which adds in step order, and a
     discharge adds ``-(discharge * dt)``, which IEEE 754 rounds as the
@@ -304,10 +296,10 @@ def _running_sum_prefix(
     -0.0 as it is; ``soc0`` is positive and a running sum that reaches zero
     reaches +0.0, so none is -0.0.
     """
-    charging = surplus > 0.0
-    discharging = ~charging & (residual > 0.0)
-    charge = np.where(surplus > battery_power, battery_power, surplus)
-    discharge = np.where(residual > battery_power, battery_power, residual)
+    charging = flow > 0.0
+    discharging = flow < 0.0
+    charge = np.where(flow > battery_power, battery_power, flow)
+    discharge = np.where(flow < -battery_power, battery_power, -flow)
     increments = np.where(charging, efficiency * charge * dt, 0.0)
     np.copyto(increments, -(discharge * dt), where=discharging)
     soc = np.add.accumulate(np.concatenate(([soc0], increments)))

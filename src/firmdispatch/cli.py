@@ -180,11 +180,11 @@ def _run(args: argparse.Namespace) -> int:
     data = _load_dataset(config)
     config = resolve_space(config, demand_stats(data.demand).peak_gw)
 
+    outcome = _RUNNERS[config.scenario or config.command](config, data)
+
+    # made after the runner, so a run that its own checks refuse leaves none
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.scenario or config.command]
-    outcome = runner(config, data)
-
     reports = [report for _, report, _ in outcome.reports]
     if isinstance(reports[0], RigidityReport):
         write_rigidity_csv(out_dir / "report.csv", reports[0])

@@ -19,6 +19,7 @@ the run.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -167,7 +168,8 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
     """
     values: dict[str | None, dict[str, object]] = {}
     seen = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n and \r only, the breaks profiles._decode_utf8 counts
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

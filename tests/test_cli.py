@@ -91,6 +91,11 @@ def test_parse_config_types_and_comments():
         ("synthetic_hours: 48\nbattery_charges_from_dispatch: maybe\n", r"line 2: bad value"),
         ("synthetic_hours: 48\nsynthetic_droughts: 10\n", r"start-end"),
         ("synthetic_hours: 48\nbattery_hours_ladder: ,\n", r"comma separated"),
+        # lines end at LF, CRLF and CR alone; a form feed stays inside its line
+        ("seed: 1\r\nseed: 2\r\n", r"line 2: repeated key 'seed'"),
+        ("seed: 1\rbogus\r", r"line 2: expected 'key: value', got 'bogus'"),
+        ("# a\x0cb\nbogus\n", r"line 2: expected 'key: value', got 'bogus'"),
+        ("synthetic_hours: 48\x0cseed: 5\nbogus\n", r"line 1: bad value for 'synthetic_hours'"),
     ],
 )
 def test_parse_config_syntax_errors(text, match):
@@ -453,6 +458,25 @@ def test_cli_bad_setting_exits_two_before_the_dataset_is_read(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: round_trip_efficiency must be in (0, 1], got 2.0\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["scenario", "residual-baseload"], "residual-baseload needs baseload_gw > 0"),
+        (["simulate"], "simulate needs a fixed mix"),
+    ],
+    ids=["residual-baseload", "simulate"],
+)
+def test_cli_runner_check_exits_two_and_leaves_no_output_directory(
+    tmp_path, capsys, command, message
+):
+    # the dataset loads, then the runner refuses the configuration
+    conf = _write_conf(tmp_path, "synthetic_hours: 48\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(conf), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,10 @@ def _oracle_case(rng, n, dt, cap, charge_from_dispatch, scalar, strided):
     ren = 25.0 * rng.random(n) * (rng.random(n) < 0.7)
     baseload_out = float(rng.choice([0.0, rng.uniform(0.0, 6.0)]))
     demand[rng.random(n) < 0.2] = baseload_out
+    # a further fifth of steps has generation equal to demand net of
+    # baseload, a flow of +0.0
+    tied = rng.random(n) < 0.2
+    ren[tied] = (demand - np.minimum(demand, baseload_out))[tied]
     battery_power = float(rng.choice([0.0, rng.uniform(0.0, 8.0)]))
     battery_energy = battery_power * float(rng.choice([0.0, 1.0, 4.0, 12.0]))
     soc0 = battery_energy * float(rng.choice([0.0, 1.0, rng.random()]))
@@ -222,24 +228,31 @@ def _kernel_calls(draw):
     """One ``balance_loop`` call whose draws reach the loop's ties and clamps.
 
     Steps may tie baseload to demand, or generation to the demand baseload
-    leaves.  The battery may have no power, or power and no hours (-0.0
-    hours too, whose signed zeros the step loop must keep), and it may
-    start empty, full, part full, at -0.0, or one charge short of full: the
-    first step then has no residual demand and a surplus of exactly the
-    headroom.
+    leaves, a flow of +0.0 (or -0.0, from -0.0 generation), and a quarter
+    of passes have no surplus at all.  The battery may have no power, or
+    power and no hours (-0.0 hours too, whose signed zeros the step loop
+    must keep), and it may start empty, full, part full, at -0.0, or one
+    charge short of full: the first step then has no residual demand and a
+    surplus of exactly the headroom.
     """
     n = draw(st.integers(1, 40))
     dt = draw(st.sampled_from([1.0, 0.5]))
     baseload = draw(st.one_of(st.just(0.0), st.floats(0.0, 25.0)))
     demand = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
     gen = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n)))
-    tie_kinds = st.sampled_from(["none", "none", "base", "gen", "both"])
+    tie_kinds = st.sampled_from(["none", "none", "base", "gen", "both", "-0.0"])
     ties = draw(st.lists(tie_kinds, min_size=n, max_size=n))
     for t, tie in enumerate(ties):
-        if tie in ("base", "both"):
+        if tie in ("base", "both", "-0.0"):
             demand[t] = baseload
         if tie in ("gen", "both"):
             gen[t] = demand[t] - (demand[t] if baseload > demand[t] else baseload)
+        if tie == "-0.0":
+            # -0.0 generation on demand the baseload meets: a flow of -0.0
+            gen[t] = -0.0
+    if draw(st.integers(0, 3)) == 0:
+        # no step with surplus: generation at most the demand baseload leaves
+        gen = np.minimum(gen, demand - np.minimum(demand, baseload))
 
     power = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(1.0, 10.0)))
     hours = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 4.0]), st.floats(0.0, 24.0)))
@@ -430,24 +443,27 @@ def test_prefix_is_not_tried_with_the_flag_on():
 # ===================== empty start =====================
 #
 # With the flag off, a battery that starts at +0.0 stays there until the
-# first step with surplus, so the step loop starts at that step; a pass
-# without surplus steps nothing.
+# first step with surplus: each step before it is a deficit on the empty
+# battery, which the step loop skips as pinned, or a flow of +0.0, which
+# takes no branch.  With the flag on, spare dispatch may top it up sooner.
 
 
 @pytest.mark.parametrize("hours", [0.0, -0.0, 4.0, 48.0])
 def test_empty_start_waits_for_the_first_surplus(hours):
     rng = np.random.default_rng(1340)
     n = 60
-    for first in (0, 1, 23, n - 1, n):
-        for start in (0.0, -0.0):
-            demand, ren = _swings(rng, n, 6.0)
-            # deficits and idle steps before the first surplus, none at all for n
-            ren[:first] = 0.0
-            if first < n:
-                demand[first], ren[first] = 0.0, float(rng.uniform(0.1, 6.0))
-            cap = 3.0 * hours
-            args = (demand, ren, 0.5, 0.0, 3.0, cap, 0.9, start * cap, 2.0, False)
-            got = _bitwise_ledger(args)
-            if hours and not np.signbit(start):
-                # +0.0 bits in every step before the first surplus
-                assert not np.any(got[ROW_SOC, :first].view(np.int64))
+    for first, start, charge_from_dispatch in itertools.product(
+        (0, 1, 23, n - 1, n), (0.0, -0.0), (False, True)
+    ):
+        demand, ren = _swings(rng, n, 6.0)
+        # deficits, idle steps and exact ties before the first surplus, none
+        # at all for n
+        ren[:first] = np.where(rng.random(first) < 0.3, demand[:first], 0.0)
+        if first < n:
+            demand[first], ren[first] = 0.0, float(rng.uniform(0.1, 6.0))
+        cap = 3.0 * hours
+        args = (demand, ren, 0.5, 0.0, 3.0, cap, 0.9, start * cap, 2.0, charge_from_dispatch)
+        got = _bitwise_ledger(args)
+        if hours and not np.signbit(start) and not charge_from_dispatch:
+            # +0.0 bits in every step before the first surplus
+            assert not np.any(got[ROW_SOC, :first].view(np.int64))

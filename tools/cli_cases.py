@@ -205,6 +205,9 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config("", synthetic_hours=1_000_001, wind_gw=30),
         ["simulate"],
     )
+    # a form feed ends no line, so synthetic_hours reads "48\fseed: 5": a
+    # configuration error on line 1
+    table["synth-form-feed"] = ("synthetic_hours: 48\x0cseed: 5\nwind_gw: 30\n", ["simulate"])
     table["year-low-storage"] = (
         _config("", **YEAR, **YEAR_SPACE),
         ["scenario", "low-storage", "--trace"],
