@@ -4,8 +4,9 @@ Three commands share one configuration format: ``simulate`` runs a fixed
 mix, ``optimize`` searches for the least-cost mix, and ``scenario <name>``
 runs one of the named studies.  One runner per command reads all it needs
 from the resolved configuration and returns its reports, each with its
-file suffix and the search behind it.  From those alone every run writes
-``report.csv``, a ``trajectory.csv`` per search, and ``run_manifest``, a
+file suffix and the search behind it, and any rows to follow them.  From
+those alone every run writes ``report.csv`` with one call, whatever the
+report kind, a ``trajectory.csv`` per search, and ``run_manifest``, a
 resolved configuration that reproduces the run byte for byte.  ``--trace``
 adds the per-step ledger behind each report as ``trace.csv``; every report
 carries the result it was read from, so writing the ledger runs no pass.
@@ -20,7 +21,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .config import (
     MIX_KEYS,
@@ -46,10 +47,10 @@ from .profiles import (
 from .scenarios import (
     SCENARIO_NAMES,
     InfeasibleError,
+    LowStorageDelta,
     RigidityReport,
     ScenarioReport,
     build_report,
-    low_storage_extra_rows,
     run_base,
     run_fuel_sensitivity,
     run_low_storage,
@@ -57,7 +58,6 @@ from .scenarios import (
     run_residual_baseload,
     run_rigidity,
     write_report_csv,
-    write_rigidity_csv,
 )
 
 EXIT_OK = 0
@@ -97,10 +97,10 @@ def _load_dataset(config: RunConfig):
 
 class _Outcome(NamedTuple):
     """A run's reports in write order, each with its file suffix and the
-    search it came from (None where none ran), and rows that follow them."""
+    search it came from (None where none ran), and a table to follow them."""
 
     reports: list[tuple[str, ScenarioReport | RigidityReport, OptimResult | None]]
-    extra_rows: Sequence[tuple[str, float, str]] = ()
+    extra: LowStorageDelta | None = None
 
 
 def _searched(run, config: RunConfig, data, **knobs):
@@ -131,7 +131,7 @@ def _base(config, data) -> _Outcome:
 def _low_storage(config, data) -> _Outcome:
     price = config.battery_price_usd_per_kwh
     report, delta, optim = _searched(run_low_storage, config, data, battery_price=price)
-    return _Outcome([("", report, optim)], low_storage_extra_rows(delta))
+    return _Outcome([("", report, optim)], delta)
 
 
 def _pv_only(config, data) -> _Outcome:
@@ -186,10 +186,7 @@ def _run(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = [report for _, report, _ in outcome.reports]
-    if isinstance(reports[0], RigidityReport):
-        write_rigidity_csv(out_dir / "report.csv", reports[0])
-    else:
-        write_report_csv(out_dir / "report.csv", reports, extra_rows=outcome.extra_rows)
+    write_report_csv(out_dir / "report.csv", reports, outcome.extra)
     written = ["report.csv"]
     for suffix, report, optim in outcome.reports:
         if optim is not None:

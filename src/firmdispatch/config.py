@@ -26,6 +26,7 @@ from pathlib import Path
 from .costing import DEFAULT_BOOK, CostBook
 from .dispatch import DEFAULT_PARAMS, CapacityMix, SimParams
 from .optimizer import DEFAULT_BATTERY_HOURS, DEFAULT_OPTIONS, OptimizeOptions, SearchSpace
+from .profiles import _check_drought_window
 from .scenarios import SCENARIO_NAMES, _check_battery_price, _check_fuel_price, _check_rigidity_step
 
 # Unset search bounds: each power axis runs from its min to a multiple of
@@ -235,16 +236,18 @@ def validate(config: RunConfig) -> None:
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
-    # The search bounds, ladder and baseload obey SearchSpace's rules, the
-    # fixed mix CapacityMix's, and the knobs their scenarios', whatever the
-    # command.
+    # The drought windows obey synthesize_dataset's rule, the search bounds,
+    # ladder and baseload SearchSpace's, the fixed mix CapacityMix's, and the
+    # knobs their scenarios', whatever the command.
     try:
+        for start, end in config.synthetic_droughts or ():
+            _check_drought_window(start, end, hours)
         _check_rigidity_step(config.rigidity_step)
         _search_space(config)
         _fixed_mix(config)
         _check_battery_price(config.battery_price_usd_per_kwh)
         for price in config.fuel_prices_usd_per_gj:
-            _check_fuel_price(price)
+            _check_fuel_price(price, config.book)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -26,7 +26,7 @@ class CostBook:
     Overnight capital is USD per kW for generators and USD per kWh for
     battery energy capacity.  Fixed O&M is USD per kW-year (battery O&M is
     charged on power).  Fuel enters as USD per GJ with a heat rate in GJ per
-    MWh of generation.
+    MWh of generation; their product, the fuel cost per MWh, must be finite.
     """
 
     capex_wind_usd_per_kw: float = 1200.0
@@ -50,6 +50,11 @@ class CostBook:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not math.isfinite(self.fuel_price_usd_per_gj * self.heat_rate_gj_per_mwh):
+            raise ValueError(
+                "fuel_price_usd_per_gj * heat_rate_gj_per_mwh must be finite, got "
+                f"{self.fuel_price_usd_per_gj!r} * {self.heat_rate_gj_per_mwh!r}"
+            )
         rate = self.interest_rate
         if not (0.0 < rate < 1.0):
             raise ValueError(f"interest_rate must be in (0, 1), got {rate!r}")

@@ -334,6 +334,16 @@ def _smooth(noise: NDArray[np.float64], width: int) -> NDArray[np.float64]:
     return np.convolve(padded, kernel, mode="same")[width:-width]
 
 
+def _check_drought_window(start: int, end: int, total_hours: int) -> None:
+    """Raise ``ValueError`` unless ``(start, end)`` is a nonempty half-open
+    window inside a synthetic series of ``total_hours``."""
+    if not (0 <= start < end <= total_hours):
+        raise ValueError(
+            f"drought window {start}-{end} must have 0 <= start < end <= synthetic_hours, "
+            f"got synthetic_hours {total_hours}"
+        )
+
+
 def synthesize_dataset(
     seed: int,
     total_hours: int,
@@ -383,10 +393,7 @@ def synthesize_dataset(
 
     if droughts:
         for start, end in droughts:
-            if not (0 <= start < end <= total_hours):
-                raise ValueError(
-                    f"drought window ({start}, {end}) outside series of {total_hours} hours"
-                )
+            _check_drought_window(start, end, total_hours)
             wind[start:end] = 0.0
             pv[start:end] = 0.0
 

@@ -18,8 +18,10 @@ to ``RIGIDITY_MAX_MULTIPLIER`` times its level; a mix that still serves it
 there is not storage-limited.  Each limit is part of its test: a value past
 it passes without a simulation, and an answer past it means none.
 
-Reports render to CSV with one row per figure, using the conventional table
-row labels, values at full precision.  Each row's label and unit are
+``write_report_csv`` renders every table to CSV, one row per figure with
+the conventional table row labels, values at full precision: scenario
+reports side by side, a rigidity report as one column, and the rows of a
+low-storage delta after its report.  Each row's label and unit are
 declared on its report field with ``_row``, and the rows follow the fields'
 order, so a table's row order is its report's field order.
 """
@@ -87,9 +89,14 @@ def _check_battery_price(price: float) -> None:
         raise ValueError(f"battery_price_usd_per_kwh must be finite and >= 0, got {price!r}")
 
 
-def _check_fuel_price(price: float) -> None:
+def _check_fuel_price(price: float, book: CostBook) -> None:
     if not (math.isfinite(price) and price > 0.0):
         raise ValueError(f"fuel_prices_usd_per_gj must be positive and finite, got {price!r}")
+    if not math.isfinite(price * book.heat_rate_gj_per_mwh):
+        raise ValueError(
+            "fuel_prices_usd_per_gj * heat_rate_gj_per_mwh must be finite, got "
+            f"{price!r} * {book.heat_rate_gj_per_mwh!r}"
+        )
 
 
 def _row(label: str, unit: str, baseload: bool = False, scale: float = 1.0):
@@ -152,18 +159,17 @@ class RigidityReport:
     dispatch_pct_of_average: float = _row("Percent of Average demand", "%")
     mix: CapacityMix = field(compare=False, repr=False)
     result: DispatchResult = field(compare=False, repr=False)
+    label: str = "value"
 
 
 @dataclass(frozen=True)
 class LowStorageDelta:
-    """Firm capacity comparison between base and cheap-storage optima."""
+    """Firm capacity of the base optimum and its change under cheap storage."""
 
     base_dispatch_gw: float = _row("Base Case Installed Dispatch", "GW")
     dispatch_delta_gw: float = _row("Installed Dispatch Change", "GW")
     base_dispatch_energy_twh: float = _row("Base Case Dispatch Energy", "TWh")
     battery_price_usd_per_kwh: float = _row("Storage Price", "USD/kWh")
-    dispatch_gw: float
-    dispatch_energy_twh: float
 
 
 def build_report(
@@ -273,10 +279,8 @@ def run_low_storage(
     delta = LowStorageDelta(
         battery_price_usd_per_kwh=battery_price,
         base_dispatch_gw=base_gw,
-        dispatch_gw=optim.best.mix.dispatch_gw,
         dispatch_delta_gw=optim.best.mix.dispatch_gw - base_gw,
         base_dispatch_energy_twh=base_twh,
-        dispatch_energy_twh=optim.best.result.dispatch_energy_twh,
     )
     return report, delta, optim
 
@@ -306,29 +310,24 @@ def _pv_only_probe(
     return trace, trace.unserved_energy_twh == 0.0 and closed
 
 
-def _least_passing(
-    passes: Callable[[float], bool],
-    first: float,
-    tol: float,
-    midpoint: Callable[[float, float], float] = lambda lo, hi: 0.5 * (lo + hi),
-) -> float:
+def _least_passing(passes: Callable[[float], bool], first: float, tol: float) -> float:
     """The least ``x >= 0`` that ``passes``, to within ``tol``, when passing
     is monotone in ``x``: int or float, as ``first`` is.
 
     Probes ``first``, doubling it until a probe passes, then halves the
-    bracket between the last failing probe and that one at ``midpoint``
-    until it is at most ``tol`` wide, and returns its passing end.  Zero
-    is probed last, and only when the bracket never left it: its lower end
-    is then zero, never probed, and the answer within ``tol`` of it.  No
-    value is probed twice.  A caller bounds the search by letting every
-    value past its limit pass without a simulation, and reads an answer
-    past that limit as none.
+    bracket between the last failing probe and that one at its midpoint,
+    rounded down for an int, until it is at most ``tol`` wide, and returns
+    its passing end.  Zero is probed last, and only when the bracket never
+    left it: its lower end is then zero, never probed, and the answer
+    within ``tol`` of it.  No value is probed twice.  A caller bounds the
+    search by letting every value past its limit pass without a
+    simulation, and reads an answer past that limit as none.
     """
     lo, hi = 0 * first, first
     while not passes(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > tol:
-        mid = midpoint(lo, hi)
+        mid = (lo + hi) // 2 if isinstance(first, int) else 0.5 * (lo + hi)
         if passes(mid):
             hi = mid
         else:
@@ -454,7 +453,7 @@ def run_rigidity(
     if params.battery_charges_from_dispatch:
         k = next(filter(fails, itertools.count()))
     else:
-        k = _least_passing(fails, 1, 1, lambda lo, hi: (lo + hi) // 2)
+        k = _least_passing(fails, 1, 1)
     if k == 0:
         raise ValueError("mix does not serve the baseline demand, rigidity is undefined")
     if not within_limit(k):
@@ -518,7 +517,7 @@ def run_fuel_sensitivity(
     if not prices:
         raise ValueError("fuel_prices must not be empty")
     for p in prices:
-        _check_fuel_price(p)
+        _check_fuel_price(p, book)
     repeated = [label for label, n in Counter(f"{p:g}" for p in prices).items() if n > 1]
     if repeated:
         raise ValueError(
@@ -548,17 +547,15 @@ def _rows(report, include_baseload: bool) -> list[tuple[str, float, str]]:
     return rows
 
 
-def write_report_csv(
-    path,
-    reports: ScenarioReport | Sequence[ScenarioReport],
-    extra_rows: Sequence[tuple[str, float, str]] = (),
-) -> None:
-    """Write one or more reports side by side as ``row,<label...>,unit`` CSV."""
-    if isinstance(reports, ScenarioReport):
+def write_report_csv(path, reports, extra=None) -> None:
+    """Write one or more reports of one kind side by side as
+    ``row,<label...>,unit`` CSV, then the row fields of ``extra``, if any,
+    in the first column.  Baseload rows show if a report carries baseload."""
+    if isinstance(reports, (ScenarioReport, RigidityReport)):
         reports = [reports]
     if not reports:
         raise ValueError("write_report_csv needs at least one report")
-    include_baseload = any(r.baseload_gw > 0.0 for r in reports)
+    include_baseload = any(getattr(r, "baseload_gw", 0.0) > 0.0 for r in reports)
     per_report = [_rows(r, include_baseload) for r in reports]
     labels = [_csv_quote(r.label or f"case {i}") for i, r in enumerate(reports)]
 
@@ -568,22 +565,9 @@ def write_report_csv(
             name, _, unit = per_report[0][row_idx]
             values = [repr(float(rows[row_idx][1])) for rows in per_report]
             fh.write(",".join([_csv_quote(name)] + values + [_csv_quote(unit)]) + "\n")
-        for name, value, unit in extra_rows:
+        for name, value, unit in () if extra is None else _rows(extra, False):
             pad = [repr(float(value))] + [""] * (len(reports) - 1)
             fh.write(",".join([_csv_quote(name)] + pad + [_csv_quote(unit)]) + "\n")
-
-
-def write_rigidity_csv(path, report: RigidityReport) -> None:
-    """Write a rigidity test outcome using the demand-change table rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row,value,unit\n")
-        for name, value, unit in _rows(report, False):
-            fh.write(",".join([_csv_quote(name), repr(float(value)), _csv_quote(unit)]) + "\n")
-
-
-def low_storage_extra_rows(delta: LowStorageDelta) -> list[tuple[str, float, str]]:
-    """Comparison rows appended to a low-storage report."""
-    return _rows(delta, False)
 
 
 def _csv_quote(text: str) -> str:

@@ -701,6 +701,42 @@ def test_cli_fuel_prices_that_share_a_label_exit_two(tmp_path, capsys):
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "extra", "message"),
+    [
+        (
+            ["optimize"],
+            "fuel_price_usd_per_gj: 1e200\nheat_rate_gj_per_mwh: 1e200\n",
+            "fuel_price_usd_per_gj * heat_rate_gj_per_mwh must be finite, got 1e+200 * 1e+200",
+        ),
+        (
+            ["scenario", "fuel-sensitivity"],
+            "fuel_prices_usd_per_gj: 20,1e308\n",
+            "fuel_prices_usd_per_gj * heat_rate_gj_per_mwh must be finite, got 1e+308 * 10.0",
+        ),
+        (
+            ["simulate"],
+            "synthetic_hours: 48\nsynthetic_droughts: 30-10\nwind_gw: 30\n",
+            "drought window 30-10 must have 0 <= start < end <= synthetic_hours, "
+            "got synthetic_hours 48",
+        ),
+    ],
+    ids=["fuel-cost-overflow", "fuel-prices-overflow", "reversed-drought"],
+)
+def test_cli_setting_that_breaks_a_dataset_or_cost_rule_exits_two_at_parse(
+    tmp_path, capsys, argv, extra, message
+):
+    # an overflowing fuel cost per MWh made every fuel-free mix cost nan, and
+    # a reversed drought window was refused only once the dataset was built
+    conf = _write_conf(tmp_path, extra if "synthetic_hours" in extra else _week_conf(extra))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="must be finite|drought window"):
+        parse_config(conf.read_text(encoding="utf-8"))
+
+
 _REPORT_MIX_ROWS = {
     "Installed Wind": "wind_gw",
     "Installed PV": "pv_gw",

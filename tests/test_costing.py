@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,6 +67,19 @@ def test_cost_book_rejects_what_crf_cannot_take_by_its_key():
     # a lower rate takes the same life
     book = CostBook(interest_rate=0.01, life_wind_years=10000)
     assert crf(book.interest_rate, book.life_wind_years) == pytest.approx(0.01, rel=1e-15)
+
+
+def test_cost_book_rejects_a_fuel_cost_per_mwh_that_overflows():
+    # an infinite cost per MWh would cost a mix that burns no fuel 0 * inf = nan
+    with pytest.raises(ValueError) as raised:
+        CostBook(fuel_price_usd_per_gj=1e200, heat_rate_gj_per_mwh=1e200)
+    assert str(raised.value) == (
+        "fuel_price_usd_per_gj * heat_rate_gj_per_mwh must be finite, got 1e+200 * 1e+200"
+    )
+    with pytest.raises(ValueError, match="heat_rate_gj_per_mwh must be finite"):
+        replace(CostBook(), fuel_price_usd_per_gj=1e308)
+    # a product short of overflow stands
+    assert math.isfinite(fuel_cost_per_mwh(CostBook(fuel_price_usd_per_gj=1e307)))
 
 
 def test_amortized_dispatch_capacity_charge():

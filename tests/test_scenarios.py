@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -40,8 +40,6 @@ from firmdispatch.scenarios import (
     SCENARIO_NAMES,
     ScenarioReport,
     build_report,
-    low_storage_extra_rows,
-    write_rigidity_csv,
 )
 
 from conftest import FIXTURES, random_dataset, random_mix, random_params
@@ -199,8 +197,8 @@ def test_low_storage_at_book_price_reproduces_base(week_data, tiny_space, base_r
     assert optim.best.mix == base_optim.best.mix
     assert delta.dispatch_delta_gw == 0.0
     assert delta.base_dispatch_gw == base_optim.best.mix.dispatch_gw
-    assert delta.dispatch_gw == base_optim.best.mix.dispatch_gw
-    assert delta.base_dispatch_energy_twh == delta.dispatch_energy_twh
+    assert report.dispatch_gw == base_optim.best.mix.dispatch_gw
+    assert delta.base_dispatch_energy_twh == report.dispatch_energy_twh
 
 
 def test_low_storage_at_book_price_sizes_each_mix_once(week_data, tiny_space, monkeypatch):
@@ -234,12 +232,11 @@ def test_low_storage_delta_is_consistent(week_data, tiny_space):
     _, base_optim = run_base(week_data, space=tiny_space, options=COARSE_ONLY)
 
     assert delta.battery_price_usd_per_kwh == 10.0
-    assert delta.dispatch_gw == optim.best.mix.dispatch_gw
+    assert report.dispatch_gw == optim.best.mix.dispatch_gw
     assert delta.base_dispatch_gw == base_optim.best.mix.dispatch_gw
-    assert delta.dispatch_delta_gw == delta.dispatch_gw - delta.base_dispatch_gw
-    assert delta.dispatch_energy_twh == optim.best.result.dispatch_energy_twh
+    assert delta.dispatch_delta_gw == report.dispatch_gw - delta.base_dispatch_gw
+    assert report.dispatch_energy_twh == optim.best.result.dispatch_energy_twh
     assert delta.base_dispatch_energy_twh == base_optim.best.result.dispatch_energy_twh
-    assert report.dispatch_gw == delta.dispatch_gw
 
     # over one candidate set, cheaper storage can only lower the optimum and
     # can only grow the battery: (c1-c2)(B1-B2) <= 0 by exchange
@@ -401,7 +398,7 @@ def test_least_passing_finds_the_least_passing_int(threshold, first):
         probes.append(k)
         return k >= threshold
 
-    k = scenarios._least_passing(passes, first, 1, lambda lo, hi: (lo + hi) // 2)
+    k = scenarios._least_passing(passes, first, 1)
     assert type(k) is int and k == threshold
     assert len(set(probes)) == len(probes)
     assert 0 not in probes or k <= 1
@@ -810,12 +807,17 @@ def test_fuel_sensitivity_at_book_price_is_base(week_data, tiny_space):
     assert runs[0][2].best.mix == base_optim.best.mix
 
 
-def test_fuel_sensitivity_rejects_bad_prices(week_data, tiny_space):
+def test_fuel_sensitivity_rejects_bad_prices(week_data, tiny_space, monkeypatch):
     with pytest.raises(ValueError, match="not be empty"):
         run_fuel_sensitivity(week_data, space=tiny_space, fuel_prices=())
     for price in (0.0, -5.0, math.inf):
         with pytest.raises(ValueError, match="positive"):
             run_fuel_sensitivity(week_data, space=tiny_space, fuel_prices=(price,))
+    # a price whose cost per MWh overflows at the book's heat rate is
+    # refused before the first price is searched
+    monkeypatch.setattr(scenarios, "optimize", mock.Mock(side_effect=AssertionError("searched")))
+    with pytest.raises(ValueError, match="heat_rate_gj_per_mwh must be finite, got 1e\\+308"):
+        run_fuel_sensitivity(week_data, space=tiny_space, fuel_prices=(20.0, 1e308))
 
 
 @pytest.mark.parametrize(
@@ -948,11 +950,16 @@ def test_write_report_csv_side_by_side(tmp_path, week_data, tiny_space, base_run
     assert all(len(r) == 4 for r in rows)
 
 
+@dataclass(frozen=True)
+class _ExtraTable:
+    price: float = scenarios._row("Storage Price", "USD/kWh")
+    odd: float = scenarios._row("a,b", 'say "so"')
+
+
 def test_write_report_csv_extra_rows_and_quoting(tmp_path, base_run):
     report, _ = base_run
     path = tmp_path / "extra.csv"
-    extra = [("Storage Price", 10.0, "USD/kWh"), ("a,b", 1.5, 'say "so"')]
-    write_report_csv(path, [report, report], extra_rows=extra)
+    write_report_csv(path, [report, report], _ExtraTable(10.0, 1.5))
     rows = _read_csv(path)
     assert rows[-2] == ["Storage Price", "10.0", "", "USD/kWh"]
     assert rows[-1] == ["a,b", "1.5", "", 'say "so"']
@@ -987,7 +994,7 @@ def test_write_rigidity_csv(tmp_path):
     report = run_rigidity(mix, data, params)
 
     path = tmp_path / "rigidity.csv"
-    write_rigidity_csv(path, report)
+    write_report_csv(path, report)
     rows = _read_csv(path)
     assert rows[0] == ["row", "value", "unit"]
     assert [(r[0], r[2]) for r in rows[1:]] == [
@@ -1053,17 +1060,21 @@ def test_every_report_figure_but_net_peak_is_a_row():
     assert [f.name for f in floats if "row" not in f.metadata] == ["net_peak_gw"]
 
 
-def test_low_storage_extra_rows_shape(week_data, tiny_space):
-    _, delta, _ = run_low_storage(
+def test_low_storage_extra_rows_shape(tmp_path, week_data, tiny_space):
+    report, delta, _ = run_low_storage(
         week_data, space=tiny_space, battery_price=10.0, options=COARSE_ONLY
     )
-    rows = low_storage_extra_rows(delta)
-    assert [(name, unit) for name, _, unit in rows] == [
-        ("Base Case Installed Dispatch", "GW"),
-        ("Installed Dispatch Change", "GW"),
-        ("Base Case Dispatch Energy", "TWh"),
-        ("Storage Price", "USD/kWh"),
+    path = tmp_path / "report.csv"
+    write_report_csv(path, [report, report], delta)
+    rows = _read_csv(path)
+    # the delta's four rows follow the report's 22, padded under the second column
+    assert len(rows) == 1 + 22 + 4
+    assert [(r[0], r[2], r[3]) for r in rows[-4:]] == [
+        ("Base Case Installed Dispatch", "", "GW"),
+        ("Installed Dispatch Change", "", "GW"),
+        ("Base Case Dispatch Energy", "", "TWh"),
+        ("Storage Price", "", "USD/kWh"),
     ]
-    assert rows[0][1] == delta.base_dispatch_gw
-    assert rows[1][1] == delta.dispatch_delta_gw
-    assert rows[3] == ("Storage Price", 10.0, "USD/kWh")
+    assert float(rows[-4][1]) == delta.base_dispatch_gw
+    assert float(rows[-3][1]) == delta.dispatch_delta_gw
+    assert rows[-1] == ["Storage Price", "10.0", "", "USD/kWh"]

@@ -189,6 +189,12 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config(week_conf, fuel_prices_usd_per_gj="10,10.0000001"),
         ["scenario", "fuel-sensitivity", "--trace"],
     )
+    # a fuel cost per MWh that overflows at the default heat rate: a
+    # configuration error, not a nan cost for every mix that burns no fuel
+    table["week-fuel-overflow"] = (
+        _config(week_conf, fuel_prices_usd_per_gj="20,1e308"),
+        ["scenario", "fuel-sensitivity", "--trace"],
+    )
     # a baseload plant off the default availability: the search carries both
     table["week-residual-eaf"] = (
         _config(week_conf, baseload_gw=3, baseload_eaf=0.9),
@@ -208,6 +214,11 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
     # a form feed ends no line, so synthetic_hours reads "48\fseed: 5": a
     # configuration error on line 1
     table["synth-form-feed"] = ("synthetic_hours: 48\x0cseed: 5\nwind_gw: 30\n", ["simulate"])
+    # a reversed drought window: a configuration error before the dataset is built
+    table["synth-reversed-drought"] = (
+        _config("", synthetic_hours=48, synthetic_droughts="30-10", wind_gw=30),
+        ["simulate"],
+    )
     table["year-low-storage"] = (
         _config("", **YEAR, **YEAR_SPACE),
         ["scenario", "low-storage", "--trace"],
