@@ -15,7 +15,7 @@ from .dispatch import (
     simulate,
     size_dispatch,
 )
-from .optimizer import Evaluation, OptimizeOptions, OptimResult, SearchSpace, optimize
+from .optimizer import Evaluation, OptimResult, SearchSpace, optimize
 from .profiles import (
     KIND_CAPACITY_FACTOR,
     KIND_DEMAND,
@@ -51,7 +51,6 @@ __all__ = [
     "KIND_DEMAND",
     "LowStorageDelta",
     "OptimResult",
-    "OptimizeOptions",
     "RigidityReport",
     "ScenarioReport",
     "SearchSpace",

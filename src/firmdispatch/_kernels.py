@@ -26,14 +26,17 @@ stages.
 Each stage uses the float operations of the element-indexed loop in its
 order, so the ledger is the same bit for bit.  A battery that cannot act
 (no power, or no energy and an empty start) leaves stage 2 with nothing to
-do, so it is skipped and the pass is pure numpy.
+do, so it is skipped and the pass is pure numpy.  So is a pass with the
+flag off that starts empty at +0.0 and has no surplus: every deficit
+clamps its discharge to a stored energy of +0.0, even under a -0.0
+capacity, and leaves the SOC at +0.0, and a zero flow takes no branch.
 
 Two tests here let ``dispatch.SizingTable`` answer a mix from another
-mix's pass.  ``_battery_is_idle`` says when stage 2 is skipped, so the
-ledger does not depend on the battery.  ``_capacity_never_binds`` says
-when, with the flag off and a +0.0 start, no step of a pass meets the
-capacity, so the ledger is that of every battery of the same power that
-clears the same margin.
+mix's pass.  ``_battery_is_idle`` says when the battery cannot act on any
+flow, so the ledger does not depend on the battery.
+``_capacity_never_binds`` says when, with the flag off and a +0.0 start,
+no step of a pass meets the capacity, so the ledger is that of every
+battery of the same power that clears the same margin.
 """
 
 from __future__ import annotations
@@ -122,7 +125,11 @@ def balance_loop(
     out[ROW_REN_TO_DEMAND] = to_demand
     out[[ROW_CHARGE_FROM_REN, ROW_CHARGE_FROM_DISPATCH, ROW_DISCHARGE]] = 0.0
 
-    if _battery_is_idle(battery_power, battery_energy_cap, soc0):
+    # the +0.0 start is tested first, so a charged start scans no flow
+    starts_empty = soc0 == 0.0 and math.copysign(1.0, soc0) > 0.0
+    if _battery_is_idle(battery_power, battery_energy_cap, soc0) or (
+        starts_empty and not charge_from_dispatch and not (flow > 0.0).any()
+    ):
         out[ROW_SOC] = soc0
     else:
         _battery_steps(
@@ -171,10 +178,10 @@ def _battery_steps(
     an empty one its discharge to a stored energy of +0.0: the rows hold
     +0.0 already and the SOC would not change, so such a pinned step skips
     the branch and writes only its SOC.  A pass that starts empty at +0.0
-    with the flag off is pinned so until its first surplus, and one without
-    surplus writes +0.0 at every step and no flow.  A top-up from spare
-    dispatch into a full battery clamps to a headroom of +0.0 the same way,
-    so it is skipped too.  Those zeros are -0.0 instead under a -0.0
+    with the flag off is pinned so until its first surplus; ``balance_loop``
+    skips one without surplus.  A top-up from spare dispatch into a full
+    battery clamps to a headroom of +0.0 the same way, so it is skipped
+    too.  Those zeros are -0.0 instead under a -0.0
     capacity (``-0.0 - 0.0``) or from a -0.0 start (``-0.0 / dt``).  The
     SOC is never -0.0 once the battery has acted, so one flag per pass,
     ``signed``, moves ``full`` and ``empty`` out of reach for those passes,

@@ -106,7 +106,7 @@ class _Outcome(NamedTuple):
 def _searched(run, config: RunConfig, data, **knobs):
     """What the searching scenario ``run`` returns with the configuration's settings."""
     space = search_space(config)
-    return run(data, config.params, config.book, space=space, options=config.options, **knobs)
+    return run(data, config.params, config.book, space=space, **knobs)
 
 
 def _simulate(config, data) -> _Outcome:
@@ -118,7 +118,7 @@ def _simulate(config, data) -> _Outcome:
 
 
 def _optimize(config, data) -> _Outcome:
-    optim = optimize(search_space(config), data, config.params, config.book, config.options)
+    optim = optimize(search_space(config), data, config.params, config.book)
     report = build_report(optim.best.mix, optim.best.result, data, label="optimize")
     return _Outcome([("", report, optim)])
 

@@ -2,10 +2,10 @@
 
 A run file is flat ``key: value`` text: one setting per line, ``#`` lines
 and blank lines ignored.  Keys are checked strictly, an unknown or repeated
-key is an error rather than a silent ignore.  The storage-model, cost-book
-and tolerance keys are the field names of ``SimParams``, ``CostBook`` and
-``OptimizeOptions``, which ``RunConfig`` holds whole; those classes check
-their values when the file is parsed.  The search bounds that are set and
+key is an error rather than a silent ignore.  The storage-model and
+cost-book keys are the field names of ``SimParams`` and ``CostBook``, which
+``RunConfig`` holds whole; those classes check their values when the file
+is parsed.  The search bounds that are set, the refinement tolerances and
 the fixed mix are checked then too, by ``SearchSpace`` and ``CapacityMix``,
 and the scenario knobs by the scenarios' own checks, whatever the command.
 Once the dataset is loaded, ``resolve_space`` scales the unset search
@@ -25,20 +25,14 @@ from pathlib import Path
 
 from .costing import DEFAULT_BOOK, CostBook
 from .dispatch import DEFAULT_PARAMS, CapacityMix, SimParams
-from .optimizer import DEFAULT_BATTERY_HOURS, DEFAULT_OPTIONS, OptimizeOptions, SearchSpace
-from .profiles import _check_drought_window
+from .optimizer import DEFAULT_BATTERY_HOURS, SearchSpace
+from .profiles import MAX_SYNTHETIC_HOURS, _check_drought_window, _check_synthetic_hours
 from .scenarios import SCENARIO_NAMES, _check_battery_price, _check_fuel_price, _check_rigidity_step
 
 # Unset search bounds: each power axis runs from its min to a multiple of
 # peak demand in coarse steps of a fixed fraction of peak.
 PEAK_MULTIPLES = {"wind_gw": 3.0, "pv_gw": 2.0, "battery_power_gw": 1.5}
 STEP_FRACTION_OF_PEAK = 0.1
-
-# The most hours a synthetic dataset may have.  A run holds about 0.26 kB an
-# hour (pv-only --trace at initial_soc_fraction 0.5 peaked at 38, 59 and 81 MB
-# for 8,760, 87,600 and 175,200 h, the searches no higher; CPython 3.11, numpy
-# 2.4, x86-64), so 7.8 M hours fit in 2 GB; a million, 114 years, leave room.
-MAX_SYNTHETIC_HOURS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -103,7 +97,8 @@ class RunConfig:
     battery_power_gw_max: float | None = None
     battery_power_gw_step: float | None = None
     battery_hours_ladder: tuple[float, ...] = DEFAULT_BATTERY_HOURS
-    options: OptimizeOptions = DEFAULT_OPTIONS
+    refine_tolerance_gw: float = SearchSpace.refine_tolerance_gw
+    refine_tolerance_hours: float = SearchSpace.refine_tolerance_hours
 
     # Fixed mix for simulate and rigidity runs.
     wind_gw: float | None = None
@@ -162,10 +157,10 @@ def parse_config(text: str, base_dir: str | os.PathLike | None = None) -> RunCon
     ------
     ConfigError
         On syntax errors, unknown or repeated keys, unparseable values, an
-        inconsistent dataset specification, a value ``SimParams``,
-        ``CostBook`` or ``OptimizeOptions`` rejects (with that class's
-        message), or a value ``validate`` rejects, search bounds and the
-        fixed mix among them.
+        inconsistent dataset specification, a value ``SimParams`` or
+        ``CostBook`` rejects (with that class's message), or a value
+        ``validate`` rejects, search bounds, tolerances and the fixed mix
+        among them.
     """
     values: dict[str | None, dict[str, object]] = {}
     seen = set()
@@ -229,17 +224,17 @@ def validate(config: RunConfig) -> None:
         raise ConfigError(
             f"synthetic datasets are hourly, dt_hours must be 1.0, got {config.dt_hours!r}"
         )
-    hours = config.synthetic_hours
-    if hours is not None and not 24 <= hours <= MAX_SYNTHETIC_HOURS:
-        bound = "at least 24" if hours < 24 else f"at most {MAX_SYNTHETIC_HOURS}"
-        raise ConfigError(f"synthetic_hours must be {bound}, got {hours}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
-    # The drought windows obey synthesize_dataset's rule, the search bounds,
-    # ladder and baseload SearchSpace's, the fixed mix CapacityMix's, and the
-    # knobs their scenarios', whatever the command.
+    # The dataset length and drought windows obey synthesize_dataset's rules,
+    # the search bounds, ladder, baseload and tolerances SearchSpace's, the
+    # fixed mix CapacityMix's, and the knobs their scenarios', whatever the
+    # command.
+    hours = config.synthetic_hours
     try:
+        if hours is not None:
+            _check_synthetic_hours(hours)
         for start, end in config.synthetic_droughts or ():
             _check_drought_window(start, end, hours)
         _check_rigidity_step(config.rigidity_step)
@@ -308,6 +303,8 @@ def _search_space(config: RunConfig) -> SearchSpace:
         battery_hours=config.battery_hours_ladder,
         baseload_gw=config.baseload_gw,
         baseload_eaf=config.baseload_eaf,
+        refine_tolerance_gw=config.refine_tolerance_gw,
+        refine_tolerance_hours=config.refine_tolerance_hours,
     )
 
 

@@ -23,8 +23,9 @@ The search keeps only each point's sized mix and cost; the returned best
 ``Evaluation`` comes from one ``simulate`` of the winner, per-step ledger
 included.
 
-A ``SearchSpace`` is built from bounds that are all set (the run
-configuration scales unset ones from peak demand), and refuses a coarse
+A ``SearchSpace`` holds a search's whole resolution: its coarse grid and
+its refinement tolerances.  It is built from bounds that are all set (the
+run configuration scales unset ones from peak demand), and refuses a coarse
 grid of more than ``MAX_GRID_POINTS`` points.
 """
 
@@ -83,7 +84,8 @@ class SearchSpace:
     Power axes are (min, max, coarse step) in GW.  Battery duration is
     scanned over an explicit ladder of hours rather than a uniform step,
     dense at short durations where the cost trade-off is steep.  Baseload
-    is fixed, not searched.
+    is fixed, not searched.  Refinement stops once every axis's step is
+    below its tolerance, ``refine_tolerance_gw`` or ``refine_tolerance_hours``.
     """
 
     wind_gw: tuple[float, float, float]
@@ -92,8 +94,12 @@ class SearchSpace:
     battery_hours: tuple[float, ...] = DEFAULT_BATTERY_HOURS
     baseload_gw: float = 0.0
     baseload_eaf: float = 1.0
+    refine_tolerance_gw: float = 0.1
+    refine_tolerance_hours: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (self.refine_tolerance_gw > 0.0 and self.refine_tolerance_hours > 0.0):
+            raise ValueError("refinement tolerances must be positive")
         for name in ("wind_gw", "pv_gw", "battery_power_gw"):
             lo, hi, step = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
@@ -119,18 +125,6 @@ class SearchSpace:
 
 
 @dataclass(frozen=True)
-class OptimizeOptions:
-    """Refinement stops once per-axis steps fall below these resolutions."""
-
-    refine_tolerance_gw: float = 0.1
-    refine_tolerance_hours: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.refine_tolerance_gw > 0.0 and self.refine_tolerance_hours > 0.0):
-            raise ValueError("refinement tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class Evaluation:
     """One candidate with its sized dispatch, simulation, and cost."""
 
@@ -148,9 +142,6 @@ class OptimResult:
     def evaluations(self) -> int:
         """Points sized and costed, one per trajectory row."""
         return len(self.trajectory)
-
-
-DEFAULT_OPTIONS = OptimizeOptions()
 
 
 def _rung_count(lo: float, hi: float, step: float) -> int | float:
@@ -187,7 +178,6 @@ def optimize(
     data: AlignedDataset,
     params: SimParams = DEFAULT_PARAMS,
     book: CostBook = DEFAULT_BOOK,
-    options: OptimizeOptions = DEFAULT_OPTIONS,
     table: SizingTable | None = None,
 ) -> OptimResult:
     """Find the least-cost mix over the search space.
@@ -234,7 +224,7 @@ def optimize(
     ladder = space.battery_hours
     bounds = [axis[:2] for axis in axes] + [(ladder[0], ladder[-1])]
     steps = [axis[2] / 2.0 for axis in axes] + [_hours_refine_step(ladder, best[0].battery_hours)]
-    tols = [options.refine_tolerance_gw] * len(axes) + [options.refine_tolerance_hours]
+    tols = [space.refine_tolerance_gw] * len(axes) + [space.refine_tolerance_hours]
 
     for _ in range(MAX_REFINE_SWEEPS):
         active = [i for i, (lo, hi) in enumerate(bounds) if lo < hi and steps[i] >= tols[i]]

@@ -48,13 +48,7 @@ from .dispatch import (
     simulate_trace,
     sized_simulation,
 )
-from .optimizer import (
-    DEFAULT_OPTIONS,
-    OptimResult,
-    OptimizeOptions,
-    SearchSpace,
-    optimize,
-)
+from .optimizer import OptimResult, SearchSpace, optimize
 from .profiles import AlignedDataset, demand_stats, scale_demand
 
 SCENARIO_NAMES = (
@@ -234,7 +228,6 @@ def run_base(
     book: CostBook = DEFAULT_BOOK,
     *,
     space: SearchSpace,
-    options: OptimizeOptions = DEFAULT_OPTIONS,
     table: SizingTable | None = None,
 ) -> tuple[ScenarioReport, OptimResult]:
     """Least-cost wind, PV, battery, and firm capacity with no baseload.
@@ -244,7 +237,7 @@ def run_base(
     """
     if space.baseload_gw != 0.0:
         raise ValueError("the base scenario carries no baseload, use residual-baseload instead")
-    optim = optimize(space, data, params, book, options, table)
+    optim = optimize(space, data, params, book, table)
     report = build_report(optim.best.mix, optim.best.result, data, label="base")
     return report, optim
 
@@ -256,7 +249,6 @@ def run_low_storage(
     *,
     space: SearchSpace,
     battery_price: float = 10.0,
-    options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> tuple[ScenarioReport, LowStorageDelta, OptimResult]:
     """Re-optimize with cheap storage and compare firm capacity to base.
 
@@ -267,14 +259,14 @@ def run_low_storage(
     """
     _check_battery_price(battery_price)
     table = SizingTable(data, params)
-    base_optim = run_base(data, params, book, space=space, options=options, table=table)[1]
+    base_optim = run_base(data, params, book, space=space, table=table)[1]
     base_gw = base_optim.best.mix.dispatch_gw
     base_twh = base_optim.best.result.dispatch_energy_twh
     # the base winner's ledger need not live through the second search, so
     # the base report is never bound and the base search is dropped here
     del base_optim
     cheap_book = replace(book, capex_battery_usd_per_kwh=battery_price)
-    report, optim = run_base(data, params, cheap_book, space=space, options=options, table=table)
+    report, optim = run_base(data, params, cheap_book, space=space, table=table)
     report = replace(report, label="low-storage")
     delta = LowStorageDelta(
         battery_price_usd_per_kwh=battery_price,
@@ -482,7 +474,6 @@ def run_residual_baseload(
     book: CostBook = DEFAULT_BOOK,
     *,
     space: SearchSpace,
-    options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> tuple[ScenarioReport, OptimResult]:
     """Least-cost mix when legacy baseload stays online at a flat EAF.
 
@@ -490,7 +481,7 @@ def run_residual_baseload(
     at ``space.baseload_eaf``.  It is must-run and free in the objective;
     only the wind, PV, battery, and firm additions are costed and searched.
     """
-    optim = optimize(space, data, params, book, options)
+    optim = optimize(space, data, params, book)
     report = build_report(optim.best.mix, optim.best.result, data, label="residual-baseload")
     return report, optim
 
@@ -502,7 +493,6 @@ def run_fuel_sensitivity(
     *,
     space: SearchSpace,
     fuel_prices: Sequence[float] = (20.0, 10.0),
-    options: OptimizeOptions = DEFAULT_OPTIONS,
 ) -> list[tuple[float, ScenarioReport, OptimResult]]:
     """One full optimization per fuel price, cheapest-last order preserved.
 
@@ -528,7 +518,7 @@ def run_fuel_sensitivity(
     runs = []
     for price in prices:
         priced = replace(book, fuel_price_usd_per_gj=price)
-        report, optim = run_base(data, params, priced, space=space, options=options, table=table)
+        report, optim = run_base(data, params, priced, space=space, table=table)
         report = replace(report, label=f"fuel {price:g} USD/GJ")
         runs.append((price, report, optim))
     return runs

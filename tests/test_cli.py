@@ -19,7 +19,6 @@ from firmdispatch import (
     KIND_DEMAND,
     CapacityMix,
     CostBook,
-    OptimizeOptions,
     SimParams,
     TimeSeries,
     _kernels,
@@ -183,7 +182,7 @@ def test_manifest_renders_defaults_runnable():
     assert parse_config(text) == RunConfig(synthetic_hours=48)
 
 
-_SETTINGS = (SimParams, CostBook, OptimizeOptions)
+_SETTINGS = (SimParams, CostBook)
 
 # Every key off its default, the CSV paths apart: a dataset is CSV or synthetic.
 _EVERY_KEY = """\

@@ -407,16 +407,19 @@ def _bits(value):
 def test_sizing_matches_balance_loop_bitwise(case):
     mix, data, params = case
     demand = data.demand.values
+    ren_gen = mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
+    baseload_out = mix.baseload_gw * mix.baseload_eaf
+    soc0 = params.initial_soc_fraction * mix.battery_energy_gwh
     ledger = np.empty((_kernels.N_ROWS, demand.shape[0]))
     _kernels.balance_loop(
         demand,
-        mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
+        ren_gen,
         data.dt_hours,
-        mix.baseload_gw * mix.baseload_eaf,
+        baseload_out,
         mix.battery_power_gw,
         mix.battery_energy_gwh,
         params.round_trip_efficiency,
-        params.initial_soc_fraction * mix.battery_energy_gwh,
+        soc0,
         np.inf,  # sizing: no dispatch cap
         False,  # and no charging from dispatch
         ledger,
@@ -425,8 +428,11 @@ def test_sizing_matches_balance_loop_bitwise(case):
     with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
         got = dispatch._run_balance(mix, data, params, np.inf, False)._ledger
         sized, served, energy = _sized_figures(mix, data, params)
-    # a mix without battery energy skips the step loop, any other runs it
-    assert steps.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
+    # a mix without battery energy skips the step loop, and so does an empty
+    # start without surplus; any other runs it
+    surplus = np.any(ren_gen > demand - np.minimum(demand, baseload_out))
+    steps_battery = mix.battery_energy_gwh > 0.0 and (soc0 > 0.0 or surplus)
+    assert steps.call_count == (2 if steps_battery else 0)
     assert np.array_equal(got.view(np.int64), ledger.view(np.int64))
     assert _bits(sized.dispatch_gw) == _bits(np.max(want))
     assert _bits(energy) == _bits(float(np.sum(want)) * (data.dt_hours / 1000.0))

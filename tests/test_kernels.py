@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firmdispatch import _kernels
 from firmdispatch._kernels import (
     N_ROWS,
     ROW_BASELOAD,
@@ -467,3 +469,31 @@ def test_empty_start_waits_for_the_first_surplus(hours):
         if hours and not np.signbit(start) and not charge_from_dispatch:
             # +0.0 bits in every step before the first surplus
             assert not np.any(got[ROW_SOC, :first].view(np.int64))
+
+
+@pytest.mark.parametrize("capacity", [12.0, -0.0])
+def test_empty_start_without_surplus_steps_nothing(capacity):
+    # With the flag off and no surplus, every deficit clamps to a +0.0
+    # discharge that leaves a +0.0 SOC, even under a -0.0 capacity, and a
+    # zero flow of either sign takes no branch: the pass skips the loop.
+    rng = np.random.default_rng(1345)
+    n = 200
+    demand = 20.0 * rng.random(n)
+    demand[rng.random(n) < 0.2] = 1.0  # below the baseload: no residual
+    residual = demand - np.minimum(demand, 2.0)
+    ren = residual * rng.random(n)
+    tied = rng.random(n) < 0.2
+    ren[tied] = residual[tied]  # a +0.0 flow
+    ren[residual == 0.0] = -0.0  # a -0.0 flow
+    args = (demand, ren, 1.0, 2.0, 3.0, capacity, 0.9, 0.0, 5.0, False)
+    with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
+        got = _bitwise_ledger(args)
+    assert steps.call_count == 0
+    assert not np.any(got[ROW_SOC].view(np.int64))
+    # one step of surplus, or the flag on, and the loop steps again
+    surplus = ren.copy()
+    surplus[n // 2] += 1.0
+    for changed in ((demand, surplus, *args[2:]), (*args[:-1], True)):
+        with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
+            _bitwise_ledger(changed)
+        assert steps.call_count == 1

@@ -14,7 +14,6 @@ from firmdispatch import (
     AlignedDataset,
     CapacityMix,
     CostBook,
-    OptimizeOptions,
     SearchSpace,
     SimParams,
     SizingTable,
@@ -71,7 +70,7 @@ def test_search_space_validation():
     with pytest.raises(ValueError, match="ladder"):
         SearchSpace(**good, battery_hours=())
     with pytest.raises(ValueError, match="positive"):
-        OptimizeOptions(refine_tolerance_gw=0.0)
+        SearchSpace(**good, refine_tolerance_gw=0.0)
 
 
 def test_evaluate_all_dispatch_closed_form():
@@ -186,8 +185,8 @@ def test_refinement_improves_on_coarse_grid():
         battery_power_gw=(0.0, 0.0, 1.0),
         battery_hours=(0.0,),
     )
-    coarse_only = OptimizeOptions(refine_tolerance_gw=1e9, refine_tolerance_hours=1e9)
-    coarse = optimize(space, data, book=book, options=coarse_only)
+    coarse_only = replace(space, refine_tolerance_gw=1e9, refine_tolerance_hours=1e9)
+    coarse = optimize(coarse_only, data, book=book)
     refined = optimize(space, data, book=book)
 
     assert refined.best.cost.unit_cost_usd_per_mwh < coarse.best.cost.unit_cost_usd_per_mwh
@@ -268,12 +267,13 @@ def test_coarse_scan_matches_evaluate_point_by_point(charge_from_dispatch, basel
         battery_hours=(0.0, 2.0, 8.0),
         baseload_gw=baseload_gw,
         baseload_eaf=0.8,
+        refine_tolerance_gw=2.5,
+        refine_tolerance_hours=1.0,
     )
     params = SimParams(
         initial_soc_fraction=0.4, battery_charges_from_dispatch=charge_from_dispatch
     )
-    options = OptimizeOptions(refine_tolerance_gw=2.5, refine_tolerance_hours=1.0)
-    result = optimize(space, data, params, options=options)
+    result = optimize(space, data, params)
 
     def reference(mix):
         return evaluate(replace(mix, dispatch_gw=0.0), data, params)
@@ -320,13 +320,14 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
         battery_hours=(1.0, 4.0),
         baseload_gw=2.0,
         baseload_eaf=0.7,
+        refine_tolerance_gw=1.0,
+        refine_tolerance_hours=1.0,
     )
-    options = OptimizeOptions(refine_tolerance_gw=1.0, refine_tolerance_hours=1.0)
     n_coarse = 3 * 3 * 3 * 2
     calls = []
     steps = _kernels._battery_steps
     monkeypatch.setattr(_kernels, "_battery_steps", lambda *args: calls.append(1) or steps(*args))
-    result = optimize(space, data, params, options=options)
+    result = optimize(space, data, params)
     points = [mix for mix, _ in result.trajectory]
     assert len(points) == result.evaluations
     storage_free = [m.battery_energy_gwh == 0.0 for m in points]
@@ -351,6 +352,8 @@ def test_refinement_path_is_pinned():
         pv_gw=(0.0, 28.0, 7.0),
         battery_power_gw=(0.0, 20.0, 10.0),
         battery_hours=(0.0, 2.0, 8.0),
+        refine_tolerance_gw=1.0,
+        refine_tolerance_hours=0.5,
     )
     book = CostBook(
         capex_wind_usd_per_kw=100,
@@ -358,8 +361,7 @@ def test_refinement_path_is_pinned():
         capex_battery_usd_per_kwh=10,
         fuel_price_usd_per_gj=60,
     )
-    options = OptimizeOptions(refine_tolerance_gw=1.0, refine_tolerance_hours=0.5)
-    result = optimize(space, data, book=book, options=options)
+    result = optimize(space, data, book=book)
     refined = [
         (m.wind_gw, m.pv_gw, m.battery_power_gw, m.battery_hours)
         for m, _ in result.trajectory[225:]
@@ -448,12 +450,13 @@ def test_searches_sharing_a_table_match_searches_alone(
         battery_hours=ladder,
         baseload_gw=baseload_gw,
         baseload_eaf=0.7,
+        refine_tolerance_gw=2.0,
+        refine_tolerance_hours=1.0,
     )
-    options = OptimizeOptions(refine_tolerance_gw=2.0, refine_tolerance_hours=1.0)
     table = SizingTable(data, params)
-    shared = [optimize(space, data, params, book, options, table) for book in books]
+    shared = [optimize(space, data, params, book, table) for book in books]
     for book, got in zip(books, shared):
-        alone = optimize(space, data, params, book, options)
+        alone = optimize(space, data, params, book)
         assert repr((got.trajectory, got.best, got.evaluations)) == repr(
             (alone.trajectory, alone.best, alone.evaluations)
         )

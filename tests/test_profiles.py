@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from firmdispatch import (
 )
 from firmdispatch.profiles import (
     CF_CLAMP_TOL,
+    MAX_SYNTHETIC_HOURS,
     demand_stats,
     dump_series,
     scale_demand,
@@ -403,3 +405,11 @@ def test_synthesize_dataset_droughts_zero_both_resources():
         synthesize_dataset(seed=9, total_hours=100, droughts=[(30, 30)])
     with pytest.raises(ValueError, match="at least 24"):
         synthesize_dataset(seed=9, total_hours=12)
+
+
+def test_synthesize_dataset_refuses_too_many_hours(monkeypatch):
+    # the bound is checked before the generator or any series is made
+    monkeypatch.setattr(np.random, "default_rng", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(np, "arange", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match="synthetic_hours must be at most"):
+        synthesize_dataset(1, MAX_SYNTHETIC_HOURS + 1)

@@ -17,7 +17,6 @@ from firmdispatch import (
     CapacityMix,
     CostBook,
     InfeasibleError,
-    OptimizeOptions,
     SearchSpace,
     SimParams,
     TimeSeries,
@@ -46,7 +45,8 @@ from conftest import FIXTURES, random_dataset, random_mix, random_params
 from oracle import evaluate, rigidity_sweep
 
 # stop after the coarse grid so two runs share an identical candidate set
-COARSE_ONLY = OptimizeOptions(refine_tolerance_gw=1e9, refine_tolerance_hours=1e9)
+def _coarse(space):
+    return replace(space, refine_tolerance_gw=1e9, refine_tolerance_hours=1e9)
 
 
 def _flat_dataset(demand_gw, wind_cf, pv_cf, n_steps=48, dt_hours=1.0):
@@ -227,9 +227,9 @@ def test_low_storage_at_book_price_sizes_each_mix_once(week_data, tiny_space, mo
 
 def test_low_storage_delta_is_consistent(week_data, tiny_space):
     report, delta, optim = run_low_storage(
-        week_data, space=tiny_space, battery_price=10.0, options=COARSE_ONLY
+        week_data, space=_coarse(tiny_space), battery_price=10.0
     )
-    _, base_optim = run_base(week_data, space=tiny_space, options=COARSE_ONLY)
+    _, base_optim = run_base(week_data, space=_coarse(tiny_space))
 
     assert delta.battery_price_usd_per_kwh == 10.0
     assert report.dispatch_gw == optim.best.mix.dispatch_gw
@@ -748,7 +748,7 @@ def test_residual_baseload_report(week_data, tiny_space):
 
 def test_residual_baseload_covering_demand_needs_no_dispatch(week_data, tiny_space):
     space = replace(tiny_space, baseload_gw=20.0, baseload_eaf=1.0)
-    report, optim = run_residual_baseload(week_data, space=space, options=COARSE_ONLY)
+    report, optim = run_residual_baseload(week_data, space=_coarse(space))
     assert report.net_peak_gw == 0.0
     assert report.dispatch_gw == 0.0
     assert report.dispatch_energy_twh == 0.0
@@ -783,7 +783,7 @@ def test_residual_baseload_rejects_bad_inputs(week_data, tiny_space):
 
 def test_fuel_sensitivity_orders_and_labels(week_data, tiny_space):
     runs = run_fuel_sensitivity(
-        week_data, space=tiny_space, fuel_prices=(20.0, 10.0), options=COARSE_ONLY
+        week_data, space=_coarse(tiny_space), fuel_prices=(20.0, 10.0)
     )
     assert [price for price, _, _ in runs] == [20.0, 10.0]
     assert [report.label for _, report, _ in runs] == ["fuel 20 USD/GJ", "fuel 10 USD/GJ"]
@@ -800,9 +800,9 @@ def test_fuel_sensitivity_orders_and_labels(week_data, tiny_space):
 
 def test_fuel_sensitivity_at_book_price_is_base(week_data, tiny_space):
     runs = run_fuel_sensitivity(
-        week_data, space=tiny_space, fuel_prices=(20.0,), options=COARSE_ONLY
+        week_data, space=_coarse(tiny_space), fuel_prices=(20.0,)
     )
-    _, base_optim = run_base(week_data, space=tiny_space, options=COARSE_ONLY)
+    _, base_optim = run_base(week_data, space=_coarse(tiny_space))
     assert len(runs) == 1
     assert runs[0][2].best.mix == base_optim.best.mix
 
@@ -848,19 +848,19 @@ def _assert_same_result(got, expected):
 def _scenario_runs(name, data, space, params):
     """``(report, optim)`` pairs of one scenario; ``optim`` is None without a search."""
     if name == "base":
-        return [run_base(data, params, space=space, options=COARSE_ONLY)]
+        return [run_base(data, params, space=_coarse(space))]
     if name == "low-storage":
         report, _, optim = run_low_storage(
-            data, params, space=space, battery_price=10.0, options=COARSE_ONLY
+            data, params, space=_coarse(space), battery_price=10.0
         )
         return [(report, optim)]
     if name == "pv-only":
         return [(run_pv_only(data, params), None)]
     if name == "residual-baseload":
         plant = replace(space, baseload_gw=10.0, baseload_eaf=0.7)
-        return [run_residual_baseload(data, params, space=plant, options=COARSE_ONLY)]
+        return [run_residual_baseload(data, params, space=_coarse(plant))]
     runs = run_fuel_sensitivity(
-        data, params, space=space, fuel_prices=(20.0, 10.0), options=COARSE_ONLY
+        data, params, space=_coarse(space), fuel_prices=(20.0, 10.0)
     )
     return [(report, optim) for _, report, optim in runs]
 
@@ -936,7 +936,7 @@ def test_write_report_csv_single(tmp_path, week_data, base_run):
 def test_write_report_csv_side_by_side(tmp_path, week_data, tiny_space, base_run):
     base_report, _ = base_run
     space = replace(tiny_space, baseload_gw=10.0, baseload_eaf=0.7)
-    residual_report, _ = run_residual_baseload(week_data, space=space, options=COARSE_ONLY)
+    residual_report, _ = run_residual_baseload(week_data, space=_coarse(space))
     path = tmp_path / "pair.csv"
     write_report_csv(path, [base_report, residual_report])
     rows = _read_csv(path)
@@ -1062,7 +1062,7 @@ def test_every_report_figure_but_net_peak_is_a_row():
 
 def test_low_storage_extra_rows_shape(tmp_path, week_data, tiny_space):
     report, delta, _ = run_low_storage(
-        week_data, space=tiny_space, battery_price=10.0, options=COARSE_ONLY
+        week_data, space=_coarse(tiny_space), battery_price=10.0
     )
     path = tmp_path / "report.csv"
     write_report_csv(path, [report, report], delta)

@@ -171,6 +171,11 @@ def cases(week_conf: str) -> dict[str, tuple[str, list[str]]]:
         _config(week_conf, round_trip_efficiency=2),
         ["optimize", "--trace"],
     )
+    # a zero refinement tolerance: a configuration error at parse time
+    table["week-bad-tolerance"] = (
+        _config(week_conf, refine_tolerance_hours=0),
+        ["optimize", "--trace"],
+    )
     # search bounds that no search could use: a configuration error, though
     # simulate runs no search
     table["week-bad-bounds"] = (
