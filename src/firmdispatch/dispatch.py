@@ -7,11 +7,7 @@ curtailed, deficits draw first on the battery and then on firm dispatchable
 capacity, and anything left is unserved.  ``_kernels.balance_loop`` runs
 that order over a dataset in one pass: every flow that does not depend on
 the state of charge is a whole-array numpy expression, and only the
-battery is stepped in Python.  With ``battery_charges_from_dispatch`` off
-and a charged start, the battery's state of charge is first taken as a
-numpy running sum, and the step loop takes over at the first step a clamp
-binds (headroom, overfill, availability or underflow); a pass that never
-clamps steps nothing in Python.  A mix without battery power or energy
+battery is stepped, by a C loop.  A mix without battery power or energy
 skips the battery, so its pass is numpy alone.  ``simulate`` returns the
 energy totals of one pass with its per-step ledger attached as a
 ``DispatchTrace``; ``write_trace_csv`` writes that ledger under the

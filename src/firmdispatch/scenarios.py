@@ -13,10 +13,12 @@ that is monotone in one quantity: the least PV, the least battery energy,
 the first failing demand multiplier.  One search, ``_least_passing``, finds
 all three by doubling and bisection.  The pv-only searches stop at fixed
 resolutions, ``PV_TOL_GW`` of PV and ``ENERGY_TOL_GWH`` of battery energy,
-and search PV up to a million times peak demand.  Rigidity raises demand up
-to ``RIGIDITY_MAX_MULTIPLIER`` times its level; a mix that still serves it
-there is not storage-limited.  Each limit is part of its test: a value past
-it passes without a simulation, and an answer past it means none.
+and search PV up to a million times peak demand: once the doubling reaches
+that cap, the cap is probed, and a failing cap means no PV serves.
+Rigidity raises demand up to ``RIGIDITY_MAX_MULTIPLIER`` times its level; a
+mix that still serves it there is not storage-limited.  That limit is part
+of its test: a value past it passes without a simulation, and an answer
+past it means none.
 
 ``write_report_csv`` renders every table to CSV, one row per figure with
 the conventional table row labels, values at full precision: scenario
@@ -334,7 +336,10 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     finds the least PV to ``PV_TOL_GW`` with an effectively unconstrained
     battery, doubling PV from peak demand and then bisecting, and then the
     least battery energy at that PV to ``ENERGY_TOL_GWH``, bisecting below
-    a bound already known feasible.  A probe counts as feasible only if no
+    a bound already known feasible.  Once the PV doubling reaches the cap,
+    a million times peak demand, the cap itself is probed: if it fails,
+    pv-only is infeasible after that one pass, and every PV past a passing
+    cap passes unsimulated.  A probe counts as feasible only if no
     demand goes unserved and the battery ends the period no lower than it
     started: the initial charge (``params.initial_soc_fraction``)
     bootstraps a dataset that begins at night, but panels, not the starting
@@ -342,8 +347,8 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     when a search ends within its resolution of zero, and no probe runs
     twice.  Reported battery power is the largest charge or discharge flow
     actually used, so the reported mix reproduces the zero-unserved result.
-    At zero peak demand every PV above zero is past the bound and passes
-    unsimulated, so the search sizes the empty mix in four balance passes.
+    At zero peak demand the cap is zero, which passes, so the search sizes
+    the empty mix in four balance passes.
 
     Raises
     ------
@@ -365,11 +370,19 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
             last_feasible = trace
         return verdict
 
-    pv_star = _least_passing(
-        lambda pv_gw: pv_gw > pv_cap or feasible(pv_gw, huge_energy), max(peak, 1.0), PV_TOL_GW
-    )
-    if pv_star > pv_cap:
-        raise InfeasibleError(f"no PV capacity up to {pv_cap:g} GW serves all demand")
+    cap_passed = False
+
+    def pv_passes(pv_gw: float) -> bool:
+        nonlocal cap_passed
+        if pv_gw < pv_cap:
+            return feasible(pv_gw, huge_energy)
+        if not cap_passed and not feasible(pv_cap, huge_energy):
+            raise InfeasibleError(f"no PV capacity up to {pv_cap:g} GW serves all demand")
+        cap_passed = True
+        return True
+
+    # a bracket that closes past a passing cap ends at the cap, its last feasible probe
+    pv_star = min(_least_passing(pv_passes, max(peak, 1.0), PV_TOL_GW), pv_cap)
 
     # Least battery energy at the sized PV, below a bound known feasible.
     # With no initial charge the unconstrained run bounds it tightly: a cap

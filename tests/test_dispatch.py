@@ -428,11 +428,8 @@ def test_sizing_matches_balance_loop_bitwise(case):
     with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
         got = dispatch._run_balance(mix, data, params, np.inf, False)._ledger
         sized, served, energy = _sized_figures(mix, data, params)
-    # a mix without battery energy skips the step loop, and so does an empty
-    # start without surplus; any other runs it
-    surplus = np.any(ren_gen > demand - np.minimum(demand, baseload_out))
-    steps_battery = mix.battery_energy_gwh > 0.0 and (soc0 > 0.0 or surplus)
-    assert steps.call_count == (2 if steps_battery else 0)
+    # a mix without battery energy skips the step loop; any other runs it
+    assert steps.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
     assert np.array_equal(got.view(np.int64), ledger.view(np.int64))
     assert _bits(sized.dispatch_gw) == _bits(np.max(want))
     assert _bits(energy) == _bits(float(np.sum(want)) * (data.dt_hours / 1000.0))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
-from unittest import mock
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from firmdispatch._kernels import (
     ROW_UNSERVED,
     balance_loop,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def reference_loop(
@@ -209,6 +214,32 @@ def test_balance_loop_rejects_a_start_outside_the_battery(soc0):
 
 
 @pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((N_ROWS, 4), dtype=np.float32),
+        np.empty((N_ROWS, 4), order="F"),
+        np.empty((N_ROWS, 3)),
+    ],
+    ids=["float32", "fortran-order", "short"],
+)
+def test_balance_loop_rejects_an_out_the_c_loop_cannot_write(out):
+    # the C loop writes through raw pointers: a wrong out must raise before
+    # it runs, not crash, and is left as it was
+    before = out.copy()
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+        balance_loop(np.ones(4), np.full(4, 3.0), 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False, out)
+    assert np.array_equal(out, before, equal_nan=True)
+
+
+def test_balance_loop_rejects_float32_series():
+    # a float32 flow would be read as half as many float64 steps
+    out = np.empty((N_ROWS, 4))
+    series = np.ones(4, dtype=np.float32)
+    with pytest.raises(ValueError, match="must be float64"):
+        balance_loop(series, 3 * series, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False, out)
+
+
+@pytest.mark.parametrize(
     "capacity, soc0, demand, row",
     [
         (8.0, -0.0, 5.0, ROW_DISCHARGE),  # a draw clamps to -0.0 / dt
@@ -288,13 +319,15 @@ def test_balance_loop_matches_reference_loop_on_drawn_ties(args):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# ===================== running-sum prefix =====================
+# ===================== clamp edges =====================
 #
-# With the flag off and a charged start, the battery rows are a running sum
-# until the first of four checks binds: headroom or overfill in a charging
-# step, availability or underflow in a discharging one.  The passes below
-# put that first clamp at a chosen step, by one check alone, and the step
-# loop must carry on from there bit for bit.
+# Four checks clamp a step: headroom or overfill in a charging step,
+# availability or underflow in a discharging one.  The passes below put the
+# first clamp at a chosen step, by one check alone, at the rounding edges
+# where a charge equal to the headroom still overfills or a discharge equal
+# to the stored energy still underflows, and the C loop must match the
+# reference loop bit for bit there.  The ``test_prefix_*`` names date from
+# a numpy running-sum prefix that ran until the first clamp.
 
 CHECKS = ("headroom", "overfill", "availability", "underflow")
 
@@ -389,8 +422,7 @@ def test_prefix_hands_off_at_a_clamp_by_one_check_alone(check):
 @pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize("dt", [1.0, 0.5])
 def test_prefix_covers_a_pass_that_never_clamps(dt, strided):
-    # a year of swings far inside a half-full battery: the running sum is the
-    # whole pass
+    # a year of swings far inside a half-full battery: no step clamps
     rng = np.random.default_rng(1310 + 2 * strided + (dt == 0.5))
     n = 8760
     demand, ren = _swings(rng, n * (3 if strided else 1), 5.0)
@@ -405,8 +437,8 @@ def test_prefix_covers_a_pass_that_never_clamps(dt, strided):
 
 @pytest.mark.parametrize("hours", [0.0, -0.0, 4.0])
 def test_prefix_meets_signed_zero_capacity_and_start(hours):
-    # -0.0 hours give a -0.0 capacity and start: no running sum is tried,
-    # and the step loop keeps the signed zeros
+    # -0.0 hours give a -0.0 capacity and start, whose signed zeros the C
+    # loop keeps
     rng = np.random.default_rng(1320)
     for start in (0.0, 0.5, 1.0):
         demand, ren = _swings(rng, 48, 6.0)
@@ -416,8 +448,8 @@ def test_prefix_meets_signed_zero_capacity_and_start(hours):
 
 @pytest.mark.parametrize("dt", [1.0, 0.5])
 def test_prefix_meets_a_subnormal_efficiency(dt):
-    # the headroom (cap - soc) / (efficiency * dt) overflows to +inf, as it
-    # does in the step loop, where it never binds; numpy must not warn of it
+    # the headroom (cap - soc) / (efficiency * dt) overflows to +inf, where
+    # it never binds
     rng = np.random.default_rng(1325)
     demand, ren = _swings(rng, 48, 6.0)
     args = (demand, ren, dt, 0.0, 3.0, 12.0, 1e-320, 6.0, np.inf, False)
@@ -432,8 +464,7 @@ def test_prefix_meets_a_subnormal_efficiency(dt):
 
 
 def test_prefix_is_not_tried_with_the_flag_on():
-    # spare dispatch tops the battery up in idle and charging steps, which a
-    # running sum of surplus and residual alone would miss
+    # spare dispatch tops the battery up in idle and charging steps
     rng = np.random.default_rng(1330)
     demand, ren = _swings(rng, 500, 5.0)
     cap = 1e6
@@ -446,8 +477,9 @@ def test_prefix_is_not_tried_with_the_flag_on():
 #
 # With the flag off, a battery that starts at +0.0 stays there until the
 # first step with surplus: each step before it is a deficit on the empty
-# battery, which the step loop skips as pinned, or a flow of +0.0, which
-# takes no branch.  With the flag on, spare dispatch may top it up sooner.
+# battery, which clamps its discharge to a stored energy of +0.0, or a flow
+# of +0.0, which takes no branch.  With the flag on, spare dispatch may top
+# it up sooner.
 
 
 @pytest.mark.parametrize("hours", [0.0, -0.0, 4.0, 48.0])
@@ -472,10 +504,10 @@ def test_empty_start_waits_for_the_first_surplus(hours):
 
 
 @pytest.mark.parametrize("capacity", [12.0, -0.0])
-def test_empty_start_without_surplus_steps_nothing(capacity):
+def test_empty_start_without_surplus_keeps_a_plus_zero_soc(capacity):
     # With the flag off and no surplus, every deficit clamps to a +0.0
     # discharge that leaves a +0.0 SOC, even under a -0.0 capacity, and a
-    # zero flow of either sign takes no branch: the pass skips the loop.
+    # zero flow of either sign takes no branch.
     rng = np.random.default_rng(1345)
     n = 200
     demand = 20.0 * rng.random(n)
@@ -486,14 +518,112 @@ def test_empty_start_without_surplus_steps_nothing(capacity):
     ren[tied] = residual[tied]  # a +0.0 flow
     ren[residual == 0.0] = -0.0  # a -0.0 flow
     args = (demand, ren, 1.0, 2.0, 3.0, capacity, 0.9, 0.0, 5.0, False)
-    with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
-        got = _bitwise_ledger(args)
-    assert steps.call_count == 0
+    got = _bitwise_ledger(args)
     assert not np.any(got[ROW_SOC].view(np.int64))
-    # one step of surplus, or the flag on, and the loop steps again
+    # one step of surplus, or the flag on, and a battery with room charges
     surplus = ren.copy()
     surplus[n // 2] += 1.0
     for changed in ((demand, surplus, *args[2:]), (*args[:-1], True)):
-        with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
-            _bitwise_ledger(changed)
-        assert steps.call_count == 1
+        got = _bitwise_ledger(changed)
+        assert np.any(got[ROW_SOC] > 0.0) == (capacity > 0.0)
+
+
+# ===================== loader =====================
+#
+# The C loop is compiled on first import into $XDG_CACHE_HOME/firmdispatch.
+# These tests point that at an empty directory of their own.
+
+
+def _child_imports(cache, code="", count=1):
+    """Start ``count`` interpreters at once that run ``code`` and then
+    import ``_kernels`` with ``cache`` as the cache home; each prints the
+    library it loaded."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(cache)}
+    script = f"{code}\nfrom firmdispatch import _kernels\nprint(_kernels._LIBRARY._name)"
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        for _ in range(count)
+    ]
+    runs = []
+    for child in children:
+        out, err = child.communicate()
+        runs.append((child.returncode, out.decode().strip(), err.decode()))
+    return runs
+
+
+def _libraries(cache):
+    return sorted(path.name for path in (cache / "firmdispatch").iterdir())
+
+
+def test_loader_compiles_a_cold_cache_then_loads(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    library = _kernels._load()
+    (name,) = _libraries(tmp_path)
+    assert library._name == str(tmp_path / "firmdispatch" / name)
+    assert (tmp_path / "firmdispatch").stat().st_mode & 0o777 == 0o700
+    # the fresh library steps a pass as the reference loop does
+    steps = library.firmdispatch_battery_steps
+    steps.argtypes, steps.restype = _kernels._STEPS.argtypes, None
+    monkeypatch.setattr(_kernels, "_STEPS", steps)
+    _bitwise_ledger(_random_call(np.random.default_rng(1350)))
+
+
+def test_loader_reuses_a_warm_cache_and_starts_no_process(tmp_path):
+    ((code, cold, err),) = _child_imports(tmp_path)
+    assert code == 0, err
+    before = (tmp_path / "firmdispatch" / Path(cold).name).stat().st_mtime_ns
+    # an audit hook turns any start of a process into an error
+    hook = (
+        "import sys\n"
+        "def refuse(event, args):\n"
+        "    if event in {'subprocess.Popen', 'os.system', 'os.posix_spawn', 'os.spawn',\n"
+        "                 'os.fork', 'os.forkpty', 'os.exec'}:\n"
+        "        raise RuntimeError(event)\n"
+        "sys.addaudithook(refuse)"
+    )
+    ((code, warm, err),) = _child_imports(tmp_path, hook)
+    assert (code, warm) == (0, cold), err
+    assert _libraries(tmp_path) == [Path(cold).name]
+    assert (tmp_path / "firmdispatch" / Path(cold).name).stat().st_mtime_ns == before
+    # the hook does refuse a process
+    ((code, _, err),) = _child_imports(tmp_path, hook + "\nimport subprocess; subprocess.run(['true'])")
+    assert code != 0 and "RuntimeError: subprocess.Popen" in err
+
+
+def test_loader_two_processes_on_an_empty_cache_load_the_same_file(tmp_path):
+    runs = _child_imports(tmp_path, count=2)
+    assert [code for code, _, _ in runs] == [0, 0], runs
+    (first, _), (second, _) = [(out, err) for _, out, err in runs]
+    assert first == second
+    # each compiled under a temporary name and renamed it into place
+    assert _libraries(tmp_path) == [Path(first).name]
+
+
+def test_loader_names_the_compiler_and_its_first_error_line(tmp_path, monkeypatch):
+    compiler = tmp_path / "failing-cc"
+    compiler.write_text(
+        f"#!{sys.executable}\n"
+        "import sys\n"
+        "print('_kernels.c: In function f:', file=sys.stderr)\n"
+        "print('_kernels.c:3:9: error: expected ; before }', file=sys.stderr)\n"
+        "print('_kernels.c:4:1: error: the second error', file=sys.stderr)\n"
+        "sys.exit(1)\n",
+        encoding="utf-8",
+    )
+    compiler.chmod(0o755)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernels, "_command", lambda output: [str(compiler), "-o", output])
+    with pytest.raises(ImportError) as failed:
+        _kernels._load()
+    message = str(failed.value)
+    assert f" with {compiler}: _kernels.c:3:9: error: expected ; before }}" in message
+    # the temporary output is gone, and no library was cached
+    assert _libraries(tmp_path / "cache") == []
+    # a compiler that does not start is named too
+    missing = tmp_path / "no-such-cc"
+    monkeypatch.setattr(_kernels, "_command", lambda output: [str(missing), "-o", output])
+    with pytest.raises(ImportError, match=f"with {missing}: "):
+        _kernels._load()
+    assert _libraries(tmp_path / "cache") == []

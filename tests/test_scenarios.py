@@ -361,10 +361,10 @@ def test_pv_only_pass_counts_on_the_week_fixture():
     assert passes == 55
     assert report.pv_gw > 0.0 and report.battery_energy_gwh > 0.0
     # no start charge: no PV up to the cap carries the first night, so PV
-    # doubles 20 times to past the cap, then bisects up to it, simulating
-    # only the 6 midpoints at or below it
+    # doubles 20 times to past the cap, and the cap itself fails: one pass
+    # more, and no bisection
     passes, message = _pv_only_passes(week, 0.0)
-    assert passes == 26
+    assert passes == 20 + 1
     assert message == "no PV capacity up to 1.35314e+07 GW serves all demand"
 
 
@@ -386,6 +386,19 @@ def test_pv_only_finds_pv_between_the_last_doubling_and_its_cap():
     data = _flat_dataset(1.0, 0.0, 1.2e-6, n_steps=24)
     report = run_pv_only(data)
     assert 0.0 <= report.pv_gw - 1.0 / 1.2e-6 <= scenarios.PV_TOL_GW
+    assert report.battery_energy_gwh == 0.0
+
+
+def test_pv_only_serves_at_a_passing_cap_the_bisection_closes_past():
+    # peak 1/3 GW caps PV at 333,333.33 GW, which no bisection midpoint
+    # between the doublings 262,144 and 524,288 hits; the least PV lies
+    # within PV_TOL_GW below the cap, so the bracket closes past it, and the
+    # cap, probed and passing, is the answer
+    peak = 1.0 / 3.0
+    cap = 1e6 * peak
+    data = _flat_dataset(peak, 0.0, peak / (cap - 0.001), n_steps=24)
+    report = run_pv_only(data)
+    assert report.pv_gw == cap
     assert report.battery_energy_gwh == 0.0
 
 
