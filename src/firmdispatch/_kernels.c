@@ -1,4 +1,4 @@
-/* Stage 2 of a balance pass: the battery's step loop.
+/* A balance pass: every step of the merit order, from the first to the last.
  *
  * _kernels.py compiles this file on first import with fixed flags, among
  * them -ffp-contract=off: a fused multiply-add would round
@@ -7,75 +7,95 @@
  * the rows are the same bit for bit.
  *
  * `flow` is renewables minus the demand baseload leaves: the surplus where
- * positive, the residual demand negated where negative.  A step with
- * surplus has no residual demand left, so it charges or discharges, never
- * both, and a zero flow does neither.  Every step writes its charge,
- * top-up, discharge and state of charge.  A surplus into a full battery
- * and a deficit on an empty one clamp to a headroom or a stored energy of
- * zero, which is exactly what the reference loop writes there.
+ * positive, the residual demand negated where negative (`a - b` is exactly
+ * `-(b - a)`).  A step with surplus has no residual demand left, so it
+ * charges or discharges, never both, and a zero flow does neither.  A
+ * surplus into a full battery and a deficit on an empty one clamp to a
+ * headroom or a stored energy of zero, which is exactly what the reference
+ * loop writes there.  An idle battery, one that cannot act on any flow,
+ * skips the battery: its flows stay +0.0 and its charge where it started.
  *
  * The caller checks that `soc` starts in [0, cap]; the clamps keep it
  * there, so no headroom, stored energy or flow is negative and the
  * reference loop's floors at zero never change a value.
  */
 
-void firmdispatch_battery_steps(
-    const double *flow, long n, double dt, double power, double cap,
-    double efficiency, double soc, double dispatch_cap, int charge_from_dispatch,
-    double *charge_row, double *extra_row, double *discharge_row, double *soc_row)
+void firmdispatch_balance(
+    const double *demand, const double *gen, long n, double dt, double baseload,
+    double power, double cap, double efficiency, double soc, double dispatch_cap,
+    int charge_from_dispatch, int idle,
+    double *baseload_row, double *to_demand_row, double *charge_row, double *extra_row,
+    double *discharge_row, double *curtailed_row, double *dispatch_row,
+    double *unserved_row, double *soc_row)
 {
     const double efficiency_dt = efficiency * dt;
     for (long t = 0; t < n; t++) {
-        const double step = flow[t];
-        double charge = 0.0, extra = 0.0, discharge = 0.0;
-        if (step > 0.0) {
-            charge = step;
-            if (charge > power)
-                charge = power;
-            const double headroom = (cap - soc) / efficiency_dt;
-            if (charge > headroom)
-                charge = headroom;
-            soc += efficiency * charge * dt;
-            if (soc > cap)
-                soc = cap;
-        } else if (step < 0.0) {
-            discharge = -step;
-            if (discharge > power)
-                discharge = power;
-            const double available = soc / dt;
-            if (discharge > available)
-                discharge = available;
-            soc -= discharge * dt;
-            if (soc < 0.0)
-                soc = 0.0;
-        }
+        const double d = demand[t], g = gen[t];
+        const double base = baseload > d ? d : baseload;
+        double residual = d - base;
+        const double step = g - residual;
+        const double to_demand = g > residual ? residual : g;
+        residual -= to_demand;
+        const double surplus = g - to_demand;
 
-        /* top up from spare dispatch only in steps the battery is not
-         * discharging; simultaneous charge and discharge would be churn.
-         * What the battery leaves to dispatch is the flow negated in a
-         * deficit, and +0.0 otherwise. */
-        if (charge_from_dispatch && discharge == 0.0) {
-            double dispatched = step < 0.0 ? -step : 0.0;
-            if (dispatched > dispatch_cap)
-                dispatched = dispatch_cap;
-            const double spare = dispatch_cap - dispatched;
-            const double power_left = power - charge;
-            if (spare > 0.0 && power_left > 0.0) {
-                extra = spare;
-                if (extra > power_left)
-                    extra = power_left;
+        double charge = 0.0, extra = 0.0, discharge = 0.0;
+        if (!idle) {
+            if (step > 0.0) {
+                charge = step;
+                if (charge > power)
+                    charge = power;
                 const double headroom = (cap - soc) / efficiency_dt;
-                if (extra > headroom)
-                    extra = headroom;
-                soc += efficiency * extra * dt;
+                if (charge > headroom)
+                    charge = headroom;
+                soc += efficiency * charge * dt;
                 if (soc > cap)
                     soc = cap;
+            } else if (step < 0.0) {
+                discharge = -step;
+                if (discharge > power)
+                    discharge = power;
+                const double available = soc / dt;
+                if (discharge > available)
+                    discharge = available;
+                soc -= discharge * dt;
+                if (soc < 0.0)
+                    soc = 0.0;
             }
+
+            /* top up from spare dispatch only in steps the battery is not
+             * discharging; simultaneous charge and discharge would be churn.
+             * What the battery leaves to dispatch is the flow negated in a
+             * deficit, and +0.0 otherwise. */
+            if (charge_from_dispatch && discharge == 0.0) {
+                double dispatched = step < 0.0 ? -step : 0.0;
+                if (dispatched > dispatch_cap)
+                    dispatched = dispatch_cap;
+                const double spare = dispatch_cap - dispatched;
+                const double power_left = power - charge;
+                if (spare > 0.0 && power_left > 0.0) {
+                    extra = spare;
+                    if (extra > power_left)
+                        extra = power_left;
+                    const double headroom = (cap - soc) / efficiency_dt;
+                    if (extra > headroom)
+                        extra = headroom;
+                    soc += efficiency * extra * dt;
+                    if (soc > cap)
+                        soc = cap;
+                }
+            }
+            residual -= discharge;
         }
 
+        const double dispatched = residual > dispatch_cap ? dispatch_cap : residual;
+        baseload_row[t] = base;
+        to_demand_row[t] = to_demand;
         charge_row[t] = charge;
         extra_row[t] = extra;
         discharge_row[t] = discharge;
+        curtailed_row[t] = surplus - charge;
+        dispatch_row[t] = dispatched;
+        unserved_row[t] = residual - dispatched;
         soc_row[t] = soc;
     }
 }

@@ -1,26 +1,14 @@
 """Hot inner loop of the dispatch simulation.
 
-The battery state couples every step to the one before it, so once its
-charge or discharge is clamped it cannot be vectorized across time.
-Everything else in a step can: ``balance_loop`` runs a pass in three
-stages.
-
-1. Baseload, renewables to demand, the surplus, the residual demand and
-   the signed flow ``ren_gen - (demand - base)`` depend only on the step's
-   inputs, so they are whole-array numpy expressions.  The flow is the
-   surplus where it is positive and the residual negated where it is
-   negative, bit for bit (``a - b`` is exactly ``-(b - a)``); a zero flow,
-   of either sign, is a step with neither.
-2. ``_battery_steps`` hands the flow to the C loop in ``_kernels.c``, which
-   steps every step from the first and writes the charge, the top-up from
-   spare dispatch, the discharge and the state of charge.
-3. Curtailment, dispatch and unserved demand follow from those rows as
-   whole arrays again.
-
-Each stage uses the float operations of the element-indexed loop in its
-order, so the ledger is the same bit for bit.  A battery that cannot act
-(no power, or no energy and an empty start) leaves stage 2 with nothing to
-do, so it is skipped and the pass is pure numpy.
+``balance_loop`` runs a pass as one C loop, ``firmdispatch_balance`` in
+``_kernels.c``, which walks every step once in the statement order of the
+element-indexed loop and writes all nine rows of the ledger, so the ledger
+is the same bit for bit.  The battery state couples every step to the one
+before it; the loop branches on one signed flow per step, renewables minus
+the demand that baseload leaves, which is the surplus where it is positive
+and the residual demand negated where it is negative.  A battery that
+cannot act (no power, or no energy and an empty start) is skipped, and its
+flows stay zero.
 
 The C loop is compiled on first import with the compiler Python was built
 with (``sysconfig``'s ``CC``) and fixed flags, into
@@ -99,8 +87,14 @@ def _compile(path):
     import subprocess
     import tempfile
 
-    os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    cache = os.path.dirname(path)
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    except OSError as exc:
+        raise ImportError(
+            f"cannot compile {_SOURCE} into the cache directory {cache}: {exc}"
+        ) from None
     os.close(fd)
     try:
         command = _command(tmp)
@@ -120,15 +114,29 @@ def _compile(path):
 
 
 _LIBRARY = _load()
-_STEPS = _LIBRARY.firmdispatch_battery_steps
-_STEPS.argtypes = (
-    ctypes.c_void_p,  # flow
+_BALANCE = _LIBRARY.firmdispatch_balance
+_BALANCE.argtypes = (
+    ctypes.c_void_p,  # demand
+    ctypes.c_void_p,  # generation
     ctypes.c_long,  # steps
-    *[ctypes.c_double] * 6,  # dt, power, capacity, efficiency, start, dispatch cap
+    *[ctypes.c_double] * 7,  # dt, baseload, power, capacity, efficiency, start, dispatch cap
     ctypes.c_int,  # charge from dispatch
-    *[ctypes.c_void_p] * 4,  # charge, top-up, discharge and SOC rows
+    ctypes.c_int,  # idle battery
+    *[ctypes.c_void_p] * N_ROWS,  # the rows of out
 )
-_STEPS.restype = None
+_BALANCE.restype = None
+# the rows in the order of firmdispatch_balance's row pointers
+_ROWS = (
+    ROW_BASELOAD,
+    ROW_REN_TO_DEMAND,
+    ROW_CHARGE_FROM_REN,
+    ROW_CHARGE_FROM_DISPATCH,
+    ROW_DISCHARGE,
+    ROW_CURTAILED,
+    ROW_DISPATCH,
+    ROW_UNSERVED,
+    ROW_SOC,
+)
 
 
 def _battery_is_idle(battery_power, battery_energy_cap, soc0):
@@ -192,68 +200,26 @@ def balance_loop(
         raise ValueError(
             f"the start charge {soc0!r} GWh is outside [0, {battery_energy_cap!r}] GWh"
         )
-    dispatch_cap = float(dispatch_cap)
-
-    base = np.where(baseload_out > demand, demand, baseload_out)
-    residual = demand - base
-    flow = ren_gen - residual  # the surplus where positive, the residual negated where negative
-    if flow.dtype != np.float64:
-        raise ValueError(f"demand and generation must be float64, not {flow.dtype}")
-    to_demand = np.where(ren_gen > residual, residual, ren_gen)
-    residual -= to_demand
-    surplus = ren_gen - to_demand
-    out[ROW_BASELOAD] = base
-    out[ROW_REN_TO_DEMAND] = to_demand
-
-    if _battery_is_idle(battery_power, battery_energy_cap, soc0):
-        out[ROW_CHARGE_FROM_REN : ROW_DISCHARGE + 1] = 0.0  # and the top-up between them
-        out[ROW_SOC] = soc0
-    else:
-        _battery_steps(
-            flow,
-            float(dt),
-            float(battery_power),
-            battery_energy_cap,
-            float(efficiency),
-            soc0,
-            dispatch_cap,
-            bool(charge_from_dispatch),
-            out,
-        )
-        residual -= out[ROW_DISCHARGE]
-
-    np.subtract(surplus, out[ROW_CHARGE_FROM_REN], out=out[ROW_CURTAILED])
-    dispatched = np.where(residual > dispatch_cap, dispatch_cap, residual)
-    out[ROW_DISPATCH] = dispatched
-    np.subtract(residual, dispatched, out=out[ROW_UNSERVED])
-
-
-def _battery_steps(
-    flow,
-    dt,
-    battery_power,
-    battery_energy_cap,
-    efficiency,
-    soc,
-    dispatch_cap,
-    charge_from_dispatch,
-    out,
-):
-    """Step the battery through the contiguous float64 ``flow`` in C, writing
-    the charge, top-up, discharge and state-of-charge rows of ``out``."""
+    for name, series in (("demand", demand), ("generation", ren_gen)):
+        if series.dtype != np.float64:
+            raise ValueError(f"{name} must be float64, not {series.dtype}")
+    demand = np.ascontiguousarray(demand)
+    ren_gen = np.ascontiguousarray(ren_gen)
     base, stride = out.ctypes.data, out.strides[0]
-    rows = (ROW_CHARGE_FROM_REN, ROW_CHARGE_FROM_DISPATCH, ROW_DISCHARGE, ROW_SOC)
-    _STEPS(
-        flow.ctypes.data,
-        flow.shape[0],
-        dt,
-        battery_power,
+    _BALANCE(
+        demand.ctypes.data,
+        ren_gen.ctypes.data,
+        n,
+        float(dt),
+        float(baseload_out),
+        float(battery_power),
         battery_energy_cap,
-        efficiency,
-        soc,
-        dispatch_cap,
-        charge_from_dispatch,
-        *[base + stride * row for row in rows],
+        float(efficiency),
+        soc0,
+        float(dispatch_cap),
+        bool(charge_from_dispatch),
+        _battery_is_idle(battery_power, battery_energy_cap, soc0),
+        *[base + stride * row for row in _ROWS],
     )
 
 

@@ -5,10 +5,8 @@ availability factor, wind and PV serve what remains, surplus renewables
 charge the battery (round-trip losses booked on the way in) and the rest is
 curtailed, deficits draw first on the battery and then on firm dispatchable
 capacity, and anything left is unserved.  ``_kernels.balance_loop`` runs
-that order over a dataset in one pass: every flow that does not depend on
-the state of charge is a whole-array numpy expression, and only the
-battery is stepped, by a C loop.  A mix without battery power or energy
-skips the battery, so its pass is numpy alone.  ``simulate`` returns the
+that order over a dataset in one pass, a C loop over the steps.  A mix
+without battery power or energy skips the battery.  ``simulate`` returns the
 energy totals of one pass with its per-step ledger attached as a
 ``DispatchTrace``; ``write_trace_csv`` writes that ledger under the
 header ``TRACE_COLUMNS``.

@@ -1,4 +1,4 @@
-"""Shared builders for randomized test fixtures.
+"""Shared builders for randomized test fixtures, and a recorder of balance passes.
 
 Every randomized test seeds its own generator so failures reproduce from
 the test name alone.
@@ -6,7 +6,9 @@ the test name alone.
 
 from __future__ import annotations
 
+import contextlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from firmdispatch import (
     CapacityMix,
     SimParams,
     TimeSeries,
+    _kernels,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -62,3 +65,22 @@ def random_params(rng):
         initial_soc_fraction=float(rng.uniform(0.0, 1.0)),
         battery_charges_from_dispatch=bool(rng.integers(0, 2)),
     )
+
+
+@contextlib.contextmanager
+def stepped_passes():
+    """Record, while open, whether each ``balance_loop`` call steps its battery.
+
+    A call steps it unless ``_kernels._battery_is_idle`` holds for the
+    battery power, capacity and start it is handed.
+    """
+    stepped = []
+    loop = _kernels.balance_loop
+
+    def recording(*args):
+        power, cap, soc0 = args[4], float(args[5]), float(args[7])
+        stepped.append(not _kernels._battery_is_idle(power, cap, soc0))
+        return loop(*args)
+
+    with mock.patch.object(_kernels, "balance_loop", recording):
+        yield stepped

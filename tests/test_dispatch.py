@@ -30,7 +30,7 @@ from firmdispatch.dispatch import (
 )
 from firmdispatch.profiles import scale_demand
 
-from conftest import random_dataset, random_mix, random_params
+from conftest import random_dataset, random_mix, random_params, stepped_passes
 
 
 def _dataset(demand, wind, pv, dt=1.0):
@@ -425,11 +425,11 @@ def test_sizing_matches_balance_loop_bitwise(case):
         ledger,
     )
     want = ledger[_kernels.ROW_DISPATCH]
-    with mock.patch.object(_kernels, "_battery_steps", wraps=_kernels._battery_steps) as steps:
+    with stepped_passes() as stepped:
         got = dispatch._run_balance(mix, data, params, np.inf, False)._ledger
         sized, served, energy = _sized_figures(mix, data, params)
-    # a mix without battery energy skips the step loop; any other runs it
-    assert steps.call_count == (2 if mix.battery_energy_gwh > 0.0 else 0)
+    # a mix without battery energy skips the battery; any other steps it
+    assert sum(stepped) == (2 if mix.battery_energy_gwh > 0.0 else 0)
     assert np.array_equal(got.view(np.int64), ledger.view(np.int64))
     assert _bits(sized.dispatch_gw) == _bits(np.max(want))
     assert _bits(energy) == _bits(float(np.sum(want)) * (data.dt_hours / 1000.0))

@@ -232,11 +232,15 @@ def test_balance_loop_rejects_an_out_the_c_loop_cannot_write(out):
 
 
 def test_balance_loop_rejects_float32_series():
-    # a float32 flow would be read as half as many float64 steps
-    out = np.empty((N_ROWS, 4))
-    series = np.ones(4, dtype=np.float32)
-    with pytest.raises(ValueError, match="must be float64"):
-        balance_loop(series, 3 * series, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False, out)
+    # the C loop reads each series through its own pointer, and a float32
+    # one would be read as half as many float64 steps: it is refused even
+    # beside a float64 one, whose difference with it is float64
+    out = np.full((N_ROWS, 4), 7.0)
+    single, double = np.ones(4, dtype=np.float32), np.full(4, 3.0)
+    for demand, generation in ((single, 3 * single), (single, double), (double, single)):
+        with pytest.raises(ValueError, match="must be float64"):
+            balance_loop(demand, generation, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False, out)
+    assert np.array_equal(out, np.full((N_ROWS, 4), 7.0))
 
 
 @pytest.mark.parametrize(
@@ -563,10 +567,10 @@ def test_loader_compiles_a_cold_cache_then_loads(tmp_path, monkeypatch):
     (name,) = _libraries(tmp_path)
     assert library._name == str(tmp_path / "firmdispatch" / name)
     assert (tmp_path / "firmdispatch").stat().st_mode & 0o777 == 0o700
-    # the fresh library steps a pass as the reference loop does
-    steps = library.firmdispatch_battery_steps
-    steps.argtypes, steps.restype = _kernels._STEPS.argtypes, None
-    monkeypatch.setattr(_kernels, "_STEPS", steps)
+    # the fresh library runs a pass as the reference loop does
+    balance = library.firmdispatch_balance
+    balance.argtypes, balance.restype = _kernels._BALANCE.argtypes, None
+    monkeypatch.setattr(_kernels, "_BALANCE", balance)
     _bitwise_ledger(_random_call(np.random.default_rng(1350)))
 
 
@@ -627,3 +631,15 @@ def test_loader_names_the_compiler_and_its_first_error_line(tmp_path, monkeypatc
     with pytest.raises(ImportError, match=f"with {missing}: "):
         _kernels._load()
     assert _libraries(tmp_path / "cache") == []
+
+
+def test_loader_names_a_cache_directory_it_cannot_make(tmp_path):
+    # a cache root that is a regular file fails the import with ImportError,
+    # not a raw OSError
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", encoding="utf-8")
+    ((code, _, err),) = _child_imports(blocker)
+    last = err.strip().splitlines()[-1]
+    assert code != 0
+    assert last.startswith(f"ImportError: cannot compile {_kernels._SOURCE} into the cache ")
+    assert f"directory {blocker / 'firmdispatch'}: " in last and "Not a directory" in last

@@ -18,7 +18,6 @@ from firmdispatch import (
     SimParams,
     SizingTable,
     TimeSeries,
-    _kernels,
     load_series,
     optimize,
     simulate,
@@ -32,7 +31,7 @@ from firmdispatch.optimizer import (
 )
 from firmdispatch.profiles import demand_stats, synthesize_dataset
 
-from conftest import FIXTURES, random_dataset
+from conftest import FIXTURES, random_dataset, stepped_passes
 from oracle import evaluate
 
 
@@ -305,7 +304,7 @@ def test_coarse_scan_matches_evaluate_point_by_point(charge_from_dispatch, basel
 
 @pytest.mark.parametrize("charge_from_dispatch, passes", [(False, 1), (True, 2)])
 def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
-    monkeypatch, charge_from_dispatch, passes
+    charge_from_dispatch, passes
 ):
     rng = np.random.default_rng(45)
     data = random_dataset(rng, n_steps=96)
@@ -324,10 +323,8 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
         refine_tolerance_hours=1.0,
     )
     n_coarse = 3 * 3 * 3 * 2
-    calls = []
-    steps = _kernels._battery_steps
-    monkeypatch.setattr(_kernels, "_battery_steps", lambda *args: calls.append(1) or steps(*args))
-    result = optimize(space, data, params)
+    with stepped_passes() as stepped:
+        result = optimize(space, data, params)
     points = [mix for mix, _ in result.trajectory]
     assert len(points) == result.evaluations
     storage_free = [m.battery_energy_gwh == 0.0 for m in points]
@@ -338,7 +335,7 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     # and once more to simulate it with the flag on; the winner has no
     # battery power, so its final simulation steps nothing
     assert result.best.mix.battery_power_gw == 0.0
-    assert len(calls) == passes * (len(points) - sum(storage_free))
+    assert sum(stepped) == passes * (len(points) - sum(storage_free))
 
 
 def test_refinement_path_is_pinned():
