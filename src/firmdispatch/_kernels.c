@@ -18,15 +18,17 @@
  * The caller checks that `soc` starts in [0, cap]; the clamps keep it
  * there, so no headroom, stored energy or flow is negative and the
  * reference loop's floors at zero never change a value.
+ *
+ * `ledger` holds nine rows of `n` doubles, row k at `ledger + k * n`, in
+ * the order of _kernels.py's ROW_* constants: baseload, renewables to
+ * demand, charge from renewables, charge from dispatch, discharge,
+ * curtailed, dispatch, unserved, state of charge.
  */
 
 void firmdispatch_balance(
     const double *demand, const double *gen, long n, double dt, double baseload,
     double power, double cap, double efficiency, double soc, double dispatch_cap,
-    int charge_from_dispatch, int idle,
-    double *baseload_row, double *to_demand_row, double *charge_row, double *extra_row,
-    double *discharge_row, double *curtailed_row, double *dispatch_row,
-    double *unserved_row, double *soc_row)
+    int charge_from_dispatch, int idle, double *ledger)
 {
     const double efficiency_dt = efficiency * dt;
     for (long t = 0; t < n; t++) {
@@ -88,14 +90,15 @@ void firmdispatch_balance(
         }
 
         const double dispatched = residual > dispatch_cap ? dispatch_cap : residual;
-        baseload_row[t] = base;
-        to_demand_row[t] = to_demand;
-        charge_row[t] = charge;
-        extra_row[t] = extra;
-        discharge_row[t] = discharge;
-        curtailed_row[t] = surplus - charge;
-        dispatch_row[t] = dispatched;
-        unserved_row[t] = residual - dispatched;
-        soc_row[t] = soc;
+        double *const cell = ledger + t;
+        cell[0] = base;
+        cell[n] = to_demand;
+        cell[2 * n] = charge;
+        cell[3 * n] = extra;
+        cell[4 * n] = discharge;
+        cell[5 * n] = surplus - charge;
+        cell[6 * n] = dispatched;
+        cell[7 * n] = residual - dispatched;
+        cell[8 * n] = soc;
     }
 }

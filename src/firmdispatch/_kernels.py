@@ -122,21 +122,9 @@ _BALANCE.argtypes = (
     *[ctypes.c_double] * 7,  # dt, baseload, power, capacity, efficiency, start, dispatch cap
     ctypes.c_int,  # charge from dispatch
     ctypes.c_int,  # idle battery
-    *[ctypes.c_void_p] * N_ROWS,  # the rows of out
+    ctypes.c_void_p,  # the ledger
 )
 _BALANCE.restype = None
-# the rows in the order of firmdispatch_balance's row pointers
-_ROWS = (
-    ROW_BASELOAD,
-    ROW_REN_TO_DEMAND,
-    ROW_CHARGE_FROM_REN,
-    ROW_CHARGE_FROM_DISPATCH,
-    ROW_DISCHARGE,
-    ROW_CURTAILED,
-    ROW_DISPATCH,
-    ROW_UNSERVED,
-    ROW_SOC,
-)
 
 
 def _battery_is_idle(battery_power, battery_energy_cap, soc0):
@@ -168,44 +156,40 @@ def balance_loop(
     soc0,
     dispatch_cap,
     charge_from_dispatch,
-    out,
 ):
-    """Run the merit-order balance over all steps, filling ``out`` in place.
+    """Run the merit-order balance over all steps and return its ledger.
 
     Per step: baseload first, then renewables, surplus renewables charge the
     battery (losses applied on the way in), remaining surplus is curtailed,
     deficits draw the battery and then dispatchable capacity, and whatever
-    is left goes unserved.  ``demand`` and ``ren_gen`` must be finite
-    float64 vectors of one length, and ``out`` a C-contiguous float64 array
-    of shape (N_ROWS, n_steps); ``efficiency`` and ``dt`` must be positive.
-    All power values are GW, state of charge is GWh.
+    is left goes unserved.  ``demand`` and ``ren_gen`` must be finite, and
+    ``efficiency`` and ``dt`` positive.  All power values are GW, state of
+    charge is GWh.  The ledger is a new float64 array of shape
+    (N_ROWS, n_steps), one row per ``ROW_*`` constant.
 
     The C loop takes raw pointers, so ``ValueError`` is raised before it
-    runs unless ``out`` is as above and the series are float64.  So it is
+    runs unless the series are float64 vectors of one length.  So it is
     unless the start charge ``soc0`` lies in ``[0, battery_energy_cap]`` (a
     NaN on either side fails too): the loop relies on it to leave its flows
     unfloored.
     """
+    for name, series in (("demand", demand), ("generation", ren_gen)):
+        if series.dtype != np.float64 or series.ndim != 1:
+            raise ValueError(
+                f"{name} must be float64 with one axis, not {series.dtype} of shape {series.shape}"
+            )
     n = demand.shape[0]
     if ren_gen.shape[0] != n:
         raise ValueError(f"demand has {n} steps but generation has {ren_gen.shape[0]}")
-    if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != (N_ROWS, n):
-        raise ValueError(
-            f"out must be a C-contiguous float64 array of shape ({N_ROWS}, {n}), "
-            f"not {out.dtype} of shape {out.shape}"
-        )
     battery_energy_cap = float(battery_energy_cap)
     soc0 = float(soc0)
     if not 0.0 <= soc0 <= battery_energy_cap:
         raise ValueError(
             f"the start charge {soc0!r} GWh is outside [0, {battery_energy_cap!r}] GWh"
         )
-    for name, series in (("demand", demand), ("generation", ren_gen)):
-        if series.dtype != np.float64:
-            raise ValueError(f"{name} must be float64, not {series.dtype}")
     demand = np.ascontiguousarray(demand)
     ren_gen = np.ascontiguousarray(ren_gen)
-    base, stride = out.ctypes.data, out.strides[0]
+    ledger = np.empty((N_ROWS, n))
     _BALANCE(
         demand.ctypes.data,
         ren_gen.ctypes.data,
@@ -219,8 +203,9 @@ def balance_loop(
         float(dispatch_cap),
         bool(charge_from_dispatch),
         _battery_is_idle(battery_power, battery_energy_cap, soc0),
-        *[base + stride * row for row in _ROWS],
+        ledger.ctypes.data,
     )
+    return ledger
 
 
 def _capacity_never_binds(battery_power, battery_energy_cap, efficiency, dt, peak_soc):

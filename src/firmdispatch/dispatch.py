@@ -216,8 +216,7 @@ def _run_balance(
     charge_from_dispatch: bool,
 ) -> DispatchTrace:
     demand = data.demand.values
-    out = np.empty((_kernels.N_ROWS, demand.shape[0]), dtype=np.float64)
-    _kernels.balance_loop(
+    ledger = _kernels.balance_loop(
         demand,
         _renewable_gen(mix, data),
         data.dt_hours,
@@ -228,9 +227,8 @@ def _run_balance(
         params.initial_soc_fraction * mix.battery_energy_gwh,
         dispatch_cap,
         charge_from_dispatch,
-        out,
     )
-    return DispatchTrace(demand, out, data.dt_hours)
+    return DispatchTrace(demand, ledger, data.dt_hours)
 
 
 def simulate(
@@ -360,13 +358,14 @@ class SizingTable:
 
     ``sized_energy(mix)`` returns bit for bit the mix and the
     ``served_energy_twh`` and ``dispatch_energy_twh`` of
-    ``sized_simulation``, read off the same ledger.  A mix's sizing depends on its capacities, the data and the params, never
-    on a cost book, so searches that differ only in their books can share
-    one table and size each mix once.  An entry is keyed by the ``repr`` of
-    every field of the mix but ``dispatch_gw``, which sizing replaces:
-    ``repr`` tells apart every two distinct floats, ``-0.0`` and ``0.0``
-    included, and an int from the equal float, so a hit returns bit for bit
-    what a fresh sizing of the mix given would.
+    ``sized_simulation``, read off the same ledger.  A mix's sizing depends
+    on its capacities, the data and the params, never on a cost book, so
+    searches that differ only in their books can share one table and size
+    each mix once.  An entry is keyed by the ``repr`` of every field of the
+    mix but ``dispatch_gw``, which sizing replaces: ``repr`` tells apart
+    every two distinct floats, ``-0.0`` and ``0.0`` included, and an int
+    from the equal float, so a hit returns bit for bit what a fresh sizing
+    of the mix given would.
 
     A mix met for the first time shares the balance pass of an earlier mix
     where the two sizings must agree bit for bit, by one of two rules, and

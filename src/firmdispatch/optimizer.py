@@ -17,8 +17,8 @@ A new point is sized through a ``dispatch.SizingTable`` and priced with
 exact coordinates and baseload of a mix.  Sizing never reads the cost
 book, so searches that differ only in their books can share one table,
 and a mix one of them sized costs the others no balance pass.  A mix
-sized anew takes one balance pass, numpy alone when it has no battery;
-with ``battery_charges_from_dispatch`` on, it is simulated once more.
+sized anew takes one balance pass, which skips the battery when it has
+none; with ``battery_charges_from_dispatch`` on, it is simulated once more.
 The search keeps only each point's sized mix and cost; the returned best
 ``Evaluation`` comes from one ``simulate`` of the winner, per-step ledger
 included.

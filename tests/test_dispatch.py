@@ -410,8 +410,7 @@ def test_sizing_matches_balance_loop_bitwise(case):
     ren_gen = mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
     baseload_out = mix.baseload_gw * mix.baseload_eaf
     soc0 = params.initial_soc_fraction * mix.battery_energy_gwh
-    ledger = np.empty((_kernels.N_ROWS, demand.shape[0]))
-    _kernels.balance_loop(
+    ledger = _kernels.balance_loop(
         demand,
         ren_gen,
         data.dt_hours,
@@ -422,7 +421,6 @@ def test_sizing_matches_balance_loop_bitwise(case):
         soc0,
         np.inf,  # sizing: no dispatch cap
         False,  # and no charging from dispatch
-        ledger,
     )
     want = ledger[_kernels.ROW_DISPATCH]
     with stepped_passes() as stepped:
@@ -580,8 +578,7 @@ def test_every_simulate_carries_the_ledger_of_its_pass():
         trace = simulate(mix, data, params).trace
 
         demand = data.demand.values
-        out = np.empty((_kernels.N_ROWS, demand.shape[0]))
-        _kernels.balance_loop(
+        out = _kernels.balance_loop(
             demand,
             mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
             data.dt_hours,
@@ -592,7 +589,6 @@ def test_every_simulate_carries_the_ledger_of_its_pass():
             params.initial_soc_fraction * mix.battery_energy_gwh,
             mix.dispatch_gw,
             params.battery_charges_from_dispatch,
-            out,
         )
         expected = {
             "demand_gw": demand,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,13 +145,31 @@ def _random_call(rng):
     )
 
 
+def _sentinel_ledger(args):
+    """``balance_loop(*args)``, its ledger allocated full of 7.0.
+
+    ``np.empty`` may hand out memory that already holds the right values; a
+    ledger that starts as 7.0 in every cell shows any cell the C loop leaves
+    unwritten.
+    """
+    allocated = []
+
+    def sentinel_empty(shape, dtype=np.float64):
+        array = np.full(shape, 7.0, dtype)
+        allocated.append(array)
+        return array
+
+    with mock.patch.object(_kernels.np, "empty", sentinel_empty):
+        got = balance_loop(*args)
+    assert len(allocated) == 1 and got is allocated[0]
+    return got
+
+
 def test_python_loop_soc_stays_bounded():
     rng = np.random.default_rng(55)
     for _ in range(30):
         args = _random_call(rng)
-        n = args[0].shape[0]
-        out = np.empty((N_ROWS, n))
-        balance_loop(*args, out)
+        out = balance_loop(*args)
         cap = args[5]
         assert np.all(out[ROW_SOC] >= 0.0)
         assert np.all(out[ROW_SOC] <= cap)
@@ -191,9 +210,8 @@ def test_balance_loop_matches_element_indexed_loop_bitwise(scalar, strided):
                         args = _oracle_case(rng, n, dt, cap, charge_from_dispatch, scalar, strided)
                         assert args[0].strides == ((24,) if strided else (8,))
                         inputs = [a.copy() for a in args[:2]]
-                        got = np.full((N_ROWS, n), 7.0)
+                        got = _sentinel_ledger(args)
                         want = np.full((N_ROWS, n), -7.0)
-                        balance_loop(*args, got)
                         reference_loop(*args, want)
                         assert np.array_equal(got.view(np.int64), want.view(np.int64)), args
                         for before, after in zip(inputs, args[:2]):
@@ -201,46 +219,35 @@ def test_balance_loop_matches_element_indexed_loop_bitwise(scalar, strided):
 
 
 def test_balance_loop_rejects_series_of_unequal_length():
-    out = np.empty((N_ROWS, 4))
     with pytest.raises(ValueError):
-        balance_loop(np.ones(4), np.ones(3), 1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False, out)
+        balance_loop(np.ones(4), np.ones(3), 1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False)
 
 
 @pytest.mark.parametrize("soc0", [9.0, -1.0, np.nan])
 def test_balance_loop_rejects_a_start_outside_the_battery(soc0):
-    out = np.empty((N_ROWS, 4))
     with pytest.raises(ValueError, match="start charge"):
-        balance_loop(np.ones(4), np.ones(4), 1.0, 0.0, 2.0, 8.0, 0.85, soc0, np.inf, False, out)
-
-
-@pytest.mark.parametrize(
-    "out",
-    [
-        np.empty((N_ROWS, 4), dtype=np.float32),
-        np.empty((N_ROWS, 4), order="F"),
-        np.empty((N_ROWS, 3)),
-    ],
-    ids=["float32", "fortran-order", "short"],
-)
-def test_balance_loop_rejects_an_out_the_c_loop_cannot_write(out):
-    # the C loop writes through raw pointers: a wrong out must raise before
-    # it runs, not crash, and is left as it was
-    before = out.copy()
-    with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
-        balance_loop(np.ones(4), np.full(4, 3.0), 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False, out)
-    assert np.array_equal(out, before, equal_nan=True)
+        balance_loop(np.ones(4), np.ones(4), 1.0, 0.0, 2.0, 8.0, 0.85, soc0, np.inf, False)
 
 
 def test_balance_loop_rejects_float32_series():
     # the C loop reads each series through its own pointer, and a float32
     # one would be read as half as many float64 steps: it is refused even
     # beside a float64 one, whose difference with it is float64
-    out = np.full((N_ROWS, 4), 7.0)
     single, double = np.ones(4, dtype=np.float32), np.full(4, 3.0)
     for demand, generation in ((single, 3 * single), (single, double), (double, single)):
         with pytest.raises(ValueError, match="must be float64"):
-            balance_loop(demand, generation, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False, out)
-    assert np.array_equal(out, np.full((N_ROWS, 4), 7.0))
+            balance_loop(demand, generation, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 3), ()], ids=["4x2", "4x3", "0-d"])
+@pytest.mark.parametrize("series", ["demand", "generation"])
+def test_balance_loop_rejects_a_series_of_other_than_one_axis(series, shape):
+    # the C loop reads the first n doubles of each series: a (4, 2) demand
+    # would pass its interleaved columns off as one series of 4 steps
+    bad, good = np.full(shape, 2.0), np.full(4, 3.0)
+    demand, generation = (bad, good) if series == "demand" else (good, bad)
+    with pytest.raises(ValueError, match=f"{series} must be float64 with one axis"):
+        balance_loop(demand, generation, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False)
 
 
 @pytest.mark.parametrize(
@@ -316,9 +323,8 @@ def _kernel_calls(draw):
 @given(_kernel_calls())
 def test_balance_loop_matches_reference_loop_on_drawn_ties(args):
     n = args[0].shape[0]
-    got = np.full((N_ROWS, n), 7.0)
+    got = _sentinel_ledger(args)
     want = np.full((N_ROWS, n), -7.0)
-    balance_loop(*args, got)
     reference_loop(*args, want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -339,9 +345,8 @@ CHECKS = ("headroom", "overfill", "availability", "underflow")
 def _bitwise_ledger(args):
     """``balance_loop``'s ledger for ``args``, once it matches ``reference_loop``'s bit for bit."""
     n = args[0].shape[0]
-    got = np.full((N_ROWS, n), 7.0)
+    got = _sentinel_ledger(args)
     want = np.full((N_ROWS, n), -7.0)
-    balance_loop(*args, got)
     reference_loop(*args, want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64)), args
     return got
@@ -457,9 +462,8 @@ def test_prefix_meets_a_subnormal_efficiency(dt):
     rng = np.random.default_rng(1325)
     demand, ren = _swings(rng, 48, 6.0)
     args = (demand, ren, dt, 0.0, 3.0, 12.0, 1e-320, 6.0, np.inf, False)
-    got = np.full((N_ROWS, 48), 7.0)
+    got = _sentinel_ledger(args)
     want = np.full((N_ROWS, 48), -7.0)
-    balance_loop(*args, got)
     # the oracle steps numpy scalars, whose division warns where Python's does not
     with np.errstate(over="ignore"):
         reference_loop(*args, want)
