@@ -5,7 +5,8 @@ fixed operation and maintenance is charged per installed kW and year, and
 fuel is charged per MWh of dispatchable generation through a heat rate.
 Baseload is treated as existing plant: it carries no capital, O&M, or fuel
 in the objective.  The headline figure is total annual cost divided by
-energy served, in USD/MWh.
+energy served, in USD/MWh.  A ``CostBook`` computes the recovery factor of
+each lifetime once, when it is made, and pricing reads it from there.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ class CostBook:
     battery energy capacity.  Fixed O&M is USD per kW-year (battery O&M is
     charged on power).  Fuel enters as USD per GJ with a heat rate in GJ per
     MWh of generation; their product, the fuel cost per MWh, must be finite.
+    A book keeps the ``crf`` of each lifetime it checks, outside its fields,
+    so ``repr``, ``==`` and the manifests see the prices alone.
     """
 
     capex_wind_usd_per_kw: float = 1200.0
@@ -62,14 +65,17 @@ class CostBook:
             raise ValueError(f"interest_rate must move 1.0 + interest_rate above 1.0, got {rate!r}")
         for name in _LIFETIMES:
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
             try:
-                crf(rate, value)
+                annuity = crf(rate, value)
             except ValueError:
                 raise ValueError(
                     f"{name} must keep (1 + interest_rate) ** {name} finite, got {value!r}"
                 ) from None
+            # outside the fields: life_wind_years's annuity is _crf_wind, and so on
+            kind = name.removeprefix("life_").removesuffix("_years")
+            object.__setattr__(self, f"_crf_{kind}", annuity)
 
 
 # The prices that must be finite and >= 0 and the lifetimes that must be
@@ -106,7 +112,7 @@ def crf(rate: float, years: int) -> float:
         raise ValueError(f"rate must be in (0, 1), got {rate!r}")
     if 1.0 + rate == 1.0:
         raise ValueError(f"rate must move 1.0 + rate above 1.0, got {rate!r}")
-    if not (isinstance(years, int) and years >= 1):
+    if isinstance(years, bool) or not (isinstance(years, int) and years >= 1):
         raise ValueError(f"years must be a positive integer, got {years!r}")
     try:
         growth = (1.0 + rate) ** years
@@ -120,18 +126,11 @@ DEFAULT_BOOK = CostBook()
 
 def annualized_capital(mix: CapacityMix, book: CostBook) -> float:
     """Annual capital payment in USD for the whole mix, baseload excluded."""
-    rate = book.interest_rate
     return (
-        mix.wind_gw * KW_PER_GW * book.capex_wind_usd_per_kw * crf(rate, book.life_wind_years)
-        + mix.pv_gw * KW_PER_GW * book.capex_pv_usd_per_kw * crf(rate, book.life_pv_years)
-        + mix.dispatch_gw
-        * KW_PER_GW
-        * book.capex_dispatch_usd_per_kw
-        * crf(rate, book.life_dispatch_years)
-        + mix.battery_energy_gwh
-        * KW_PER_GW
-        * book.capex_battery_usd_per_kwh
-        * crf(rate, book.life_battery_years)
+        mix.wind_gw * KW_PER_GW * book.capex_wind_usd_per_kw * book._crf_wind
+        + mix.pv_gw * KW_PER_GW * book.capex_pv_usd_per_kw * book._crf_pv
+        + mix.dispatch_gw * KW_PER_GW * book.capex_dispatch_usd_per_kw * book._crf_dispatch
+        + mix.battery_energy_gwh * KW_PER_GW * book.capex_battery_usd_per_kwh * book._crf_battery
     )
 
 
@@ -178,8 +177,7 @@ def cost_from_energy(
     total = capital + om + fuel
 
     dispatch_kw_yr = (
-        book.capex_dispatch_usd_per_kw * crf(book.interest_rate, book.life_dispatch_years)
-        + book.fixed_om_dispatch_usd_per_kw_yr
+        book.capex_dispatch_usd_per_kw * book._crf_dispatch + book.fixed_om_dispatch_usd_per_kw_yr
     )
     return SystemCost(
         annualized_capital_usd=capital,

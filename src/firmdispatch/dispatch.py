@@ -305,32 +305,31 @@ def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> 
 
 def _sized(
     mix: CapacityMix, data: AlignedDataset, params: SimParams
-) -> tuple[CapacityMix, DispatchTrace]:
-    """The mix at its sized capacity and the ledger of its ``simulate``:
-    with the flag off, the sizing pass's own, by the rule above."""
+) -> tuple[float, DispatchTrace]:
+    """The sized ``dispatch_gw`` of ``mix`` and the ledger of ``simulate`` at
+    that capacity: with the flag off, the sizing pass's own, by the rule above."""
     trace = _run_balance(mix, data, params, np.inf, False)
-    sized = replace(mix, dispatch_gw=float(np.max(trace.dispatch_gw)))
+    dispatch_gw = float(np.max(trace.dispatch_gw))
     if params.battery_charges_from_dispatch:
-        trace = simulate_trace(sized, data, params)
-    return sized, trace
+        trace = _run_balance(mix, data, params, dispatch_gw, True)
+    return dispatch_gw, trace
 
 
 def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> float:
     """Smallest dispatchable capacity in GW that serves all demand.
 
-    One balance pass runs with the dispatch cap removed; the answer is the
-    peak draw that remains after baseload, renewables, and the battery.
-    Simulating the same mix with ``dispatch_gw`` set to this value leaves
-    zero demand unserved.  The battery is charged from renewables only
-    during sizing, because charging from an unbounded dispatchable plant
-    would understate the capacity needed.  Under the default parameters the
-    result is also minimal: one hundredth of a GW less already drops load.
-    With ``battery_charges_from_dispatch`` enabled it stays a safe upper
-    bound but may exceed the minimum, since spare dispatch can pre-charge
-    the battery ahead of the worst deficit.
+    One balance pass runs with the dispatch cap removed and, whatever
+    ``params`` says, the battery charged from renewables only, because
+    charging from an unbounded dispatchable plant would understate the
+    capacity needed.  The answer is the peak draw that remains after
+    baseload, renewables, and the battery: simulating the same mix with
+    ``dispatch_gw`` set to it leaves zero demand unserved.  Under the
+    default parameters the result is also minimal: one hundredth of a GW
+    less already drops load.  With ``battery_charges_from_dispatch`` enabled
+    it stays a safe upper bound but may exceed the minimum, since spare
+    dispatch can pre-charge the battery ahead of the worst deficit.
     """
-    # the sizing pass alone, whatever the flag
-    return _sized(mix, data, replace(params, battery_charges_from_dispatch=False))[0].dispatch_gw
+    return float(np.max(_run_balance(mix, data, params, np.inf, False).dispatch_gw))
 
 
 def sized_simulation(
@@ -338,7 +337,8 @@ def sized_simulation(
 ) -> tuple[CapacityMix, DispatchResult]:
     """Size one mix; return it with ``dispatch_gw`` from ``size_dispatch``
     and its ``simulate``, equal bit for bit, ledger included."""
-    sized, trace = _sized(mix, data, params)
+    dispatch_gw, trace = _sized(mix, data, params)
+    sized = replace(mix, dispatch_gw=dispatch_gw)
     return sized, _summarize(sized, data, trace)
 
 
@@ -429,10 +429,10 @@ class SizingTable:
             key = repr(_never_full_key(mix)) if never_full else None
         shared = self._passes.get(key)
         if shared is None or not self._never_fills(mix, shared[0]):
-            sized, trace = _sized(mix, self.data, params)
+            dispatch_gw, trace = _sized(mix, self.data, params)
             peak = float(np.max(trace.soc_gwh)) if never_full else None
             served = self._demand_twh - trace.unserved_energy_twh
-            shared = peak, sized.dispatch_gw, served, trace.dispatch_energy_twh
+            shared = peak, dispatch_gw, served, trace.dispatch_energy_twh
             if key is not None and self._never_fills(mix, peak):
                 self._passes[key] = shared
         _, dispatch_gw, served, dispatched = shared

@@ -205,11 +205,8 @@ def optimize(
         key = _cache_key(*coords)
         hit = cache.get(key)
         if hit is None:
-            mix = CapacityMix(
-                **dict(zip(AXES, coords)),
-                baseload_gw=space.baseload_gw,
-                baseload_eaf=space.baseload_eaf,
-            )
+            # AXES are the mix's first four fields; the table sizes dispatch_gw
+            mix = CapacityMix(*coords, 0.0, space.baseload_gw, space.baseload_eaf)
             sized, served, energy = table.sized_energy(mix)
             hit = cache[key] = (sized, cost_from_energy(sized, served, energy, book))
         return hit

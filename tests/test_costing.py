@@ -6,9 +6,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from firmdispatch import CapacityMix, CostBook, simulate
+from firmdispatch import CapacityMix, CostBook, SystemCost, simulate
 from firmdispatch.costing import (
     annualized_capital,
+    cost_from_energy,
     crf,
     fixed_om,
     fuel_cost,
@@ -33,7 +34,8 @@ def test_crf_validation():
     for rate in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError, match="rate"):
             crf(rate, 30)
-    for years in (0, -5, 2.5):
+    # True is an int equal to 1, a one-year annuity
+    for years in (0, -5, 2.5, True):
         with pytest.raises(ValueError, match="years"):
             crf(0.08, years)
 
@@ -254,7 +256,7 @@ def test_every_price_is_range_checked(name, value):
         CostBook(**{name: value})
 
 
-@pytest.mark.parametrize("value", [0, 1.5])
+@pytest.mark.parametrize("value", [0, 1.5, True])
 @pytest.mark.parametrize("name", LIFETIMES)
 def test_every_lifetime_is_range_checked(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
@@ -265,3 +267,75 @@ def test_cost_book_checks_prices_before_lifetimes():
     assert (len(PRICES), len(LIFETIMES)) == (10, 4)
     with pytest.raises(ValueError, match="^fixed_om_pv_usd_per_kw_yr "):
         CostBook(fixed_om_pv_usd_per_kw_yr=-1.0, life_wind_years=0)
+
+
+def _random_book(rng):
+    return CostBook(
+        capex_wind_usd_per_kw=float(rng.uniform(0.0, 3000.0)),
+        capex_pv_usd_per_kw=float(rng.uniform(0.0, 3000.0)),
+        capex_dispatch_usd_per_kw=float(rng.uniform(0.0, 3000.0)),
+        capex_battery_usd_per_kwh=float(rng.uniform(0.0, 800.0)),
+        interest_rate=float(rng.uniform(1e-4, 0.3)),
+        life_wind_years=int(rng.integers(1, 60)),
+        life_pv_years=int(rng.integers(1, 60)),
+        life_dispatch_years=int(rng.integers(1, 60)),
+        life_battery_years=int(rng.integers(1, 60)),
+        fixed_om_dispatch_usd_per_kw_yr=float(rng.uniform(0.0, 50.0)),
+        fixed_om_battery_usd_per_kw_yr=float(rng.uniform(0.0, 50.0)),
+        fuel_price_usd_per_gj=float(rng.uniform(0.0, 40.0)),
+    )
+
+
+def _cost_with_crf_per_term(mix, served_twh, dispatch_energy_twh, book):
+    """``cost_from_energy`` written out, calling ``crf`` for every term."""
+    rate = book.interest_rate
+    capital = (
+        mix.wind_gw * 1e6 * book.capex_wind_usd_per_kw * crf(rate, book.life_wind_years)
+        + mix.pv_gw * 1e6 * book.capex_pv_usd_per_kw * crf(rate, book.life_pv_years)
+        + mix.dispatch_gw
+        * 1e6
+        * book.capex_dispatch_usd_per_kw
+        * crf(rate, book.life_dispatch_years)
+        + mix.battery_energy_gwh
+        * 1e6
+        * book.capex_battery_usd_per_kwh
+        * crf(rate, book.life_battery_years)
+    )
+    om = fixed_om(mix, book)
+    fuel = fuel_cost(dispatch_energy_twh, book)
+    total = capital + om + fuel
+    served_mwh = served_twh * 1e6
+    dispatch_kw_yr = (
+        book.capex_dispatch_usd_per_kw * crf(rate, book.life_dispatch_years)
+        + book.fixed_om_dispatch_usd_per_kw_yr
+    )
+    return SystemCost(
+        annualized_capital_usd=capital,
+        fixed_om_usd=om,
+        fuel_usd=fuel,
+        total_usd=total,
+        energy_served_mwh=served_mwh,
+        unit_cost_usd_per_mwh=total / served_mwh,
+        capacity_payment_usd_per_kw_yr=dispatch_kw_yr,
+        capacity_payment_usd_per_mwh=mix.dispatch_gw * 1e6 * dispatch_kw_yr / served_mwh,
+    )
+
+
+def test_cost_from_energy_matches_crf_per_term_bitwise():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        book = _random_book(rng)
+        # a book made by replace computes its own annuities, not its source's
+        other = _random_book(rng)
+        changed = {name: getattr(other, name) for name in rng.choice(LIFETIMES, 2)}
+        changed["interest_rate"] = other.interest_rate
+        for priced in (book, replace(book, **changed), replace(book)):
+            mix = random_mix(rng, with_baseload=True)
+            served = float(rng.uniform(1e-3, 100.0))
+            dispatched = float(rng.uniform(0.0, 50.0))
+            assert repr(cost_from_energy(mix, served, dispatched, priced)) == repr(
+                _cost_with_crf_per_term(mix, served, dispatched, priced)
+            )
+    # the annuities are kept outside the fields, so repr reads the prices alone
+    shown = ", ".join(f"{f.name}={getattr(book, f.name)!r}" for f in fields(CostBook))
+    assert repr(book) == f"CostBook({shown})"

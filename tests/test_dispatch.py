@@ -486,9 +486,13 @@ def test_charge_from_dispatch_flag():
     assert on.dispatch_energy_twh * 1000.0 == 16.0
     assert on.peak_dispatch_gw == 10.0
 
-    # sizing always charges from renewables only, so the flag cannot move it
+    # sizing always charges from renewables only, so the flag cannot move it,
+    # and it is the sizing pass alone
     params_on = SimParams(battery_charges_from_dispatch=True)
-    assert size_dispatch(mix, data, params_on) == size_dispatch(mix, data, SimParams())
+    with mock.patch.object(_kernels, "balance_loop", wraps=_kernels.balance_loop) as passes:
+        sized_on = size_dispatch(mix, data, params_on)
+    assert passes.call_count == 1
+    assert sized_on == size_dispatch(mix, data, SimParams())
 
 
 def test_half_hourly_step_scales_energy_without_battery():

@@ -22,6 +22,7 @@ from firmdispatch import (
     optimize,
     simulate,
 )
+from firmdispatch import costing
 from firmdispatch.costing import crf
 from firmdispatch.dispatch import TRACE_COLUMNS
 from firmdispatch.optimizer import (
@@ -336,6 +337,45 @@ def test_refinement_point_runs_one_pass_unless_dispatch_charges_the_battery(
     # battery power, so its final simulation steps nothing
     assert result.best.mix.battery_power_gw == 0.0
     assert sum(stepped) == passes * (len(points) - sum(storage_free))
+
+
+_COUNTING_SPACE = SearchSpace(
+    wind_gw=(0.0, 16.0, 8.0),
+    pv_gw=(0.0, 12.0, 6.0),
+    battery_power_gw=(0.0, 6.0, 3.0),
+    battery_hours=(0.0, 1.0, 4.0),
+    baseload_gw=2.0,
+    baseload_eaf=0.7,
+    refine_tolerance_gw=1.0,
+    refine_tolerance_hours=1.0,
+)
+
+
+def test_a_search_calls_crf_nowhere(monkeypatch):
+    data = random_dataset(np.random.default_rng(46), n_steps=72)
+    book = CostBook(capex_battery_usd_per_kwh=20.0, life_battery_years=12)
+    calls = []
+    monkeypatch.setattr(costing, "crf", lambda *args: calls.append(args) or crf(*args))
+    result = optimize(_COUNTING_SPACE, data, SimParams(), book)
+    # the book computed its annuities when it was made
+    assert result.evaluations > 0 and calls == []
+
+
+@pytest.mark.parametrize("charge_from_dispatch", [False, True])
+def test_a_new_point_builds_two_mixes(monkeypatch, charge_from_dispatch):
+    data = random_dataset(np.random.default_rng(47), n_steps=72)
+    params = SimParams(initial_soc_fraction=0.0, battery_charges_from_dispatch=charge_from_dispatch)
+    table = SizingTable(data, params)
+    built = []
+    check = CapacityMix.__post_init__
+    monkeypatch.setattr(CapacityMix, "__post_init__", lambda mix: built.append(mix) or check(mix))
+    result = optimize(_COUNTING_SPACE, data, params, table=table)
+    # the point's mix and the sized mix the table keeps for it
+    assert len(built) == 2 * result.evaluations
+    # searched again through the same table, a point builds its own mix alone
+    built.clear()
+    again = optimize(_COUNTING_SPACE, data, params, table=table)
+    assert len(built) == again.evaluations == result.evaluations
 
 
 def test_refinement_path_is_pinned():
