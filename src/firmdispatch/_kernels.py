@@ -1,4 +1,4 @@
-"""Hot inner loop of the dispatch simulation.
+"""Hot inner loop of the dispatch simulation, and the array work around it.
 
 ``balance_loop`` runs a pass as one C loop, ``firmdispatch_balance`` in
 ``_kernels.c``, which walks every step once in the statement order of the
@@ -9,6 +9,14 @@ the demand that baseload leaves, which is the surplus where it is positive
 and the residual demand negated where it is negative.  A battery that
 cannot act (no power, or no energy and an empty start) is skipped, and its
 flows stay zero.
+
+Series and ledgers live in stdlib ``array('d')`` buffers, which the C
+library reads and writes by address, so nothing here imports numpy.
+``doubles`` is the one form they take: a flat read-only memoryview of a
+whole ``array('d')``.  ``combine``, ``total`` and ``peak`` do what numpy's
+``a * x + b * y``, ``np.sum`` and ``np.max`` did, bit for bit; only the
+sign of a zero maximum may differ, which is +0.0 wherever zeros of both
+signs meet.
 
 The C loop is compiled on first import with the compiler Python was built
 with (``sysconfig``'s ``CC``) and fixed flags, into
@@ -35,8 +43,8 @@ import math
 import os
 import platform
 import sys
-
-import numpy as np
+from array import array
+from typing import NamedTuple
 
 # Row indices of the step ledger filled by the balance loop.
 ROW_BASELOAD = 0
@@ -117,7 +125,10 @@ _LIBRARY = _load()
 _BALANCE = _LIBRARY.firmdispatch_balance
 _BALANCE.argtypes = (
     ctypes.c_void_p,  # demand
-    ctypes.c_void_p,  # generation
+    ctypes.c_void_p,  # wind capacity factors, or the generation itself
+    ctypes.c_double,  # wind GW
+    ctypes.c_void_p,  # PV capacity factors, or NULL
+    ctypes.c_double,  # PV GW
     ctypes.c_long,  # steps
     *[ctypes.c_double] * 7,  # dt, baseload, power, capacity, efficiency, start, dispatch cap
     ctypes.c_int,  # charge from dispatch
@@ -125,6 +136,98 @@ _BALANCE.argtypes = (
     ctypes.c_void_p,  # the ledger
 )
 _BALANCE.restype = None
+_COMBINE = _LIBRARY.firmdispatch_combine
+_COMBINE.argtypes = (
+    ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_double, ctypes.c_long,
+    ctypes.c_void_p,
+)
+_COMBINE.restype = None
+_SUM = _LIBRARY.firmdispatch_sum
+_MAX = _LIBRARY.firmdispatch_max
+for _reduce in (_SUM, _MAX):
+    _reduce.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
+    _reduce.restype = ctypes.c_double
+_FIRST_OUTSIDE = _LIBRARY.firmdispatch_first_outside
+_FIRST_OUTSIDE.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_double)
+_FIRST_OUTSIDE.restype = ctypes.c_long
+
+_ZERO = array("d", [0.0])
+
+
+def _new_doubles(size):
+    """A new ``array('d')`` of ``size`` zeros."""
+    return _ZERO * size
+
+
+def doubles(values):
+    """``values``, a buffer of doubles of any shape, as a flat read-only view
+    of an ``array('d')``: of the one it views whole, else of a new copy.
+
+    ``ValueError`` unless the buffer holds native doubles.
+    """
+    view = values if isinstance(values, memoryview) else memoryview(values)
+    if view.format != "d":
+        raise ValueError(f"expected a buffer of float64, not format {view.format!r}")
+    base = view.obj
+    whole = isinstance(base, array) and base.typecode == "d" and view.nbytes == 8 * len(base)
+    if not (whole and view.c_contiguous):
+        base = array("d", view.tobytes())
+    elif view.readonly and view.ndim == 1:
+        return view
+    return memoryview(base).toreadonly()
+
+
+def address(view):
+    """The address of the first double of a view made by ``doubles``."""
+    return view.obj.buffer_info()[0]
+
+
+def combine(n, a, x, b=None, y=0.0):
+    """``a * x + b * y`` (``a * x`` without ``b``) over the ``n`` doubles at
+    the addresses ``a`` and ``b``, bit for bit as numpy computes it, as a
+    read-only view of a new ``array('d')``."""
+    out = _new_doubles(n)
+    _COMBINE(a, x, b, y, n, out.buffer_info()[0])
+    return memoryview(out).toreadonly()
+
+
+def total(n, a, b=None):
+    """``np.sum`` of the ``n`` doubles at address ``a``, each plus its
+    counterpart at ``b`` if given, bit for bit."""
+    return _SUM(a, b, n)
+
+
+def peak(n, a, b=None):
+    """``np.max`` of the ``n`` doubles at address ``a``, each plus its
+    counterpart at ``b`` if given, none of them NaN; a zero of both signs
+    gives +0.0."""
+    if n == 0:
+        raise ValueError("the maximum of no values is undefined")
+    return _MAX(a, b, n)
+
+
+def first_outside(n, a, lo, hi):
+    """The index of the first of the ``n`` doubles at address ``a`` outside
+    ``[lo, hi]`` (a NaN is outside every range), or ``n``."""
+    return _FIRST_OUTSIDE(a, n, lo, hi)
+
+
+def as_ndarray(view):
+    """``view`` as a read-only float64 ndarray over the same buffer; this
+    imports numpy."""
+    import numpy as np
+
+    return np.frombuffer(view, dtype=np.float64)
+
+
+class Generation(NamedTuple):
+    """The renewable output ``wind_gw * wind_cf + pv_gw * pv_cf`` that the C
+    loop forms step by step, from two float64 series of capacity factors."""
+
+    wind_gw: float
+    wind_cf: object
+    pv_gw: float
+    pv_cf: object
 
 
 def _battery_is_idle(battery_power, battery_energy_cap, soc0):
@@ -145,6 +248,17 @@ def _battery_is_idle(battery_power, battery_energy_cap, soc0):
     )
 
 
+def _series(values, name):
+    """``values`` as ``doubles``, once it holds float64 along one axis."""
+    view = memoryview(values)
+    if view.format != "d" or view.ndim != 1:
+        raise ValueError(
+            f"{name} must be float64 with one axis, "
+            f"not format {view.format!r} of shape {view.shape}"
+        )
+    return doubles(view)
+
+
 def balance_loop(
     demand,
     ren_gen,
@@ -162,37 +276,44 @@ def balance_loop(
     Per step: baseload first, then renewables, surplus renewables charge the
     battery (losses applied on the way in), remaining surplus is curtailed,
     deficits draw the battery and then dispatchable capacity, and whatever
-    is left goes unserved.  ``demand`` and ``ren_gen`` must be finite, and
-    ``efficiency`` and ``dt`` positive.  All power values are GW, state of
-    charge is GWh.  The ledger is a new float64 array of shape
-    (N_ROWS, n_steps), one row per ``ROW_*`` constant.
+    is left goes unserved.  ``ren_gen`` is the renewable output, a series or
+    a ``Generation`` the loop forms as it goes.  Every series must be
+    finite, and ``efficiency`` and ``dt`` positive.  All power values are
+    GW, state of charge is GWh.  The ledger is a new buffer of float64, a
+    memoryview of shape (N_ROWS, n_steps), one row per ``ROW_*`` constant.
 
     The C loop takes raw pointers, so ``ValueError`` is raised before it
-    runs unless the series are float64 vectors of one length.  So it is
-    unless the start charge ``soc0`` lies in ``[0, battery_energy_cap]`` (a
-    NaN on either side fails too): the loop relies on it to leave its flows
-    unfloored.
+    runs unless the series are nonempty float64 vectors of one length.  So
+    it is unless the start charge ``soc0`` lies in ``[0,
+    battery_energy_cap]`` (a NaN on either side fails too): the loop relies
+    on it to leave its flows unfloored.
     """
-    for name, series in (("demand", demand), ("generation", ren_gen)):
-        if series.dtype != np.float64 or series.ndim != 1:
-            raise ValueError(
-                f"{name} must be float64 with one axis, not {series.dtype} of shape {series.shape}"
-            )
-    n = demand.shape[0]
-    if ren_gen.shape[0] != n:
-        raise ValueError(f"demand has {n} steps but generation has {ren_gen.shape[0]}")
+    demand = _series(demand, "demand")
+    if isinstance(ren_gen, Generation):
+        wind, pv = _series(ren_gen.wind_cf, "wind"), _series(ren_gen.pv_cf, "PV")
+        wind_gw, pv_gw = float(ren_gen.wind_gw), float(ren_gen.pv_gw)
+    else:
+        wind, pv = _series(ren_gen, "generation"), None
+        wind_gw, pv_gw = 1.0, 0.0
+    n = len(demand)
+    for name, series in (("generation" if pv is None else "wind", wind), ("PV", pv)):
+        if series is not None and len(series) != n:
+            raise ValueError(f"demand has {n} steps but {name} has {len(series)}")
+    if n == 0:
+        raise ValueError("a balance pass needs at least one step")
     battery_energy_cap = float(battery_energy_cap)
     soc0 = float(soc0)
     if not 0.0 <= soc0 <= battery_energy_cap:
         raise ValueError(
             f"the start charge {soc0!r} GWh is outside [0, {battery_energy_cap!r}] GWh"
         )
-    demand = np.ascontiguousarray(demand)
-    ren_gen = np.ascontiguousarray(ren_gen)
-    ledger = np.empty((N_ROWS, n))
+    ledger = _new_doubles(N_ROWS * n)
     _BALANCE(
-        demand.ctypes.data,
-        ren_gen.ctypes.data,
+        address(demand),
+        address(wind),
+        wind_gw,
+        None if pv is None else address(pv),
+        pv_gw,
         n,
         float(dt),
         float(baseload_out),
@@ -203,9 +324,9 @@ def balance_loop(
         float(dispatch_cap),
         bool(charge_from_dispatch),
         _battery_is_idle(battery_power, battery_energy_cap, soc0),
-        ledger.ctypes.data,
+        ledger.buffer_info()[0],
     )
-    return ledger
+    return memoryview(ledger).cast("B").cast("d", (N_ROWS, n))
 
 
 def _capacity_never_binds(battery_power, battery_energy_cap, efficiency, dt, peak_soc):

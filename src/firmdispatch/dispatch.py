@@ -5,8 +5,10 @@ availability factor, wind and PV serve what remains, surplus renewables
 charge the battery (round-trip losses booked on the way in) and the rest is
 curtailed, deficits draw first on the battery and then on firm dispatchable
 capacity, and anything left is unserved.  ``_kernels.balance_loop`` runs
-that order over a dataset in one pass, a C loop over the steps.  A mix
-without battery power or energy skips the battery.  ``simulate`` returns the
+that order over a dataset in one pass, a C loop over the steps that forms
+the renewable output as it goes, and the totals and peaks of a pass are
+summed in C as well, so a simulation needs no numpy.  A mix without
+battery power or energy skips the battery.  ``simulate`` returns the
 energy totals of one pass with its per-step ledger attached as a
 ``DispatchTrace``; ``write_trace_csv`` writes that ledger under the
 header ``TRACE_COLUMNS``.
@@ -37,8 +39,6 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import _kernels
 from .profiles import AlignedDataset
@@ -127,39 +127,96 @@ class SimParams:
             )
 
 
+# The ledger rows behind each column of a trace but the demand; a column of
+# two rows is their sum step by step.
+_COLUMN_ROWS = {
+    "baseload_gw": (_kernels.ROW_BASELOAD,),
+    "renewable_to_demand_gw": (_kernels.ROW_REN_TO_DEMAND,),
+    "battery_charge_gw": (_kernels.ROW_CHARGE_FROM_REN, _kernels.ROW_CHARGE_FROM_DISPATCH),
+    "battery_discharge_gw": (_kernels.ROW_DISCHARGE,),
+    "curtailed_gw": (_kernels.ROW_CURTAILED,),
+    "dispatch_gw": (_kernels.ROW_DISPATCH,),
+    "unserved_gw": (_kernels.ROW_UNSERVED,),
+    "soc_gwh": (_kernels.ROW_SOC,),
+    "charge_from_dispatch_gw": (_kernels.ROW_CHARGE_FROM_DISPATCH,),
+}
+# What the battery draws from dispatchable plant comes on top of what it dispatches.
+_DISPATCH_DRAW = (_kernels.ROW_DISPATCH, _kernels.ROW_CHARGE_FROM_DISPATCH)
+
+
 class DispatchTrace:
-    """Per-step ledger, one array per ``TRACE_COLUMNS[1:]`` name plus
-    ``charge_from_dispatch_gw``; only ``battery_charge_gw`` is not a view."""
+    """Per-step ledger of one balance pass.
 
-    def __init__(self, demand: NDArray[np.float64], ledger: NDArray[np.float64], dt_hours: float):
-        self._ledger = ledger
+    Reading ``demand_gw``, a ``TRACE_COLUMNS[1:]`` name or
+    ``charge_from_dispatch_gw`` gives that column as a read-only float64
+    ndarray, a view of the ledger but for ``battery_charge_gw``, the sum of
+    two rows.  ``peak`` and ``energy_twh`` reduce a column in C without
+    numpy.  ``demand`` and ``ledger`` may be any buffers of float64, the
+    ledger of shape (N_ROWS, n) or flat.
+    """
+
+    def __init__(self, demand, ledger, dt_hours: float):
         self.dt_hours = dt_hours
-        self.demand_gw = demand
-        self.baseload_gw = ledger[_kernels.ROW_BASELOAD]
-        self.renewable_to_demand_gw = ledger[_kernels.ROW_REN_TO_DEMAND]
-        self.charge_from_dispatch_gw = ledger[_kernels.ROW_CHARGE_FROM_DISPATCH]
-        self.battery_discharge_gw = ledger[_kernels.ROW_DISCHARGE]
-        self.curtailed_gw = ledger[_kernels.ROW_CURTAILED]
-        self.dispatch_gw = ledger[_kernels.ROW_DISPATCH]
-        self.unserved_gw = ledger[_kernels.ROW_UNSERVED]
-        self.soc_gwh = ledger[_kernels.ROW_SOC]
+        self._demand = _kernels.doubles(demand)
+        self._ledger = _kernels.doubles(ledger)
+        self._n = n = len(self._demand)
+        if len(self._ledger) != _kernels.N_ROWS * n:
+            raise ValueError(f"a ledger of {n} steps holds {_kernels.N_ROWS * n} values")
+        self._base = _kernels.address(self._ledger)
 
-    @property
-    def battery_charge_gw(self) -> NDArray[np.float64]:
-        return self._ledger[_kernels.ROW_CHARGE_FROM_REN] + self.charge_from_dispatch_gw
+    def __reduce__(self):
+        # a memoryview does not pickle, the arrays under them do
+        return type(self), (self._demand.obj, self._ledger.obj, self.dt_hours)
+
+    def __getattr__(self, name: str) -> NDArray:
+        if name != "demand_gw" and name not in _COLUMN_ROWS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return _kernels.as_ndarray(self.column(name))
+
+    def _addresses(self, rows: tuple[int, ...]) -> list[int]:
+        return [self._base + 8 * self._n * row for row in rows]
+
+    def column(self, name: str) -> memoryview:
+        """The column ``name`` as a flat read-only memoryview of doubles."""
+        if name == "demand_gw":
+            return self._demand
+        rows = _COLUMN_ROWS[name]
+        if len(rows) == 2:
+            first, second = self._addresses(rows)
+            return _kernels.combine(self._n, first, 1.0, second, 1.0)
+        return self._ledger[rows[0] * self._n : (rows[0] + 1) * self._n]
+
+    def peak(self, name: str) -> float:
+        """``np.max`` of the column ``name``; a zero of both signs gives +0.0."""
+        return self._peak(_COLUMN_ROWS[name])
+
+    def energy_twh(self, name: str) -> float:
+        """The energy of the GW column ``name`` over the pass, in TWh."""
+        return self._energy_twh(_COLUMN_ROWS[name])
+
+    def _peak(self, rows: tuple[int, ...]) -> float:
+        return _kernels.peak(self._n, *self._addresses(rows))
+
+    def _energy_twh(self, rows: tuple[int, ...]) -> float:
+        return _kernels.total(self._n, *self._addresses(rows)) * (self.dt_hours / 1000.0)
 
     @property
     def unserved_energy_twh(self) -> float:
-        return _twh(self.unserved_gw, self.dt_hours)
+        return self.energy_twh("unserved_gw")
 
     @property
     def final_soc_gwh(self) -> float:
-        return float(self.soc_gwh[-1])
+        return self._ledger[(_kernels.ROW_SOC + 1) * self._n - 1]
 
     @property
     def dispatch_energy_twh(self) -> float:
         """Energy from dispatchable plant, battery charging from it included."""
-        return _twh(self.dispatch_gw + self.charge_from_dispatch_gw, self.dt_hours)
+        return self._energy_twh(_DISPATCH_DRAW)
+
+    @property
+    def peak_dispatch_gw(self) -> float:
+        """The peak draw on dispatchable plant, battery charging from it included."""
+        return self._peak(_DISPATCH_DRAW)
 
 
 @dataclass(frozen=True)
@@ -200,14 +257,6 @@ DEFAULT_PARAMS = SimParams()
 TRACE_CHUNK_ROWS = 1024
 
 
-def _twh(values: NDArray[np.float64], dt: float) -> float:
-    return float(np.sum(values)) * (dt / 1000.0)
-
-
-def _renewable_gen(mix: CapacityMix, data: AlignedDataset) -> NDArray[np.float64]:
-    return mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
-
-
 def _run_balance(
     mix: CapacityMix,
     data: AlignedDataset,
@@ -215,10 +264,10 @@ def _run_balance(
     dispatch_cap: float,
     charge_from_dispatch: bool,
 ) -> DispatchTrace:
-    demand = data.demand.values
+    demand = data.demand.buffer
     ledger = _kernels.balance_loop(
         demand,
-        _renewable_gen(mix, data),
+        _kernels.Generation(mix.wind_gw, data.wind_cf.buffer, mix.pv_gw, data.pv_cf.buffer),
         data.dt_hours,
         mix.baseload_gw * mix.baseload_eaf,
         mix.battery_power_gw,
@@ -265,35 +314,33 @@ def simulate_trace(
 
 def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> DispatchResult:
     """Energy totals of one balance pass of ``mix`` over ``data``, its ledger ``trace`` attached."""
-    demand = data.demand.values
     dt = data.dt_hours
     to_twh = dt / 1000.0
-    wind_cf_sum = float(np.sum(data.wind_cf.values))
-    pv_cf_sum = float(np.sum(data.pv_cf.values))
+    wind_cf_sum = data.wind_cf.total()
+    pv_cf_sum = data.pv_cf.total()
     wind_energy = mix.wind_gw * wind_cf_sum * to_twh
     pv_energy = mix.pv_gw * pv_cf_sum * to_twh
     dispatch_energy = trace.dispatch_energy_twh
-    peak_dispatch = float(np.max(trace.dispatch_gw + trace.charge_from_dispatch_gw))
     total_hours = data.total_hours
 
     dispatch_cf = 0.0
     if mix.dispatch_gw > 0.0:
         dispatch_cf = dispatch_energy / (mix.dispatch_gw * total_hours / 1000.0)
     renewable_gen = wind_energy + pv_energy
-    curtailed = _twh(trace.curtailed_gw, dt)
+    curtailed = trace.energy_twh("curtailed_gw")
     curtailed_fraction = curtailed / renewable_gen if renewable_gen > 0.0 else 0.0
 
     return DispatchResult(
         wind_energy_twh=wind_energy,
         pv_energy_twh=pv_energy,
         renewable_gen_twh=renewable_gen,
-        baseload_energy_twh=_twh(trace.baseload_gw, dt),
-        battery_discharge_twh=_twh(trace.battery_discharge_gw, dt),
+        baseload_energy_twh=trace.energy_twh("baseload_gw"),
+        battery_discharge_twh=trace.energy_twh("battery_discharge_gw"),
         dispatch_energy_twh=dispatch_energy,
         unserved_energy_twh=trace.unserved_energy_twh,
         curtailed_twh=curtailed,
-        demand_energy_twh=_twh(demand, dt),
-        peak_dispatch_gw=peak_dispatch,
+        demand_energy_twh=data.demand.total() * to_twh,
+        peak_dispatch_gw=trace.peak_dispatch_gw,
         dispatch_cf=dispatch_cf,
         wind_cf=wind_cf_sum * dt / total_hours,
         pv_cf=pv_cf_sum * dt / total_hours,
@@ -308,8 +355,8 @@ def _sized(
 ) -> tuple[float, DispatchTrace]:
     """The sized ``dispatch_gw`` of ``mix`` and the ledger of ``simulate`` at
     that capacity: with the flag off, the sizing pass's own, by the rule above."""
-    trace = _run_balance(mix, data, params, np.inf, False)
-    dispatch_gw = float(np.max(trace.dispatch_gw))
+    trace = _run_balance(mix, data, params, math.inf, False)
+    dispatch_gw = trace.peak("dispatch_gw")
     if params.battery_charges_from_dispatch:
         trace = _run_balance(mix, data, params, dispatch_gw, True)
     return dispatch_gw, trace
@@ -329,7 +376,7 @@ def size_dispatch(mix: CapacityMix, data: AlignedDataset, params: SimParams = DE
     it stays a safe upper bound but may exceed the minimum, since spare
     dispatch can pre-charge the battery ahead of the worst deficit.
     """
-    return float(np.max(_run_balance(mix, data, params, np.inf, False).dispatch_gw))
+    return _run_balance(mix, data, params, math.inf, False).peak("dispatch_gw")
 
 
 def sized_simulation(
@@ -392,7 +439,7 @@ class SizingTable:
     def __init__(self, data: AlignedDataset, params: SimParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
-        self._demand_twh = _twh(data.demand.values, data.dt_hours)
+        self._demand_twh = data.demand.total() * (data.dt_hours / 1000.0)
         self._entries: dict[str, tuple[CapacityMix, float, float]] = {}
         # the figures of each shared pass, by rule 1's or rule 2's key
         self._passes: dict[str, tuple[float | None, float, float, float]] = {}
@@ -430,7 +477,7 @@ class SizingTable:
         shared = self._passes.get(key)
         if shared is None or not self._never_fills(mix, shared[0]):
             dispatch_gw, trace = _sized(mix, self.data, params)
-            peak = float(np.max(trace.soc_gwh)) if never_full else None
+            peak = trace.peak("soc_gwh") if never_full else None
             served = self._demand_twh - trace.unserved_energy_twh
             shared = peak, dispatch_gw, served, trace.dispatch_energy_twh
             if key is not None and self._never_fills(mix, peak):
@@ -455,11 +502,10 @@ def write_trace_csv(trace: DispatchTrace, path) -> None:
 
     Cells are the ``repr`` of the column values as Python floats.  Each
     column is formatted ``TRACE_CHUNK_ROWS`` rows at a time from its
-    ``tolist``, which costs less than converting one numpy scalar per cell
-    and holds only a chunk of cells at once.
+    ``tolist``, which holds only a chunk of cells at once.
     """
-    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
-    n = trace.demand_gw.shape[0]
+    columns = [trace.column(name) for name in TRACE_COLUMNS[1:]]
+    n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, TRACE_CHUNK_ROWS):

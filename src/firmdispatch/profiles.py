@@ -7,6 +7,10 @@ test datasets with optional zero-resource drought windows.
 
 Units follow grid convention: demand in GW, capacity factors dimensionless in
 [0, 1], energy in TWh, time step in hours.
+
+A series keeps its values in a stdlib float64 buffer that the C library
+reads, so loading and checking CSV needs no numpy.  numpy is imported to
+synthesize a dataset, and where a caller reads ``TimeSeries.values``.
 """
 
 from __future__ import annotations
@@ -16,13 +20,16 @@ import csv
 import io
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import filterfalse
 from typing import IO, TYPE_CHECKING, Sequence
 
-import numpy as np
+from . import _kernels
 
 if TYPE_CHECKING:
+    import numpy as np
     from numpy.typing import NDArray
 
 KIND_DEMAND = "demand-GW"
@@ -36,15 +43,64 @@ _VALID_DT = (1.0, 0.5)
 CF_CLAMP_TOL = 1e-9
 
 
+class _Values:
+    """The ``values`` field of a ``TimeSeries``.
+
+    Set, it copies what it is given into a new ``array('d')`` (None unless
+    it lies along one axis), for ``__post_init__`` to check.  Read, it is
+    the series as a read-only float64 ndarray over ``buffer``, which imports
+    numpy.  Read on the class it raises ``AttributeError``, so the field
+    has no default.
+    """
+
+    def __get__(self, series, owner=None):
+        if series is None:
+            raise AttributeError("values")
+        return _kernels.as_ndarray(series.buffer)
+
+    def __set__(self, series, values):
+        series.__dict__["buffer"] = _float64_copy(values)
+
+
+def _float64_copy(values) -> array | None:
+    """``values`` copied into a new ``array('d')``, or None unless they lie
+    along one axis: a buffer of doubles or a list of numbers without numpy,
+    anything else through ``np.asarray``."""
+    view = memoryview(values) if isinstance(values, (array, memoryview)) else None
+    if view is not None and view.format == "d":
+        return array("d", view.tobytes()) if view.ndim == 1 else None
+    if isinstance(values, (list, tuple)):
+        try:
+            return array("d", values)
+        except TypeError:
+            pass
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.float64)
+    return array("d", values.tobytes()) if values.ndim == 1 else None
+
+
+def _first_outside(values: array, lo: float, hi: float) -> int:
+    """The first index of ``values`` outside ``[lo, hi]`` or not a number, or its length."""
+    return _kernels.first_outside(len(values), values.buffer_info()[0], lo, hi)
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A validated fixed-step series of demand or capacity-factor values.
 
+    The values are kept in ``buffer``, a read-only float64 memoryview of a
+    stdlib ``array('d')``, which the C library reads by address; reading
+    ``values`` gives them as a read-only float64 ndarray over that buffer.
+
     Parameters
     ----------
-    values : ndarray
+    values : ndarray, buffer of float64, or sequence of numbers
         One value per step, finite.  Demand must be nonnegative GW and
-        capacity factors must lie in [0, 1].
+        capacity factors must lie in [0, 1].  They are copied.
     dt_hours : float
         Step length in hours, 1.0 for hourly data or 0.5 for half-hourly.
     kind : str
@@ -53,41 +109,54 @@ class TimeSeries:
         Free-form name used in messages and reports.
     """
 
-    values: NDArray[np.float64]
+    values: NDArray[np.float64] = _Values()
     dt_hours: float
     kind: str
     label: str = ""
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        if values.ndim != 1 or values.size == 0:
+        values = self.buffer  # the copy ``_Values`` made
+        if values is None or len(values) == 0:
             raise ValueError(f"series {self.label!r} must be a nonempty 1-D array")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        bad = _first_outside(values, -_FLOAT_MAX, _FLOAT_MAX)
+        if bad < len(values):
             raise ValueError(f"series {self.label!r} has non-finite value at step {bad}")
         if self.kind not in _VALID_KINDS:
             raise ValueError(f"unknown series kind {self.kind!r}, expected one of {_VALID_KINDS}")
         if float(self.dt_hours) not in _VALID_DT:
             raise ValueError(f"dt_hours must be 1.0 or 0.5, got {self.dt_hours!r}")
-        if self.kind == KIND_DEMAND and np.any(values < 0.0):
-            bad = int(np.flatnonzero(values < 0.0)[0])
-            raise ValueError(f"demand series {self.label!r} is negative at step {bad}")
-        if self.kind == KIND_CAPACITY_FACTOR and (np.any(values < 0.0) or np.any(values > 1.0)):
-            bad = int(np.flatnonzero((values < 0.0) | (values > 1.0))[0])
-            raise ValueError(
-                f"capacity-factor series {self.label!r} is outside [0, 1] at step {bad}"
-            )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        if self.kind == KIND_DEMAND:
+            bad = _first_outside(values, 0.0, math.inf)
+            if bad < len(values):
+                raise ValueError(f"demand series {self.label!r} is negative at step {bad}")
+        else:
+            bad = _first_outside(values, 0.0, 1.0)
+            if bad < len(values):
+                raise ValueError(
+                    f"capacity-factor series {self.label!r} is outside [0, 1] at step {bad}"
+                )
+        object.__setattr__(self, "buffer", memoryview(values).toreadonly())
         object.__setattr__(self, "dt_hours", float(self.dt_hours))
 
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return len(self.buffer)
+
+    def __reduce__(self):
+        # a memoryview does not pickle, the array under it does
+        return type(self), (self.buffer.obj, self.dt_hours, self.kind, self.label)
 
     @property
     def total_hours(self) -> float:
         """Span of the series in hours."""
         return len(self) * self.dt_hours
+
+    def total(self) -> float:
+        """The sum of the values, ``np.sum(self.values)`` bit for bit."""
+        return _kernels.total(len(self.buffer), _kernels.address(self.buffer))
+
+    def peak(self) -> float:
+        """The greatest value, ``np.max(self.values)``; +0.0 for zeros of both signs."""
+        return _kernels.peak(len(self.buffer), _kernels.address(self.buffer))
 
 
 @dataclass(frozen=True)
@@ -197,22 +266,29 @@ def load_series(
         raw = source.read()
         name = label or getattr(source, "name", "<stream>")
 
-    arr = _read_value_only(raw)
-    if arr is None:
+    values = _read_value_only(raw)
+    if values is None:
         text = _decode_utf8(raw, name).removeprefix("\ufeff")
-        arr = np.asarray(_read_rows(text, name), dtype=np.float64)
-    if kind == KIND_CAPACITY_FACTOR:
+        values = array("d", _read_rows(text, name))
+    if kind == KIND_CAPACITY_FACTOR and _first_outside(values, 0.0, 1.0) < len(values):
         # Rounding noise just outside the bounds is clamped, real excursions are not.
-        low = (arr < 0.0) & (arr >= -CF_CLAMP_TOL)
-        high = (arr > 1.0) & (arr <= 1.0 + CF_CLAMP_TOL)
-        arr = np.where(low, 0.0, np.where(high, 1.0, arr))
-    return TimeSeries(values=arr, dt_hours=dt_hours, kind=kind, label=label or name)
+        values = array("d", map(_clamp_rounding_noise, values))
+    return TimeSeries(values=values, dt_hours=dt_hours, kind=kind, label=label or name)
+
+
+def _clamp_rounding_noise(cf: float) -> float:
+    """A capacity factor within ``CF_CLAMP_TOL`` outside [0, 1] clamped to the bound."""
+    if -CF_CLAMP_TOL <= cf < 0.0:
+        return 0.0
+    if 1.0 < cf <= 1.0 + CF_CLAMP_TOL:
+        return 1.0
+    return cf
 
 
 _BLANK_LINES = frozenset((b"\n", b"\r\n"))
 
 
-def _read_value_only(raw: bytes) -> NDArray[np.float64] | None:
+def _read_value_only(raw: bytes) -> array | None:
     r"""The values of CSV bytes with a lone ``value`` header, or None.
 
     None leaves the text to ``_read_rows``: a text of another shape, a line
@@ -228,10 +304,11 @@ def _read_value_only(raw: bytes) -> NDArray[np.float64] | None:
     lines = io.BytesIO(body)
     next(lines)  # the header
     try:
-        arr = np.fromiter(map(float, filterfalse(_BLANK_LINES.__contains__, lines)), np.float64)
+        values = array("d", map(float, filterfalse(_BLANK_LINES.__contains__, lines)))
     except ValueError:
         return None
-    return arr if arr.size and np.isfinite(arr).all() else None
+    finite = _first_outside(values, -_FLOAT_MAX, _FLOAT_MAX) == len(values)
+    return values if values and finite else None
 
 
 def _decode_utf8(raw: bytes, name: str, error: type[ValueError] = ValueError) -> str:
@@ -289,7 +366,7 @@ def dump_series(series: TimeSeries) -> str:
     ``ts.values`` bit for bit.
     """
     lines = ["value"]
-    lines.extend(repr(float(v)) for v in series.values)
+    lines.extend(map(repr, series.buffer.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -307,8 +384,8 @@ def demand_stats(demand: TimeSeries) -> DemandStats:
     """
     if demand.kind != KIND_DEMAND:
         raise ValueError(f"demand_stats needs a demand series, got kind {demand.kind!r}")
-    energy_twh = float(np.sum(demand.values) * demand.dt_hours / 1000.0)
-    peak = float(np.max(demand.values))
+    energy_twh = demand.total() * demand.dt_hours / 1000.0
+    peak = demand.peak()
     average = energy_twh * 1000.0 / demand.total_hours
     return DemandStats(peak_gw=peak, average_gw=average, annual_energy_twh=energy_twh)
 
@@ -317,8 +394,9 @@ def scale_demand(data: AlignedDataset, multiplier: float) -> AlignedDataset:
     """Return a dataset with demand scaled by ``multiplier``, resources unchanged."""
     if not (multiplier > 0.0 and math.isfinite(multiplier)):
         raise ValueError(f"demand multiplier must be positive and finite, got {multiplier!r}")
+    demand = data.demand.buffer
     scaled = TimeSeries(
-        values=data.demand.values * multiplier,
+        values=_kernels.combine(len(demand), _kernels.address(demand), float(multiplier)),
         dt_hours=data.demand.dt_hours,
         kind=KIND_DEMAND,
         label=data.demand.label,
@@ -329,6 +407,8 @@ def scale_demand(data: AlignedDataset, multiplier: float) -> AlignedDataset:
 def _smooth(noise: NDArray[np.float64], width: int) -> NDArray[np.float64]:
     # Moving-average smoothing with mirrored edges, keeps output length; a
     # series shorter than the window is mirrored more than once.
+    import numpy as np
+
     kernel = np.ones(width) / width
     padded = np.pad(noise, width, mode="symmetric")
     return np.convolve(padded, kernel, mode="same")[width:-width]
@@ -386,6 +466,8 @@ def synthesize_dataset(
     -------
     AlignedDataset
     """
+    import numpy as np
+
     _check_synthetic_hours(total_hours)
     rng = np.random.default_rng(seed)
     h = np.arange(total_hours, dtype=np.float64)

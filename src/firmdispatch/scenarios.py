@@ -36,8 +36,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .costing import DEFAULT_BOOK, CostBook
 from .dispatch import (
     DEFAULT_PARAMS,
@@ -184,7 +182,10 @@ def build_report(
     stats = demand_stats(data.demand)
     peak = stats.peak_gw
     baseload_out = mix.baseload_gw * mix.baseload_eaf
-    net_peak = float(np.max(np.maximum(data.demand.values - baseload_out, 0.0)))
+    # the peak of demand net of baseload, floored at +0.0: subtracting one
+    # value rounds monotonically, so it is the peak less that value
+    net_peak = peak - baseload_out
+    net_peak = net_peak if net_peak > 0.0 else 0.0
 
     def pct_of(value: float, base: float) -> float:
         # all-zero demand makes every percent-of-demand row 0, not a crash
@@ -336,10 +337,11 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     finds the least PV to ``PV_TOL_GW`` with an effectively unconstrained
     battery, doubling PV from peak demand and then bisecting, and then the
     least battery energy at that PV to ``ENERGY_TOL_GWH``, bisecting below
-    a bound already known feasible.  Once the PV doubling reaches the cap,
-    a million times peak demand, the cap itself is probed: if it fails,
-    pv-only is infeasible after that one pass, and every PV past a passing
-    cap passes unsimulated.  A probe counts as feasible only if no
+    a tight bound known feasible, or doubling upward from
+    ``ENERGY_TOL_GWH`` where there is none.  Once the PV doubling reaches
+    the cap, a million times peak demand, the cap itself is probed: if it
+    fails, pv-only is infeasible after that one pass, and every PV past a
+    passing cap passes unsimulated.  A probe counts as feasible only if no
     demand goes unserved and the battery ends the period no lower than it
     started: the initial charge (``params.initial_soc_fraction``)
     bootstraps a dataset that begins at night, but panels, not the starting
@@ -384,22 +386,29 @@ def run_pv_only(data: AlignedDataset, params: SimParams = DEFAULT_PARAMS) -> Sce
     # a bracket that closes past a passing cap ends at the cap, its last feasible probe
     pv_star = min(_least_passing(pv_passes, max(peak, 1.0), PV_TOL_GW), pv_cap)
 
-    # Least battery energy at the sized PV, below a bound known feasible.
-    # With no initial charge the unconstrained run bounds it tightly: a cap
-    # at the highest state of charge ever reached never binds.  With an
-    # initial charge the starting inventory scales with capacity, so the
-    # tight bound must be re-probed and falls back to the unconstrained size.
-    tight = float(np.max(last_feasible.soc_gwh)) * (1.0 + 1e-9) + 1e-9
-    energy_hi = tight if tight < huge_energy and feasible(pv_star, tight) else huge_energy
+    # Least battery energy at the sized PV.  With no initial charge the
+    # unconstrained run bounds it tightly: a cap at the highest state of
+    # charge ever reached never binds.  With an initial charge the starting
+    # inventory scales with capacity, so the tight bound must be re-probed,
+    # and a run whose battery never charged peaks at its start charge,
+    # initial_soc_fraction times the unconstrained size, a bound not worth
+    # a probe.  Below a tight bound that passes, the search bisects; where
+    # there is none, it doubles upward from ENERGY_TOL_GWH, and every energy
+    # past the unconstrained size passes unsimulated.
+    tight = last_feasible.peak("soc_gwh") * (1.0 + 1e-9) + 1e-9
+    bounded = params.initial_soc_fraction == 0.0 or last_feasible.peak("battery_charge_gw") > 0.0
+    if bounded and tight < huge_energy and feasible(pv_star, tight):
+        energy_hi, first = tight, tight
+    else:
+        energy_hi, first = huge_energy, ENERGY_TOL_GWH
     energy_star = _least_passing(
         lambda energy_gwh: energy_gwh >= energy_hi or feasible(pv_star, energy_gwh),
-        energy_hi,
+        first,
         ENERGY_TOL_GWH,
     )
 
     flows = max(
-        float(np.max(last_feasible.battery_charge_gw)),
-        float(np.max(last_feasible.battery_discharge_gw)),
+        last_feasible.peak("battery_charge_gw"), last_feasible.peak("battery_discharge_gw")
     )
     mix = _pv_probe_mix(pv_star, flows if energy_star > 0.0 else 0.0, energy_star)
     result = simulate(mix, data, params)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from firmdispatch import cli
 from firmdispatch.cli import main
 from firmdispatch.config import ConfigError, RunConfig, parse_config, render_manifest
 from firmdispatch.dispatch import write_trace_csv
-from firmdispatch.profiles import dump_series
+from firmdispatch.profiles import dump_series, synthesize_dataset
 from firmdispatch.scenarios import SCENARIO_NAMES
 
 from conftest import FIXTURES
@@ -535,6 +536,79 @@ def test_cli_import_leaves_numpy_typing_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "False\n")
+
+
+# Runs in a fresh interpreter: the set-up sequence of perfbench/probe.py,
+# then each command given, printing after each whether numpy was imported.
+_NUMPY_PROBE = """
+import json, sys
+from pathlib import Path
+from firmdispatch.cli import main
+from firmdispatch.config import parse_config
+from firmdispatch.profiles import KIND_CAPACITY_FACTOR, KIND_DEMAND, align, load_series
+
+conf, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
+config = parse_config(conf.read_text(encoding="utf-8"), base_dir=conf.parent.resolve())
+align(
+    load_series(config.demand_csv, KIND_DEMAND, config.dt_hours),
+    load_series(config.wind_cf_csv, KIND_CAPACITY_FACTOR, config.dt_hours),
+    load_series(config.pv_cf_csv, KIND_CAPACITY_FACTOR, config.dt_hours),
+)
+print(json.dumps(["setup", 0, "numpy" in sys.modules]))
+for argv in runs:
+    code = main(argv)
+    print(json.dumps([" ".join(argv[:2]), code, "numpy" in sys.modules]))
+"""
+
+
+def _numpy_probe(conf, runs):
+    """``(command, exit code, numpy imported)`` after the set-up sequence on
+    ``conf`` and after each of ``runs``, all in one fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", _NUMPY_PROBE, str(conf), json.dumps(runs)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return [tuple(json.loads(line)) for line in run.stdout.splitlines() if line.startswith("[")]
+
+
+def test_csv_runs_never_import_numpy(tmp_path):
+    half = _write_conf(tmp_path, _week_conf("initial_soc_fraction: 0.5\n"), "half.conf")
+    residual = _write_conf(tmp_path, _week_conf("baseload_gw: 3\n"), "residual.conf")
+    fixed = _write_conf(tmp_path, _week_conf(_WEEK_MIX), "fixed.conf")
+    runs = [["optimize", "--config", str(half)]]
+    for name in SCENARIO_NAMES:
+        conf = residual if name == "residual-baseload" else half
+        runs.append(["scenario", name, "--config", str(conf)])
+    runs.append(["simulate", "--config", str(fixed)])
+    for i, argv in enumerate(runs):
+        argv += ["--trace", "--out", str(tmp_path / f"out{i}")]
+    steps = _numpy_probe(half, runs)
+    assert [name for name, _, _ in steps] == ["setup", "optimize --config"] + [
+        f"scenario {name}" for name in SCENARIO_NAMES
+    ] + ["simulate --config"]
+    assert all(code == 0 for _, code, _ in steps), steps
+    assert not any(numpy for _, _, numpy in steps), steps
+
+
+def test_synthetic_run_imports_numpy_and_matches_its_csv_run(tmp_path):
+    synthetic = _write_conf(tmp_path, SMALL_SYNTH, "synthetic.conf")
+    argv = ["optimize", "--trace", "--config", str(synthetic), "--out", str(tmp_path / "synth")]
+    ((_, _, before), (_, code, after)) = _numpy_probe(FIXTURES / "week.conf", [argv])
+    assert (before, code, after) == (False, 0, True)
+    # the same dataset written as CSV gives the same files, bit for bit
+    config = parse_config(SMALL_SYNTH)
+    data = synthesize_dataset(config.seed, config.synthetic_hours)
+    keys = ""
+    for key, series in zip(("demand", "wind_cf", "pv_cf"), (data.demand, data.wind_cf, data.pv_cf)):
+        (tmp_path / f"{key}.csv").write_text(dump_series(series), encoding="utf-8")
+        keys += f"{key}_csv: {key}.csv\n"
+    search = SMALL_SYNTH.split("\n", 2)[2]  # without synthetic_hours and seed
+    csv_conf = _write_conf(tmp_path, keys + search, "csv.conf")
+    argv = ["optimize", "--trace", "--config", str(csv_conf), "--out", str(tmp_path / "csv")]
+    assert main(argv) == 0
+    for name in ("report.csv", "trajectory.csv", "trace.csv"):
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "synth" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -410,21 +411,24 @@ def test_sizing_matches_balance_loop_bitwise(case):
     ren_gen = mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
     baseload_out = mix.baseload_gw * mix.baseload_eaf
     soc0 = params.initial_soc_fraction * mix.battery_energy_gwh
-    ledger = _kernels.balance_loop(
-        demand,
-        ren_gen,
-        data.dt_hours,
-        baseload_out,
-        mix.battery_power_gw,
-        mix.battery_energy_gwh,
-        params.round_trip_efficiency,
-        soc0,
-        np.inf,  # sizing: no dispatch cap
-        False,  # and no charging from dispatch
+    ledger = np.asarray(
+        _kernels.balance_loop(
+            demand,
+            ren_gen,
+            data.dt_hours,
+            baseload_out,
+            mix.battery_power_gw,
+            mix.battery_energy_gwh,
+            params.round_trip_efficiency,
+            soc0,
+            np.inf,  # sizing: no dispatch cap
+            False,  # and no charging from dispatch
+        )
     )
     want = ledger[_kernels.ROW_DISPATCH]
     with stepped_passes() as stepped:
         got = dispatch._run_balance(mix, data, params, np.inf, False)._ledger
+        got = np.asarray(got).reshape(ledger.shape)
         sized, served, energy = _sized_figures(mix, data, params)
     # a mix without battery energy skips the battery; any other steps it
     assert sum(stepped) == (2 if mix.battery_energy_gwh > 0.0 else 0)
@@ -582,17 +586,19 @@ def test_every_simulate_carries_the_ledger_of_its_pass():
         trace = simulate(mix, data, params).trace
 
         demand = data.demand.values
-        out = _kernels.balance_loop(
-            demand,
-            mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
-            data.dt_hours,
-            mix.baseload_gw * mix.baseload_eaf,
-            mix.battery_power_gw,
-            mix.battery_energy_gwh,
-            params.round_trip_efficiency,
-            params.initial_soc_fraction * mix.battery_energy_gwh,
-            mix.dispatch_gw,
-            params.battery_charges_from_dispatch,
+        out = np.asarray(
+            _kernels.balance_loop(
+                demand,
+                mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
+                data.dt_hours,
+                mix.baseload_gw * mix.baseload_eaf,
+                mix.battery_power_gw,
+                mix.battery_energy_gwh,
+                params.round_trip_efficiency,
+                params.initial_soc_fraction * mix.battery_energy_gwh,
+                mix.dispatch_gw,
+                params.battery_charges_from_dispatch,
+            )
         )
         expected = {
             "demand_gw": demand,
@@ -611,6 +617,21 @@ def test_every_simulate_carries_the_ledger_of_its_pass():
         for name, column in expected.items():
             assert np.array_equal(getattr(trace, name).view(np.int64), column.view(np.int64)), name
         assert trace.dt_hours == data.dt_hours
+
+
+def test_a_simulation_pickles_with_its_dataset_and_ledger():
+    rng = np.random.default_rng(33)
+    data = random_dataset(rng, n_steps=50)
+    result = simulate(random_mix(rng), data)
+    copied_data, copied = pickle.loads(pickle.dumps((data, result)))
+    assert copied == result
+    assert copied_data.demand.label == data.demand.label
+    for name in TRACE_COLUMNS[1:]:
+        got, want = getattr(copied.trace, name), getattr(result.trace, name)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    for series in ("demand", "wind_cf", "pv_cf"):
+        got, want = getattr(copied_data, series).values, getattr(data, series).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_validation_errors():

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -146,30 +147,30 @@ def _random_call(rng):
 
 
 def _sentinel_ledger(args):
-    """``balance_loop(*args)``, its ledger allocated full of 7.0.
+    """``balance_loop(*args)`` as an ndarray, its ledger allocated full of 7.0.
 
-    ``np.empty`` may hand out memory that already holds the right values; a
+    A new buffer may hand out memory that already holds the right values; a
     ledger that starts as 7.0 in every cell shows any cell the C loop leaves
     unwritten.
     """
     allocated = []
 
-    def sentinel_empty(shape, dtype=np.float64):
-        array = np.full(shape, 7.0, dtype)
-        allocated.append(array)
-        return array
+    def sentinel_doubles(size):
+        buffer = array("d", [7.0]) * size
+        allocated.append(buffer)
+        return buffer
 
-    with mock.patch.object(_kernels.np, "empty", sentinel_empty):
+    with mock.patch.object(_kernels, "_new_doubles", sentinel_doubles):
         got = balance_loop(*args)
-    assert len(allocated) == 1 and got is allocated[0]
-    return got
+    assert len(allocated) == 1 and got.obj is allocated[0]
+    return np.asarray(got)
 
 
 def test_python_loop_soc_stays_bounded():
     rng = np.random.default_rng(55)
     for _ in range(30):
         args = _random_call(rng)
-        out = balance_loop(*args)
+        out = np.asarray(balance_loop(*args))
         cap = args[5]
         assert np.all(out[ROW_SOC] >= 0.0)
         assert np.all(out[ROW_SOC] <= cap)
@@ -647,3 +648,150 @@ def test_loader_names_a_cache_directory_it_cannot_make(tmp_path):
     assert code != 0
     assert last.startswith(f"ImportError: cannot compile {_kernels._SOURCE} into the cache ")
     assert f"directory {blocker / 'firmdispatch'}: " in last and "Not a directory" in last
+
+
+# ===================== numpy's array work in C =====================
+#
+# ``combine``, ``total`` and ``peak`` stand in for numpy's elementwise
+# ``a * x + b * y``, ``np.sum`` and ``np.max``, bit for bit.  Their inputs
+# reach pairwise summation's block edges (8 and 128 values, and the halves
+# above), signed zeros, subnormals and magnitudes 600 decades apart.
+
+_SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310, 1e300, -1e300, 0.1, -1.0]
+)
+
+
+def _drawn_vector(draw, n):
+    """``n`` drawn doubles: normal draws over a drawn range of magnitudes,
+    some replaced by ``_SPECIALS``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.sampled_from([0, 3, 30, 600]))
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-decades // 2, decades // 2 + 1, n)
+    if draw(st.booleans()):
+        values = np.abs(values)
+    special = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    values[special] = rng.choice(_SPECIALS, int(special.sum()))
+    return values
+
+
+@st.composite
+def _vectors(draw):
+    """One or two drawn vectors of one length from 0 to 20,000."""
+    edges = st.sampled_from([0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 255, 256, 257, 8760])
+    n = draw(st.one_of(edges, st.integers(0, 300), st.integers(0, 20_000)))
+    a = _drawn_vector(draw, n)
+    b = _drawn_vector(draw, n) if draw(st.booleans()) else None
+    return a, b
+
+
+def _addresses(*vectors):
+    """Each vector as ``_kernels.doubles`` (kept alive) and its address."""
+    views = [_kernels.doubles(v) for v in vectors]
+    return views, [_kernels.address(v) for v in views]
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_vectors())
+def test_total_is_np_sum_bitwise(vectors):
+    a, b = vectors
+    views, addresses = _addresses(*(v for v in vectors if v is not None))
+    want = np.sum(a) if b is None else np.sum(a + b)
+    assert _bits(_kernels.total(a.shape[0], *addresses)) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_vectors())
+def test_peak_is_np_max_but_for_the_sign_of_a_mixed_zero(vectors):
+    a, b = vectors
+    if a.shape[0] == 0:
+        with pytest.raises(ValueError):
+            _kernels.peak(0, 0)
+        return
+    views, addresses = _addresses(*(v for v in vectors if v is not None))
+    values = a if b is None else a + b
+    want = np.max(values)
+    if want == 0.0 and np.any((values == 0.0) & ~np.signbit(values)):
+        want = 0.0  # zeros of both signs: +0.0, where numpy's sign follows its lanes
+    assert _bits(_kernels.peak(a.shape[0], *addresses)) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 31, 128, 129, 8760])
+def test_peak_of_zeros_of_both_signs_is_plus_zero(n):
+    rng = np.random.default_rng(1400 + n)
+    for _ in range(20):
+        values = -rng.random(n) * (rng.random(n) < 0.5)
+        zeros = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+        values[zeros] = np.where(rng.random(len(zeros)) < 0.5, 0.0, -0.0)
+        values[zeros[:2]] = (0.0, -0.0)
+        (view,), (at,) = _addresses(values)
+        assert _bits(_kernels.peak(n, at)) == _bits(0.0)
+        # with a second row, the zeros are those of the sums
+        (view, zero), (at, none) = _addresses(values, np.zeros(n))
+        assert _bits(_kernels.peak(n, at, none)) == _bits(0.0)
+    # zeros of one sign keep it
+    for values, want in (([-0.0] * n, -0.0), ([-1.0] * (n - 1) + [-0.0], -0.0), ([0.0] * n, 0.0)):
+        (view,), (at,) = _addresses(np.array(values))
+        assert _bits(_kernels.peak(n, at)) == _bits(want) == _bits(np.max(values))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3]), st.floats(0.0, 1e6)),
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 7]), st.floats(0.0, 1e6)),
+)
+def test_generation_in_the_loop_is_wind_times_cf_plus_pv_times_cf(n, seed, wind_gw, pv_gw):
+    # under a demand no generation reaches, and with no baseload or battery,
+    # the renewables-to-demand row is the generation of each step itself
+    rng = np.random.default_rng(seed)
+    wind, pv = (
+        np.where(rng.random(n) < 0.2, rng.choice([0.0, 1.0, 5e-324], n), rng.random(n))
+        for _ in range(2)
+    )
+    generation = _kernels.Generation(wind_gw, wind, pv_gw, pv)
+    args = (1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False)
+    got = np.asarray(_kernels.balance_loop(np.full(n, 1e300), generation, *args))
+    want = wind_gw * wind + pv_gw * pv
+    assert np.array_equal(got[ROW_REN_TO_DEMAND].view(np.int64), want.view(np.int64))
+    # and on drawn demand, with a battery, the ledger is that of the
+    # generation computed first
+    demand = 20.0 * rng.random(n)
+    args = (1.0, 2.0, 5.0, 20.0, 0.85, 10.0, 8.0, bool(seed % 2))
+    got = np.asarray(_kernels.balance_loop(demand, generation, *args))
+    want = np.asarray(_kernels.balance_loop(demand, want, *args))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_combine_is_numpy_elementwise_bitwise():
+    rng = np.random.default_rng(1410)
+    for n in (1, 8, 129, 8760):
+        a, b = rng.standard_normal(n) * 1e3, rng.random(n)
+        a[: n // 3] = -0.0
+        (va, vb), (at_a, at_b) = _addresses(a, b)
+        for x in (1.0, 1.37, 3):
+            got = np.asarray(_kernels.combine(n, at_a, x))
+            assert np.array_equal(got.view(np.int64), (a * x).view(np.int64))
+        got = np.asarray(_kernels.combine(n, at_a, 1.0, at_b, 1.0))
+        assert np.array_equal(got.view(np.int64), (a + b).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 8760, 20_000])
+def test_total_and_peak_at_the_block_edges(n):
+    rng = np.random.default_rng(1420 + n)
+    for _ in range(10):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = rng.random(n) < 0.2
+        values[special] = rng.choice(_SPECIALS, int(special.sum()))
+        (view,), (at,) = _addresses(values)
+        assert _bits(_kernels.total(n, at)) == _bits(np.sum(values))
+        if n and not (np.max(values) == 0.0 and np.any(values == 0.0)):
+            assert _bits(_kernels.peak(n, at)) == _bits(np.max(values))
+    # numpy adds the pairwise sum to +0.0, so -0.0 alone sums to +0.0
+    (view,), (at,) = _addresses(np.full(n, -0.0))
+    assert _bits(_kernels.total(n, at)) == _bits(np.sum(np.full(n, -0.0))) == _bits(0.0)

@@ -330,7 +330,8 @@ def test_pv_only_runs_no_balance_pass_twice(monkeypatch, data, soc_fraction):
     loop = _kernels.balance_loop
 
     def recording(demand, ren_gen, dt, baseload, power, energy, *rest):
-        passes.append((ren_gen.tobytes(), power, energy))
+        # the generation over the one dataset, by its wind and PV capacities
+        passes.append((repr((ren_gen.wind_gw, ren_gen.pv_gw)), power, energy))
         return loop(demand, ren_gen, dt, baseload, power, energy, *rest)
 
     monkeypatch.setattr(_kernels, "balance_loop", recording)
@@ -375,6 +376,30 @@ def test_pv_only_probes_zero_energy_last():
     data = _day_night_dataset(96, day_first=True)
     data = replace(data, demand=replace(data.demand, values=data.pv_cf.values.copy()))
     passes, report = _pv_only_passes(data, 0.0)
+    assert (report.pv_gw, report.battery_energy_gwh) == (1.0, 0.0)
+    assert passes == 1 + 7 + 2 + 1
+
+
+def _drought_year(seed):
+    """A synthetic year whose 72 h resource drought ends 12 h past its demand peak."""
+    peak = int(np.argmax(synthesize_dataset(seed, 8760).demand.values))
+    start = min(max(peak - 60, 0), 8760 - 72)
+    return synthesize_dataset(seed, 8760, droughts=((start, start + 72),))
+
+
+def test_pv_only_energy_search_pass_counts():
+    # at half charge a bound that passes is bisected below: on the seed-1
+    # drought year the PV search, the bound and the bisection take 53 passes
+    passes, report = _pv_only_passes(_drought_year(1), 0.5)
+    assert passes == 53
+    assert (report.pv_gw, report.battery_energy_gwh) == (49.10976814925887, 3434.2638561082326)
+    # demand only while the sun shines: the unconstrained battery never
+    # charges, so its peak is its start charge, half of 1e9 GWh, and no
+    # bound; the energy search doubles from ENERGY_TOL_GWH, which passes,
+    # then probes zero.  Bisecting down from that peak took 44 passes.
+    data = _day_night_dataset(96, day_first=True)
+    data = replace(data, demand=replace(data.demand, values=data.pv_cf.values.copy()))
+    passes, report = _pv_only_passes(data, 0.5)
     assert (report.pv_gw, report.battery_energy_gwh) == (1.0, 0.0)
     assert passes == 1 + 7 + 2 + 1
 
