@@ -25,10 +25,13 @@
  * numpy's `wind_gw * wind + pv_gw * pv` element by element; with `pv` NULL
  * it is `wind[t]` itself, a precomputed series.
  *
- * `ledger` holds nine rows of `n` doubles, row k at `ledger + k * n`, in
+ * `ledger` holds ten rows of `n` doubles, row k at `ledger + k * n`, in
  * the order of _kernels.py's ROW_* constants: baseload, renewables to
- * demand, charge from renewables, charge from dispatch, discharge,
- * curtailed, dispatch, unserved, state of charge.
+ * demand, battery charge, charge from dispatch, discharge, curtailed,
+ * dispatch, unserved, state of charge, dispatch draw.  The battery charge
+ * is the charge from renewables plus the top-up from dispatch, and the
+ * dispatch draw what dispatch serves plus that top-up: each figure the
+ * program reads is one row, so every reduction below reads one vector.
  */
 
 #include <math.h>
@@ -103,111 +106,88 @@ void firmdispatch_balance(
         double *const cell = ledger + t;
         cell[0] = base;
         cell[n] = to_demand;
-        cell[2 * n] = charge;
+        cell[2 * n] = charge + extra;
         cell[3 * n] = extra;
         cell[4 * n] = discharge;
         cell[5 * n] = surplus - charge;
         cell[6 * n] = dispatched;
         cell[7 * n] = residual - dispatched;
         cell[8 * n] = soc;
+        cell[9 * n] = dispatched + extra;
     }
 }
 
-/* `out[t] = a[t] * x + b[t] * y`, or `a[t] * x` with `b` NULL: numpy's
- * `a * x + b * y` and `a * x` bit for bit.  With x = y = 1.0 it is `a + b`,
- * since a product with 1.0 is exact. */
-void firmdispatch_combine(const double *a, double x, const double *b, double y, long n, double *out)
+/* `out[t] = a[t] * x`: numpy's `a * x` bit for bit. */
+void firmdispatch_scale(const double *a, double x, long n, double *out)
 {
     for (long t = 0; t < n; t++)
-        out[t] = b ? a[t] * x + b[t] * y : a[t] * x;
+        out[t] = a[t] * x;
 }
 
 /* numpy's pairwise summation sums blocks of at most this many values */
 #define BLOCK 128
 
-/* The values of a block of n <= BLOCK steps: a itself, or the sums
- * a[i] + b[i] written into `sums`. */
-static const double *block_values(const double *a, const double *b, long n, double *sums)
-{
-    if (!b)
-        return a;
-    for (long i = 0; i < n; i++)
-        sums[i] = a[i] + b[i];
-    return sums;
-}
-
-/* numpy's sum of a block of n <= BLOCK values, in its order: below 8
- * values a plain loop from 0.0, else eight accumulators combined as
- * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail. */
-static double block_sum(const double *v, long n)
+/* numpy's pairwise summation of a contiguous float64 vector, in its order:
+ * below 8 values a plain loop from 0.0; up to BLOCK values eight
+ * accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+ * tail; above BLOCK the halves split at n / 2 rounded down to a multiple
+ * of 8, each summed the same way. */
+static double pairwise(const double *a, long n)
 {
     if (n < 8) {
         double res = 0.0;
         for (long i = 0; i < n; i++)
-            res += v[i];
+            res += a[i];
         return res;
+    }
+    if (n > BLOCK) {
+        long half = n / 2;
+        half -= half % 8;
+        return pairwise(a, half) + pairwise(a + half, n - half);
     }
     double r[8];
     long i;
     for (int j = 0; j < 8; j++)
-        r[j] = v[j];
+        r[j] = a[j];
     for (i = 8; i < n - n % 8; i += 8)
         for (int j = 0; j < 8; j++)
-            r[j] += v[i + j];
+            r[j] += a[i + j];
     double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     for (; i < n; i++)
-        res += v[i];
+        res += a[i];
     return res;
 }
 
-/* numpy's pairwise summation of a contiguous float64 vector: a block
- * as above, and above BLOCK values the halves split at n / 2 rounded down
- * to a multiple of 8, each summed the same way. */
-static double pairwise(const double *a, const double *b, long n)
+/* `np.sum(a)` bit for bit: numpy adds the pairwise sum to the identity 0.0. */
+double firmdispatch_sum(const double *a, long n)
 {
-    if (n <= BLOCK) {
-        double sums[BLOCK];
-        return block_sum(block_values(a, b, n, sums), n);
-    }
-    long half = n / 2;
-    half -= half % 8;
-    return pairwise(a, b, half) + pairwise(a + half, b ? b + half : b, n - half);
+    return 0.0 + pairwise(a, n);
 }
 
-/* `np.sum(a)`, or `np.sum(a + b)` with `b` given, bit for bit: numpy adds
- * the pairwise sum to the identity 0.0. */
-double firmdispatch_sum(const double *a, const double *b, long n)
+/* `np.max(a)` of n >= 1 values none of which is NaN: every series is
+ * checked finite, and a pass makes no NaN of finite inputs.  The greatest
+ * value is exact in any order, so four running maxima keep the compares
+ * apart.  Where it is zero it is +0.0 if any value is +0.0, while numpy
+ * signs it by its SIMD lanes; a +0.0 anywhere leaves its lane at zero, so
+ * only a zero top needs the scan for one. */
+double firmdispatch_max(const double *a, long n)
 {
-    return 0.0 + pairwise(a, b, n);
-}
-
-/* `np.max(a)`, or `np.max(a + b)` with `b` given, of n >= 1 values none
- * of which is NaN: every series is checked finite, and a pass makes no NaN
- * of finite inputs.  The greatest value is exact in any order, so four
- * running maxima keep the compares apart.  Where it is zero it is +0.0 if
- * any value is +0.0, while numpy signs it by its SIMD lanes. */
-double firmdispatch_max(const double *a, const double *b, long n)
-{
-    double m[4] = {-HUGE_VAL, -HUGE_VAL, -HUGE_VAL, -HUGE_VAL}, sums[BLOCK];
-    int plus_zero = 0;
-    for (long start = 0; start < n; start += BLOCK) {
-        const long len = n - start < BLOCK ? n - start : BLOCK;
-        const double *v = block_values(a + start, b ? b + start : b, len, sums);
-        long i = 0;
-        for (; i + 4 <= len; i += 4)
-            for (int j = 0; j < 4; j++)
-                m[j] = v[i + j] > m[j] ? v[i + j] : m[j];
-        for (; i < len; i++)
-            m[0] = v[i] > m[0] ? v[i] : m[0];
-        /* a zero in this block leaves its lane at zero, or above it */
-        if (m[0] == 0.0 || m[1] == 0.0 || m[2] == 0.0 || m[3] == 0.0)
-            for (i = 0; i < len; i++)
-                plus_zero |= v[i] == 0.0 && !signbit(v[i]);
-    }
+    double m[4] = {-HUGE_VAL, -HUGE_VAL, -HUGE_VAL, -HUGE_VAL};
+    long i = 0;
+    for (; i + 4 <= n; i += 4)
+        for (int j = 0; j < 4; j++)
+            m[j] = a[i + j] > m[j] ? a[i + j] : m[j];
+    for (; i < n; i++)
+        m[0] = a[i] > m[0] ? a[i] : m[0];
     double top = m[0];
     for (int j = 1; j < 4; j++)
         top = m[j] > top ? m[j] : top;
-    return top == 0.0 ? (plus_zero ? 0.0 : -0.0) : top;
+    if (top != 0.0)
+        return top;
+    for (i = 0; i < n; i++)
+        if (a[i] == 0.0 && !signbit(a[i]))
+            return 0.0;
+    return -0.0;
 }
 
 /* The first step whose value is not in [lo, hi], a NaN included, or n. */

@@ -2,21 +2,22 @@
 
 ``balance_loop`` runs a pass as one C loop, ``firmdispatch_balance`` in
 ``_kernels.c``, which walks every step once in the statement order of the
-element-indexed loop and writes all nine rows of the ledger, so the ledger
-is the same bit for bit.  The battery state couples every step to the one
-before it; the loop branches on one signed flow per step, renewables minus
-the demand that baseload leaves, which is the surplus where it is positive
-and the residual demand negated where it is negative.  A battery that
+element-indexed loop and writes all ten rows of the ledger, so the ledger
+is the same bit for bit.  Each figure a caller reads is one row, the
+battery charge and the draw on dispatchable plant among them.  The
+battery state couples every step to the one before it; the loop branches
+on one signed flow per step, renewables minus the demand that baseload
+leaves, which is the surplus where it is positive and the residual demand
+negated where it is negative.  A battery that
 cannot act (no power, or no energy and an empty start) is skipped, and its
 flows stay zero.
 
 Series and ledgers live in stdlib ``array('d')`` buffers, which the C
 library reads and writes by address, so nothing here imports numpy.
 ``doubles`` is the one form they take: a flat read-only memoryview of a
-whole ``array('d')``.  ``combine``, ``total`` and ``peak`` do what numpy's
-``a * x + b * y``, ``np.sum`` and ``np.max`` did, bit for bit; only the
-sign of a zero maximum may differ, which is +0.0 wherever zeros of both
-signs meet.
+whole ``array('d')``.  ``scale``, ``total`` and ``peak`` do what numpy's
+``a * x``, ``np.sum`` and ``np.max`` did, bit for bit; only the sign of a
+zero maximum may differ, which is +0.0 wherever zeros of both signs meet.
 
 The C loop is compiled on first import with the compiler Python was built
 with (``sysconfig``'s ``CC``) and fixed flags, into
@@ -49,14 +50,15 @@ from typing import NamedTuple
 # Row indices of the step ledger filled by the balance loop.
 ROW_BASELOAD = 0
 ROW_REN_TO_DEMAND = 1
-ROW_CHARGE_FROM_REN = 2
+ROW_CHARGE = 2  # from renewables and from dispatch
 ROW_CHARGE_FROM_DISPATCH = 3
 ROW_DISCHARGE = 4
 ROW_CURTAILED = 5
 ROW_DISPATCH = 6
 ROW_UNSERVED = 7
 ROW_SOC = 8
-N_ROWS = 9
+ROW_DISPATCH_DRAW = 9  # dispatch plus the charge from dispatch
+N_ROWS = 10
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # no -ffast-math, and no fused multiply-add: either would change bits
@@ -136,16 +138,13 @@ _BALANCE.argtypes = (
     ctypes.c_void_p,  # the ledger
 )
 _BALANCE.restype = None
-_COMBINE = _LIBRARY.firmdispatch_combine
-_COMBINE.argtypes = (
-    ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_double, ctypes.c_long,
-    ctypes.c_void_p,
-)
-_COMBINE.restype = None
+_SCALE = _LIBRARY.firmdispatch_scale
+_SCALE.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_long, ctypes.c_void_p)
+_SCALE.restype = None
 _SUM = _LIBRARY.firmdispatch_sum
 _MAX = _LIBRARY.firmdispatch_max
 for _reduce in (_SUM, _MAX):
-    _reduce.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
+    _reduce.argtypes = (ctypes.c_void_p, ctypes.c_long)
     _reduce.restype = ctypes.c_double
 _FIRST_OUTSIDE = _LIBRARY.firmdispatch_first_outside
 _FIRST_OUTSIDE.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_double)
@@ -182,28 +181,25 @@ def address(view):
     return view.obj.buffer_info()[0]
 
 
-def combine(n, a, x, b=None, y=0.0):
-    """``a * x + b * y`` (``a * x`` without ``b``) over the ``n`` doubles at
-    the addresses ``a`` and ``b``, bit for bit as numpy computes it, as a
-    read-only view of a new ``array('d')``."""
+def scale(n, a, x):
+    """``a * x`` over the ``n`` doubles at address ``a``, bit for bit as
+    numpy computes it, as a read-only view of a new ``array('d')``."""
     out = _new_doubles(n)
-    _COMBINE(a, x, b, y, n, out.buffer_info()[0])
+    _SCALE(a, x, n, out.buffer_info()[0])
     return memoryview(out).toreadonly()
 
 
-def total(n, a, b=None):
-    """``np.sum`` of the ``n`` doubles at address ``a``, each plus its
-    counterpart at ``b`` if given, bit for bit."""
-    return _SUM(a, b, n)
+def total(n, a):
+    """``np.sum`` of the ``n`` doubles at address ``a``, bit for bit."""
+    return _SUM(a, n)
 
 
-def peak(n, a, b=None):
-    """``np.max`` of the ``n`` doubles at address ``a``, each plus its
-    counterpart at ``b`` if given, none of them NaN; a zero of both signs
-    gives +0.0."""
+def peak(n, a):
+    """``np.max`` of the ``n`` doubles at address ``a``, none of them NaN;
+    a zero of both signs gives +0.0."""
     if n == 0:
         raise ValueError("the maximum of no values is undefined")
-    return _MAX(a, b, n)
+    return _MAX(a, n)
 
 
 def first_outside(n, a, lo, hi):

@@ -6,12 +6,13 @@ charge the battery (round-trip losses booked on the way in) and the rest is
 curtailed, deficits draw first on the battery and then on firm dispatchable
 capacity, and anything left is unserved.  ``_kernels.balance_loop`` runs
 that order over a dataset in one pass, a C loop over the steps that forms
-the renewable output as it goes, and the totals and peaks of a pass are
-summed in C as well, so a simulation needs no numpy.  A mix without
-battery power or energy skips the battery.  ``simulate`` returns the
-energy totals of one pass with its per-step ledger attached as a
-``DispatchTrace``; ``write_trace_csv`` writes that ledger under the
-header ``TRACE_COLUMNS``.
+the renewable output as it goes and writes each flow the program reads
+as one ledger row, the battery charge and the draw on dispatchable plant
+among them.  Each total and peak of a pass reduces one row in C, so a
+simulation needs no numpy.  A mix without battery power or energy skips
+the battery.  ``simulate`` returns the energy totals of one pass with its
+per-step ledger attached as a ``DispatchTrace``; ``write_trace_csv``
+writes that ledger under the header ``TRACE_COLUMNS``.
 
 ``size_dispatch`` returns the smallest dispatchable capacity that leaves no
 demand unserved, obtained from a single pass with the cap removed.
@@ -127,32 +128,30 @@ class SimParams:
             )
 
 
-# The ledger rows behind each column of a trace but the demand; a column of
-# two rows is their sum step by step.
+# The ledger row of each column of a trace but the demand.
 _COLUMN_ROWS = {
-    "baseload_gw": (_kernels.ROW_BASELOAD,),
-    "renewable_to_demand_gw": (_kernels.ROW_REN_TO_DEMAND,),
-    "battery_charge_gw": (_kernels.ROW_CHARGE_FROM_REN, _kernels.ROW_CHARGE_FROM_DISPATCH),
-    "battery_discharge_gw": (_kernels.ROW_DISCHARGE,),
-    "curtailed_gw": (_kernels.ROW_CURTAILED,),
-    "dispatch_gw": (_kernels.ROW_DISPATCH,),
-    "unserved_gw": (_kernels.ROW_UNSERVED,),
-    "soc_gwh": (_kernels.ROW_SOC,),
-    "charge_from_dispatch_gw": (_kernels.ROW_CHARGE_FROM_DISPATCH,),
+    "baseload_gw": _kernels.ROW_BASELOAD,
+    "renewable_to_demand_gw": _kernels.ROW_REN_TO_DEMAND,
+    "battery_charge_gw": _kernels.ROW_CHARGE,
+    "battery_discharge_gw": _kernels.ROW_DISCHARGE,
+    "curtailed_gw": _kernels.ROW_CURTAILED,
+    "dispatch_gw": _kernels.ROW_DISPATCH,
+    "unserved_gw": _kernels.ROW_UNSERVED,
+    "soc_gwh": _kernels.ROW_SOC,
+    "charge_from_dispatch_gw": _kernels.ROW_CHARGE_FROM_DISPATCH,
+    "dispatch_draw_gw": _kernels.ROW_DISPATCH_DRAW,
 }
-# What the battery draws from dispatchable plant comes on top of what it dispatches.
-_DISPATCH_DRAW = (_kernels.ROW_DISPATCH, _kernels.ROW_CHARGE_FROM_DISPATCH)
 
 
 class DispatchTrace:
     """Per-step ledger of one balance pass.
 
-    Reading ``demand_gw``, a ``TRACE_COLUMNS[1:]`` name or
-    ``charge_from_dispatch_gw`` gives that column as a read-only float64
-    ndarray, a view of the ledger but for ``battery_charge_gw``, the sum of
-    two rows.  ``peak`` and ``energy_twh`` reduce a column in C without
-    numpy.  ``demand`` and ``ledger`` may be any buffers of float64, the
-    ledger of shape (N_ROWS, n) or flat.
+    Reading ``demand_gw``, a ``TRACE_COLUMNS[1:]`` name,
+    ``charge_from_dispatch_gw`` or ``dispatch_draw_gw`` (dispatch plus the
+    charge from dispatch) gives that column as a read-only float64 ndarray,
+    a view of the demand or of one ledger row.  ``peak`` and ``energy_twh``
+    reduce a column in C without numpy.  ``demand`` and ``ledger`` may be
+    any buffers of float64, the ledger of shape (N_ROWS, n) or flat.
     """
 
     def __init__(self, demand, ledger, dt_hours: float):
@@ -173,32 +172,21 @@ class DispatchTrace:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return _kernels.as_ndarray(self.column(name))
 
-    def _addresses(self, rows: tuple[int, ...]) -> list[int]:
-        return [self._base + 8 * self._n * row for row in rows]
-
     def column(self, name: str) -> memoryview:
         """The column ``name`` as a flat read-only memoryview of doubles."""
         if name == "demand_gw":
             return self._demand
-        rows = _COLUMN_ROWS[name]
-        if len(rows) == 2:
-            first, second = self._addresses(rows)
-            return _kernels.combine(self._n, first, 1.0, second, 1.0)
-        return self._ledger[rows[0] * self._n : (rows[0] + 1) * self._n]
+        row = _COLUMN_ROWS[name]
+        return self._ledger[row * self._n : (row + 1) * self._n]
 
     def peak(self, name: str) -> float:
-        """``np.max`` of the column ``name``; a zero of both signs gives +0.0."""
-        return self._peak(_COLUMN_ROWS[name])
+        """``np.max`` of the ledger column ``name``; a zero of both signs gives +0.0."""
+        return _kernels.peak(self._n, self._base + 8 * self._n * _COLUMN_ROWS[name])
 
     def energy_twh(self, name: str) -> float:
-        """The energy of the GW column ``name`` over the pass, in TWh."""
-        return self._energy_twh(_COLUMN_ROWS[name])
-
-    def _peak(self, rows: tuple[int, ...]) -> float:
-        return _kernels.peak(self._n, *self._addresses(rows))
-
-    def _energy_twh(self, rows: tuple[int, ...]) -> float:
-        return _kernels.total(self._n, *self._addresses(rows)) * (self.dt_hours / 1000.0)
+        """The energy of the GW ledger column ``name`` over the pass, in TWh."""
+        at = self._base + 8 * self._n * _COLUMN_ROWS[name]
+        return _kernels.total(self._n, at) * (self.dt_hours / 1000.0)
 
     @property
     def unserved_energy_twh(self) -> float:
@@ -211,12 +199,12 @@ class DispatchTrace:
     @property
     def dispatch_energy_twh(self) -> float:
         """Energy from dispatchable plant, battery charging from it included."""
-        return self._energy_twh(_DISPATCH_DRAW)
+        return self.energy_twh("dispatch_draw_gw")
 
     @property
     def peak_dispatch_gw(self) -> float:
         """The peak draw on dispatchable plant, battery charging from it included."""
-        return self._peak(_DISPATCH_DRAW)
+        return self.peak("dispatch_draw_gw")
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,13 @@ class TimeSeries:
         object.__setattr__(self, "buffer", memoryview(values).toreadonly())
         object.__setattr__(self, "dt_hours", float(self.dt_hours))
 
+    def __eq__(self, other):
+        # the values compared as doubles, without the ndarray ``values`` makes
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.buffer, self.dt_hours, self.kind, self.label)
+        return mine == (other.buffer, other.dt_hours, other.kind, other.label)
+
     def __len__(self) -> int:
         return len(self.buffer)
 
@@ -396,7 +403,7 @@ def scale_demand(data: AlignedDataset, multiplier: float) -> AlignedDataset:
         raise ValueError(f"demand multiplier must be positive and finite, got {multiplier!r}")
     demand = data.demand.buffer
     scaled = TimeSeries(
-        values=_kernels.combine(len(demand), _kernels.address(demand), float(multiplier)),
+        values=_kernels.scale(len(demand), _kernels.address(demand), float(multiplier)),
         dt_hours=data.demand.dt_hours,
         kind=KIND_DEMAND,
         label=data.demand.label,

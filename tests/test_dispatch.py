@@ -604,19 +604,38 @@ def test_every_simulate_carries_the_ledger_of_its_pass():
             "demand_gw": demand,
             "baseload_gw": out[_kernels.ROW_BASELOAD],
             "renewable_to_demand_gw": out[_kernels.ROW_REN_TO_DEMAND],
-            "battery_charge_gw": out[_kernels.ROW_CHARGE_FROM_REN]
-            + out[_kernels.ROW_CHARGE_FROM_DISPATCH],
+            "battery_charge_gw": out[_kernels.ROW_CHARGE],
             "battery_discharge_gw": out[_kernels.ROW_DISCHARGE],
             "curtailed_gw": out[_kernels.ROW_CURTAILED],
             "dispatch_gw": out[_kernels.ROW_DISPATCH],
             "unserved_gw": out[_kernels.ROW_UNSERVED],
             "soc_gwh": out[_kernels.ROW_SOC],
             "charge_from_dispatch_gw": out[_kernels.ROW_CHARGE_FROM_DISPATCH],
+            "dispatch_draw_gw": out[_kernels.ROW_DISPATCH_DRAW],
         }
-        assert set(TRACE_COLUMNS[1:]) | {"charge_from_dispatch_gw"} == set(expected)
+        assert set(TRACE_COLUMNS[1:]) | {"charge_from_dispatch_gw", "dispatch_draw_gw"} == set(
+            expected
+        )
         for name, column in expected.items():
             assert np.array_equal(getattr(trace, name).view(np.int64), column.view(np.int64)), name
         assert trace.dt_hours == data.dt_hours
+
+
+def test_every_trace_column_is_a_view_of_the_ledger():
+    rng = np.random.default_rng(34)
+    data = random_dataset(rng, n_steps=40)
+    params = SimParams(battery_charges_from_dispatch=True)
+    trace = simulate(random_mix(rng), data, params).trace
+    ledger = trace._ledger.obj
+    names = TRACE_COLUMNS[2:] + ("charge_from_dispatch_gw", "dispatch_draw_gw")
+    for name in names:
+        column = trace.column(name)
+        assert column.obj is ledger and column.readonly, name
+        values = getattr(trace, name)
+        assert np.shares_memory(values, np.frombuffer(ledger)) and not values.flags.writeable, name
+    # the ten rows, each read by one name
+    assert sorted(dispatch._COLUMN_ROWS[name] for name in names) == list(range(_kernels.N_ROWS))
+    assert trace.column("demand_gw").obj is data.demand.buffer.obj
 
 
 def test_a_simulation_pickles_with_its_dataset_and_ledger():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -310,6 +311,29 @@ def test_dump_series_round_trips_exactly():
         ts = TimeSeries(values, 0.5, KIND_CAPACITY_FACTOR, "rt")
         back = load_series(dump_series(ts).encode(), ts.kind, ts.dt_hours, ts.label)
         assert np.array_equal(back.values, ts.values)
+
+
+def test_timeseries_equality_compares_values_step_and_names():
+    rng = np.random.default_rng(12)
+    values = rng.random(50)
+    ts = TimeSeries(values, 0.5, KIND_CAPACITY_FACTOR, "eq")
+    assert ts == ts
+    assert pickle.loads(pickle.dumps(ts)) == ts
+    assert load_series(dump_series(ts).encode(), ts.kind, ts.dt_hours, ts.label) == ts
+    assert TimeSeries(values.copy(), 0.5, KIND_CAPACITY_FACTOR, "eq") == ts
+    data = random_dataset(rng, n_steps=20)
+    assert pickle.loads(pickle.dumps(data)) == data
+    nudged = values.copy()
+    nudged[17] = np.nextafter(nudged[17], 1.0)
+    for other in (
+        TimeSeries(nudged, 0.5, KIND_CAPACITY_FACTOR, "eq"),
+        TimeSeries(values[:-1], 0.5, KIND_CAPACITY_FACTOR, "eq"),
+        TimeSeries(values, 1.0, KIND_CAPACITY_FACTOR, "eq"),
+        TimeSeries(values, 0.5, KIND_DEMAND, "eq"),
+        TimeSeries(values, 0.5, KIND_CAPACITY_FACTOR, "other"),
+    ):
+        assert other != ts and not other == ts
+    assert ts != (ts.buffer, ts.dt_hours, ts.kind, ts.label) and ts != ts.buffer
 
 
 def test_demand_stats_hand_values():
