@@ -22,8 +22,7 @@
  * reference loop's floors at zero never change a value.
  *
  * The renewable output of a step is `wind_gw * wind[t] + pv_gw * pv[t]`,
- * numpy's `wind_gw * wind + pv_gw * pv` element by element; with `pv` NULL
- * it is `wind[t]` itself, a precomputed series.
+ * numpy's `wind_gw * wind + pv_gw * pv` element by element.
  *
  * `ledger` holds ten rows of `n` doubles, row k at `ledger + k * n`, in
  * the order of _kernels.py's ROW_* constants: baseload, renewables to
@@ -45,7 +44,7 @@ void firmdispatch_balance(
     const double efficiency_dt = efficiency * dt;
     for (long t = 0; t < n; t++) {
         const double d = demand[t];
-        const double g = pv ? wind_gw * wind[t] + pv_gw * pv[t] : wind[t];
+        const double g = wind_gw * wind[t] + pv_gw * pv[t];
         const double base = baseload > d ? d : baseload;
         double residual = d - base;
         const double step = g - residual;

@@ -8,9 +8,8 @@ battery charge and the draw on dispatchable plant among them.  The
 battery state couples every step to the one before it; the loop branches
 on one signed flow per step, renewables minus the demand that baseload
 leaves, which is the surplus where it is positive and the residual demand
-negated where it is negative.  A battery that
-cannot act (no power, or no energy and an empty start) is skipped, and its
-flows stay zero.
+negated where it is negative.  A battery that cannot act (no power, or no
+energy and an empty start) is skipped, and its flows stay zero.
 
 Series and ledgers live in stdlib ``array('d')`` buffers, which the C
 library reads and writes by address, so nothing here imports numpy.
@@ -45,7 +44,6 @@ import os
 import platform
 import sys
 from array import array
-from typing import NamedTuple
 
 # Row indices of the step ledger filled by the balance loop.
 ROW_BASELOAD = 0
@@ -127,9 +125,9 @@ _LIBRARY = _load()
 _BALANCE = _LIBRARY.firmdispatch_balance
 _BALANCE.argtypes = (
     ctypes.c_void_p,  # demand
-    ctypes.c_void_p,  # wind capacity factors, or the generation itself
+    ctypes.c_void_p,  # wind capacity factors
     ctypes.c_double,  # wind GW
-    ctypes.c_void_p,  # PV capacity factors, or NULL
+    ctypes.c_void_p,  # PV capacity factors
     ctypes.c_double,  # PV GW
     ctypes.c_long,  # steps
     *[ctypes.c_double] * 7,  # dt, baseload, power, capacity, efficiency, start, dispatch cap
@@ -216,16 +214,6 @@ def as_ndarray(view):
     return np.frombuffer(view, dtype=np.float64)
 
 
-class Generation(NamedTuple):
-    """The renewable output ``wind_gw * wind_cf + pv_gw * pv_cf`` that the C
-    loop forms step by step, from two float64 series of capacity factors."""
-
-    wind_gw: float
-    wind_cf: object
-    pv_gw: float
-    pv_cf: object
-
-
 def _battery_is_idle(battery_power, battery_energy_cap, soc0):
     """Whether every battery flow of the step loop would be +0.0 and its SOC ``soc0``.
 
@@ -257,7 +245,10 @@ def _series(values, name):
 
 def balance_loop(
     demand,
-    ren_gen,
+    wind_gw,
+    wind_cf,
+    pv_gw,
+    pv_cf,
     dt,
     baseload_out,
     battery_power,
@@ -272,28 +263,24 @@ def balance_loop(
     Per step: baseload first, then renewables, surplus renewables charge the
     battery (losses applied on the way in), remaining surplus is curtailed,
     deficits draw the battery and then dispatchable capacity, and whatever
-    is left goes unserved.  ``ren_gen`` is the renewable output, a series or
-    a ``Generation`` the loop forms as it goes.  Every series must be
-    finite, and ``efficiency`` and ``dt`` positive.  All power values are
-    GW, state of charge is GWh.  The ledger is a new buffer of float64, a
-    memoryview of shape (N_ROWS, n_steps), one row per ``ROW_*`` constant.
+    is left goes unserved.  The renewable output of a step is ``wind_gw *
+    wind_cf[t] + pv_gw * pv_cf[t]``, formed in the loop as numpy forms
+    ``wind_gw * wind_cf + pv_gw * pv_cf``.  Every series must be finite,
+    and ``efficiency`` and ``dt`` positive.  All power values are GW, state
+    of charge is GWh.  The ledger is a new buffer of float64, a memoryview
+    of shape (N_ROWS, n_steps), one row per ``ROW_*`` constant.
 
-    The C loop takes raw pointers, so ``ValueError`` is raised before it
-    runs unless the series are nonempty float64 vectors of one length.  So
-    it is unless the start charge ``soc0`` lies in ``[0,
-    battery_energy_cap]`` (a NaN on either side fails too): the loop relies
-    on it to leave its flows unfloored.
+    The C loop takes raw pointers, so ``ValueError``, naming the series, is
+    raised before it runs unless ``demand``, ``wind_cf`` and ``pv_cf`` are
+    nonempty float64 vectors of one length.  So it is unless the start
+    charge ``soc0`` lies in ``[0, battery_energy_cap]`` (a NaN on either
+    side fails too): the loop relies on it to leave its flows unfloored.
     """
     demand = _series(demand, "demand")
-    if isinstance(ren_gen, Generation):
-        wind, pv = _series(ren_gen.wind_cf, "wind"), _series(ren_gen.pv_cf, "PV")
-        wind_gw, pv_gw = float(ren_gen.wind_gw), float(ren_gen.pv_gw)
-    else:
-        wind, pv = _series(ren_gen, "generation"), None
-        wind_gw, pv_gw = 1.0, 0.0
+    wind_cf, pv_cf = _series(wind_cf, "wind_cf"), _series(pv_cf, "pv_cf")
     n = len(demand)
-    for name, series in (("generation" if pv is None else "wind", wind), ("PV", pv)):
-        if series is not None and len(series) != n:
+    for name, series in (("wind_cf", wind_cf), ("pv_cf", pv_cf)):
+        if len(series) != n:
             raise ValueError(f"demand has {n} steps but {name} has {len(series)}")
     if n == 0:
         raise ValueError("a balance pass needs at least one step")
@@ -306,10 +293,10 @@ def balance_loop(
     ledger = _new_doubles(N_ROWS * n)
     _BALANCE(
         address(demand),
-        address(wind),
-        wind_gw,
-        None if pv is None else address(pv),
-        pv_gw,
+        address(wind_cf),
+        float(wind_gw),
+        address(pv_cf),
+        float(pv_gw),
         n,
         float(dt),
         float(baseload_out),

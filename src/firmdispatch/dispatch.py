@@ -66,9 +66,9 @@ class CapacityMix:
     """Installed capacities of one candidate system.
 
     ``battery_hours`` is storage duration at full power, so energy capacity
-    is ``battery_power_gw * battery_hours`` GWh.  Baseload is existing
-    must-run plant described by nameplate GW and an energy availability
-    factor; it takes no part in costing.
+    is ``battery_power_gw * battery_hours`` GWh, and must be finite.  Baseload
+    is existing must-run plant described by nameplate GW and an energy
+    availability factor; it takes no part in costing.
     """
 
     wind_gw: float = 0.0
@@ -84,6 +84,9 @@ class CapacityMix:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not math.isfinite(self.battery_energy_gwh):
+            got = f"{self.battery_power_gw!r} * {self.battery_hours!r}"
+            raise ValueError(f"battery_power_gw * battery_hours must be finite, got {got}")
         if not (0.0 <= self.baseload_eaf <= 1.0):
             raise ValueError(f"baseload_eaf must be in [0, 1], got {self.baseload_eaf!r}")
 
@@ -255,7 +258,10 @@ def _run_balance(
     demand = data.demand.buffer
     ledger = _kernels.balance_loop(
         demand,
-        _kernels.Generation(mix.wind_gw, data.wind_cf.buffer, mix.pv_gw, data.pv_cf.buffer),
+        mix.wind_gw,
+        data.wind_cf.buffer,
+        mix.pv_gw,
+        data.pv_cf.buffer,
         data.dt_hours,
         mix.baseload_gw * mix.baseload_eaf,
         mix.battery_power_gw,

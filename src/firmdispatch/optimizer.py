@@ -114,6 +114,9 @@ class SearchSpace:
         if list(ladder) != sorted(set(ladder)):
             raise ValueError(f"battery_hours must be strictly increasing, got {ladder!r}")
         object.__setattr__(self, "battery_hours", ladder)
+        if not math.isfinite(self.battery_power_gw[1] * ladder[-1]):
+            got = f"{self.battery_power_gw[1]!r} * {ladder[-1]!r}"
+            raise ValueError(f"battery_power_gw max * battery_hours max must be finite, got {got}")
         if not (math.isfinite(self.baseload_gw) and self.baseload_gw >= 0.0):
             raise ValueError(f"baseload_gw must be finite and >= 0, got {self.baseload_gw!r}")
         if not (0.0 <= self.baseload_eaf <= 1.0):

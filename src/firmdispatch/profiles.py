@@ -145,6 +145,10 @@ class TimeSeries:
         mine = (self.buffer, self.dt_hours, self.kind, self.label)
         return mine == (other.buffer, other.dt_hours, other.kind, other.label)
 
+    def __hash__(self):
+        # floats that compare equal hash alike, -0.0 and 0.0 too, without numpy
+        return hash((tuple(self.buffer), self.dt_hours, self.kind, self.label))
+
     def __len__(self) -> int:
         return len(self.buffer)
 

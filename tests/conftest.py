@@ -78,7 +78,7 @@ def stepped_passes():
     loop = _kernels.balance_loop
 
     def recording(*args):
-        power, cap, soc0 = args[4], float(args[5]), float(args[7])
+        power, cap, soc0 = args[7], float(args[8]), float(args[10])
         stepped.append(not _kernels._battery_is_idle(power, cap, soc0))
         return loop(*args)
 

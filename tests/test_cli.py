@@ -793,14 +793,32 @@ def test_cli_fuel_prices_that_share_a_label_exit_two(tmp_path, capsys):
             "drought window 30-10 must have 0 <= start < end <= synthetic_hours, "
             "got synthetic_hours 48",
         ),
+        (
+            ["simulate"],
+            "synthetic_hours: 48\nbattery_power_gw: 1e200\nbattery_hours: 1e200\n",
+            "battery_power_gw * battery_hours must be finite, got 1e+200 * 1e+200",
+        ),
+        (
+            ["optimize"],
+            "synthetic_hours: 48\nbattery_power_gw_max: 1e200\nbattery_power_gw_step: 1e200\n"
+            "battery_hours_ladder: 0,1e200\n",
+            "battery_power_gw max * battery_hours max must be finite, got 1e+200 * 1e+200",
+        ),
     ],
-    ids=["fuel-cost-overflow", "fuel-prices-overflow", "reversed-drought"],
+    ids=[
+        "fuel-cost-overflow",
+        "fuel-prices-overflow",
+        "reversed-drought",
+        "battery-energy-overflow",
+        "battery-grid-energy-overflow",
+    ],
 )
 def test_cli_setting_that_breaks_a_dataset_or_cost_rule_exits_two_at_parse(
     tmp_path, capsys, argv, extra, message
 ):
-    # an overflowing fuel cost per MWh made every fuel-free mix cost nan, and
-    # a reversed drought window was refused only once the dataset was built
+    # an overflowing fuel cost per MWh made every fuel-free mix cost nan, a
+    # reversed drought window was refused only once the dataset was built,
+    # and a battery of inf GWh was refused for a nan start charge
     conf = _write_conf(tmp_path, extra if "synthetic_hours" in extra else _week_conf(extra))
     out = tmp_path / "out"
     assert main([*argv, "--config", str(conf), "--out", str(out)]) == 2

@@ -408,13 +408,15 @@ def _bits(value):
 def test_sizing_matches_balance_loop_bitwise(case):
     mix, data, params = case
     demand = data.demand.values
-    ren_gen = mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values
     baseload_out = mix.baseload_gw * mix.baseload_eaf
     soc0 = params.initial_soc_fraction * mix.battery_energy_gwh
     ledger = np.asarray(
         _kernels.balance_loop(
             demand,
-            ren_gen,
+            mix.wind_gw,
+            data.wind_cf.values,
+            mix.pv_gw,
+            data.pv_cf.values,
             data.dt_hours,
             baseload_out,
             mix.battery_power_gw,
@@ -589,7 +591,10 @@ def test_every_simulate_carries_the_ledger_of_its_pass():
         out = np.asarray(
             _kernels.balance_loop(
                 demand,
-                mix.wind_gw * data.wind_cf.values + mix.pv_gw * data.pv_cf.values,
+                mix.wind_gw,
+                data.wind_cf.values,
+                mix.pv_gw,
+                data.pv_cf.values,
                 data.dt_hours,
                 mix.baseload_gw * mix.baseload_eaf,
                 mix.battery_power_gw,
@@ -671,6 +676,17 @@ def test_validation_errors():
 def test_every_capacity_is_range_checked(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
         CapacityMix(**{name: value})
+
+
+def test_battery_energy_that_overflows_is_refused():
+    # 1e200 * 1e200 GWh is inf, whose start charge 0.0 * inf is nan
+    with pytest.raises(
+        ValueError,
+        match=r"^battery_power_gw \* battery_hours must be finite, got 1e\+200 \* 1e\+200$",
+    ):
+        CapacityMix(battery_power_gw=1e200, battery_hours=1e200)
+    # a product short of overflow stands
+    assert CapacityMix(battery_power_gw=1e154, battery_hours=1e154).battery_energy_gwh < math.inf
 
 
 def test_sizing_table_keeps_exact_coordinates_apart(monkeypatch):

@@ -148,8 +148,19 @@ def _random_call(rng):
     )
 
 
+def _balance(args):
+    """``balance_loop`` on a case ``(demand, gen, *rest)`` of ``reference_loop``.
+
+    The generation goes in as wind of 1.0 GW on ``gen`` beside PV of -0.0
+    GW on zeros.  The loop forms ``1.0 * gen[t] + -0.0 * 0.0``, which is
+    ``gen[t]`` exactly for every finite value, -0.0 included.
+    """
+    demand, gen, *rest = args
+    return balance_loop(demand, 1.0, gen, -0.0, np.zeros(len(gen)), *rest)
+
+
 def _sentinel_ledger(args):
-    """``balance_loop(*args)`` as an ndarray, its ledger allocated full of 7.0.
+    """``_balance(args)`` as an ndarray, its ledger allocated full of 7.0.
 
     A new buffer may hand out memory that already holds the right values; a
     ledger that starts as 7.0 in every cell shows any cell the C loop leaves
@@ -163,7 +174,7 @@ def _sentinel_ledger(args):
         return buffer
 
     with mock.patch.object(_kernels, "_new_doubles", sentinel_doubles):
-        got = balance_loop(*args)
+        got = _balance(args)
     assert len(allocated) == 1 and got.obj is allocated[0]
     return np.asarray(got)
 
@@ -172,7 +183,7 @@ def test_python_loop_soc_stays_bounded():
     rng = np.random.default_rng(55)
     for _ in range(30):
         args = _random_call(rng)
-        out = np.asarray(balance_loop(*args))
+        out = np.asarray(_balance(args))
         cap = args[5]
         assert np.all(out[ROW_SOC] >= 0.0)
         assert np.all(out[ROW_SOC] <= cap)
@@ -221,36 +232,50 @@ def test_balance_loop_matches_element_indexed_loop_bitwise(scalar, strided):
                             assert np.array_equal(before.view(np.int64), after.view(np.int64))
 
 
+SERIES = ("demand", "wind_cf", "pv_cf")
+
+
+def _pass_on(series):
+    """``balance_loop`` on 4 steps of a 2 GW x 4 h battery half full, with
+    ``series`` naming each series that replaces its default."""
+    given = {"demand": np.full(4, 3.0), "wind_cf": np.full(4, 0.5), "pv_cf": np.full(4, 0.25)}
+    given.update(series)
+    demand, wind_cf, pv_cf = (given[name] for name in SERIES)
+    battery = (2.0, 8.0, 0.85, 4.0, np.inf, False)
+    return balance_loop(demand, 2.0, wind_cf, 1.0, pv_cf, 1.0, 0.0, *battery)
+
+
 def test_balance_loop_rejects_series_of_unequal_length():
-    with pytest.raises(ValueError):
-        balance_loop(np.ones(4), np.ones(3), 1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False)
+    for name, steps in itertools.product(SERIES[1:], (3, 5)):
+        with pytest.raises(ValueError, match=f"^demand has 4 steps but {name} has {steps}$"):
+            _pass_on({name: np.full(steps, 0.5)})
 
 
 @pytest.mark.parametrize("soc0", [9.0, -1.0, np.nan])
 def test_balance_loop_rejects_a_start_outside_the_battery(soc0):
     with pytest.raises(ValueError, match="start charge"):
-        balance_loop(np.ones(4), np.ones(4), 1.0, 0.0, 2.0, 8.0, 0.85, soc0, np.inf, False)
+        _balance((np.ones(4), np.ones(4), 1.0, 0.0, 2.0, 8.0, 0.85, soc0, np.inf, False))
 
 
 def test_balance_loop_rejects_float32_series():
     # the C loop reads each series through its own pointer, and a float32
-    # one would be read as half as many float64 steps: it is refused even
-    # beside a float64 one, whose difference with it is float64
-    single, double = np.ones(4, dtype=np.float32), np.full(4, 3.0)
-    for demand, generation in ((single, 3 * single), (single, double), (double, single)):
-        with pytest.raises(ValueError, match="must be float64"):
-            balance_loop(demand, generation, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False)
+    # one would be read as half as many float64 steps: it is refused alone,
+    # beside float64 ones, or with every series float32
+    single = np.full(4, 0.5, dtype=np.float32)
+    for name in SERIES:
+        with pytest.raises(ValueError, match=f"^{name} must be float64"):
+            _pass_on({name: single})
+    with pytest.raises(ValueError, match="^demand must be float64"):
+        _pass_on(dict.fromkeys(SERIES, single))
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (4, 3), ()], ids=["4x2", "4x3", "0-d"])
-@pytest.mark.parametrize("series", ["demand", "generation"])
+@pytest.mark.parametrize("series", SERIES)
 def test_balance_loop_rejects_a_series_of_other_than_one_axis(series, shape):
     # the C loop reads the first n doubles of each series: a (4, 2) demand
     # would pass its interleaved columns off as one series of 4 steps
-    bad, good = np.full(shape, 2.0), np.full(4, 3.0)
-    demand, generation = (bad, good) if series == "demand" else (good, bad)
-    with pytest.raises(ValueError, match=f"{series} must be float64 with one axis"):
-        balance_loop(demand, generation, 1.0, 0.0, 2.0, 8.0, 0.85, 4.0, np.inf, False)
+    with pytest.raises(ValueError, match=f"^{series} must be float64 with one axis"):
+        _pass_on({series: np.full(shape, 0.5)})
 
 
 @pytest.mark.parametrize(
@@ -750,17 +775,18 @@ def test_generation_in_the_loop_is_wind_times_cf_plus_pv_times_cf(n, seed, wind_
         np.where(rng.random(n) < 0.2, rng.choice([0.0, 1.0, 5e-324], n), rng.random(n))
         for _ in range(2)
     )
-    generation = _kernels.Generation(wind_gw, wind, pv_gw, pv)
+    generation = (wind_gw, wind, pv_gw, pv)
     args = (1.0, 0.0, 0.0, 0.0, 0.85, 0.0, np.inf, False)
-    got = np.asarray(_kernels.balance_loop(np.full(n, 1e300), generation, *args))
-    want = wind_gw * wind + pv_gw * pv
-    assert np.array_equal(got[ROW_REN_TO_DEMAND].view(np.int64), want.view(np.int64))
-    # and on drawn demand, with a battery, the ledger is that of the
-    # generation computed first
+    got = np.asarray(balance_loop(np.full(n, 1e300), *generation, *args))
+    gen = wind_gw * wind + pv_gw * pv
+    assert np.array_equal(got[ROW_REN_TO_DEMAND].view(np.int64), gen.view(np.int64))
+    # and on drawn demand, with a battery, the ledger is the reference
+    # loop's on the generation computed first
     demand = 20.0 * rng.random(n)
     args = (1.0, 2.0, 5.0, 20.0, 0.85, 10.0, 8.0, bool(seed % 2))
-    got = np.asarray(_kernels.balance_loop(demand, generation, *args))
-    want = np.asarray(_kernels.balance_loop(demand, want, *args))
+    got = np.asarray(balance_loop(demand, *generation, *args))
+    want = np.full((N_ROWS, n), -7.0)
+    reference_loop(demand, gen, *args, want)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -71,6 +71,14 @@ def test_search_space_validation():
         SearchSpace(**good, battery_hours=())
     with pytest.raises(ValueError, match="positive"):
         SearchSpace(**good, refine_tolerance_gw=0.0)
+    # the largest battery of the grid, 1e200 GW for 1e200 h, holds inf GWh
+    huge = {**good, "battery_power_gw": (0.0, 1e200, 1e200), "battery_hours": (0.0, 1e200)}
+    with pytest.raises(
+        ValueError,
+        match=r"^battery_power_gw max \* battery_hours max must be finite, got 1e\+200 \* 1e\+200$",
+    ):
+        SearchSpace(**huge)
+    SearchSpace(**{**huge, "battery_hours": (0.0, 1e100)})
 
 
 def test_evaluate_all_dispatch_closed_form():

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -334,6 +338,36 @@ def test_timeseries_equality_compares_values_step_and_names():
     ):
         assert other != ts and not other == ts
     assert ts != (ts.buffer, ts.dt_hours, ts.kind, ts.label) and ts != ts.buffer
+
+
+def test_timeseries_hash_agrees_with_equality():
+    # the dataclass hash read ``values``, an ndarray, and raised TypeError
+    rng = np.random.default_rng(13)
+    ts = TimeSeries(rng.random(50), 0.5, KIND_CAPACITY_FACTOR, "hash")
+    copies = (
+        pickle.loads(pickle.dumps(ts)),
+        load_series(dump_series(ts).encode(), ts.kind, ts.dt_hours, ts.label),
+    )
+    for copy in copies:
+        assert copy == ts and hash(copy) == hash(ts)
+    # -0.0 equals 0.0, so at the same step they hash alike
+    zeros = [TimeSeries([1.0, zero, 2.0], 1.0, KIND_DEMAND, "z") for zero in (0.0, -0.0)]
+    assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
+    assert len({ts, *copies, *zeros}) == 2
+    data = random_dataset(rng, n_steps=20)
+    assert hash(pickle.loads(pickle.dumps(data))) == hash(data)
+
+
+def test_timeseries_hash_of_a_csv_series_leaves_numpy_unloaded():
+    code = (
+        "import sys; from firmdispatch.profiles import KIND_DEMAND, load_series; "
+        f"hash(load_series({str(FIXTURES / 'demand.csv')!r}, KIND_DEMAND)); "
+        "print('numpy' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_demand_stats_hand_values():

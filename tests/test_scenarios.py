@@ -329,10 +329,10 @@ def test_pv_only_runs_no_balance_pass_twice(monkeypatch, data, soc_fraction):
     passes = []
     loop = _kernels.balance_loop
 
-    def recording(demand, ren_gen, dt, baseload, power, energy, *rest):
+    def recording(demand, wind_gw, wind_cf, pv_gw, pv_cf, dt, baseload, power, energy, *rest):
         # the generation over the one dataset, by its wind and PV capacities
-        passes.append((repr((ren_gen.wind_gw, ren_gen.pv_gw)), power, energy))
-        return loop(demand, ren_gen, dt, baseload, power, energy, *rest)
+        passes.append((repr((wind_gw, pv_gw)), power, energy))
+        return loop(demand, wind_gw, wind_cf, pv_gw, pv_cf, dt, baseload, power, energy, *rest)
 
     monkeypatch.setattr(_kernels, "balance_loop", recording)
     run_pv_only(data, SimParams(initial_soc_fraction=soc_fraction))
