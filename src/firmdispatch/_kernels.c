@@ -31,9 +31,19 @@
  * is the charge from renewables plus the top-up from dispatch, and the
  * dispatch draw what dispatch serves plus that top-up: each figure the
  * program reads is one row, so every reduction below reads one vector.
+ *
+ * The text of a CSV run is read and written here too, with CPython's own
+ * float parser and formatter, so every value and every byte is the one
+ * `float()` and `repr()` give.  The caller hands them over as pointers,
+ * so this library links no Python symbol, and calls these two functions
+ * with the GIL held, which the parser's and the formatter's allocator
+ * need.
  */
 
 #include <math.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 
 void firmdispatch_balance(
     const double *demand, const double *wind, double wind_gw, const double *pv, double pv_gw,
@@ -196,4 +206,142 @@ long firmdispatch_first_outside(const double *a, long n, double lo, double hi)
         if (!(a[t] >= lo && a[t] <= hi))
             return t;
     return n;
+}
+
+/* CPython's PyOS_string_to_double, whose PyObject * is opaque here,
+ * PyOS_double_to_string and PyMem_Free. */
+typedef double (*string_to_double)(const char *s, char **end, void *overflow_exception);
+typedef char *(*double_to_string)(double x, char format, int precision, int flags, int *type);
+typedef void (*mem_free)(void *p);
+
+/* Py_DTSF_ADD_DOT_0 of pystrtod.h: a whole number keeps its ".0" */
+#define ADD_DOT_0 0x02
+
+/* The blanks `float()` strips around a number, but the line ends. */
+static int is_blank(char c)
+{
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f';
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* The end of the run of digits from `p`, at most `end`. */
+static const char *skip_digits(const char *p, const char *end)
+{
+    while (p < end && is_digit(*p))
+        p++;
+    return p;
+}
+
+/* The values of the `len` bytes at `text`, the body of a value-only CSV
+ * file, into `out`, which holds one double per line; their count, or -1.
+ * An empty line ("\n" or "\r\n") is skipped.  Every other line must be
+ * blanks, one decimal [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, blanks, then
+ * "\n", "\r\n" or the end; anything else, a lone "\r" among it, gives -1.
+ * Only the decimal itself is handed to `parse`, which `float()` calls on
+ * the same span once it strips the blanks, and it must end where the
+ * span does.  The last span, when it ends the text, is parsed from a
+ * copy, since the parser reads one byte past a number: nothing past `len`
+ * is read. */
+long firmdispatch_read_values(const char *text, long len, double *out, string_to_double parse)
+{
+    const char *p = text;
+    const char *const end = text + len;
+    long count = 0;
+    while (p < end) {
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        if (*p == '\r' && end - p > 1 && p[1] == '\n') {
+            p += 2;
+            continue;
+        }
+        while (p < end && is_blank(*p))
+            p++;
+        const char *const start = p;
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        const char *const whole = p;
+        p = skip_digits(p, end);
+        int digits = p > whole;
+        if (p < end && *p == '.') {
+            const char *const fraction = ++p;
+            p = skip_digits(p, end);
+            digits |= p > fraction;
+        }
+        if (!digits)
+            return -1;
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            p++;
+            if (p < end && (*p == '+' || *p == '-'))
+                p++;
+            const char *const exponent = p;
+            p = skip_digits(p, end);
+            if (p == exponent)
+                return -1;
+        }
+        const char *const stop = p;
+        while (p < end && is_blank(*p))
+            p++;
+        if (p < end) {
+            if (*p == '\n')
+                p++;
+            else if (*p == '\r' && end - p > 1 && p[1] == '\n')
+                p += 2;
+            else
+                return -1;
+        }
+
+        const size_t span = (size_t)(stop - start);
+        char *parsed = NULL;
+        if (stop < end) {
+            out[count] = parse(start, &parsed, NULL);
+            if (parsed != stop)
+                return -1;
+        } else {
+            char *const copy = malloc(span + 1);
+            if (copy == NULL)
+                return -1;
+            memcpy(copy, start, span);
+            copy[span] = '\0';
+            out[count] = parse(copy, &parsed, NULL);
+            const int whole_span = parsed == copy + span;
+            free(copy);
+            if (!whole_span)
+                return -1;
+        }
+        count++;
+    }
+    return count;
+}
+
+/* Rows `start` to `stop - 1` of the `ncols` columns at `cols` as CSV lines
+ * into `out`; the number of bytes written, or -1 if `repr` fails.  A line
+ * is the step as "%ld", then per column a comma and the text of
+ * `repr(x, 'r', 0, ADD_DOT_0, NULL)`, float.__repr__'s own call, freed
+ * with `release`.  That text is at most 24 bytes ("-2.2250738585072014e-308"),
+ * so `out` must hold 21 + 25 * ncols bytes per row. */
+long firmdispatch_format_rows(const double *const *cols, long ncols, long start, long stop,
+                              char *out, double_to_string repr, mem_free release)
+{
+    char *p = out;
+    for (long t = start; t < stop; t++) {
+        p += sprintf(p, "%ld", t);
+        for (long k = 0; k < ncols; k++) {
+            char *const cell = repr(cols[k][t], 'r', 0, ADD_DOT_0, NULL);
+            if (cell == NULL)
+                return -1;
+            const size_t size = strlen(cell);
+            *p++ = ',';
+            memcpy(p, cell, size);
+            p += size;
+            release(cell);
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

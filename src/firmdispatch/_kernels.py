@@ -17,6 +17,9 @@ library reads and writes by address, so nothing here imports numpy.
 whole ``array('d')``.  ``scale``, ``total`` and ``peak`` do what numpy's
 ``a * x``, ``np.sum`` and ``np.max`` did, bit for bit; only the sign of a
 zero maximum may differ, which is +0.0 wherever zeros of both signs meet.
+``read_values`` and ``format_rows`` do the per-value text work of a CSV
+run in C, with the parser ``float()`` and the formatter ``repr()`` call,
+so every value and every byte is theirs.
 
 The C loop is compiled on first import with the compiler Python was built
 with (``sysconfig``'s ``CC``) and fixed flags, into
@@ -41,7 +44,6 @@ import ctypes
 import importlib.util
 import math
 import os
-import platform
 import sys
 from array import array
 
@@ -69,10 +71,11 @@ def _load():
     The file name hashes the source, the flags, the platform and
     ``sys.version``, which names the interpreter's build and so the ``CC``
     it was built with; reading ``CC`` itself would load sysconfig's build
-    table on every import.
+    table on every import.  The machine is ``os.uname().machine``, the
+    string ``platform.machine()`` gives, without importing ``platform``.
     """
     with open(_SOURCE, "rb") as fh:
-        key = repr((fh.read(), _FLAGS, sys.platform, platform.machine(), sys.version))
+        key = repr((fh.read(), _FLAGS, sys.platform, os.uname().machine, sys.version))
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "firmdispatch"
     )
@@ -148,6 +151,30 @@ _FIRST_OUTSIDE = _LIBRARY.firmdispatch_first_outside
 _FIRST_OUTSIDE.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_double)
 _FIRST_OUTSIDE.restype = ctypes.c_long
 
+# The text routines call CPython's float parser and formatter, so they go
+# through a PyDLL handle of the same library: it holds the GIL over the call
+# and raises any error those routines set.  The routines are handed over as
+# pointers, so the library links no Python symbol.
+_PY_LIBRARY = ctypes.PyDLL(_LIBRARY._name)
+_READ_VALUES = _PY_LIBRARY.firmdispatch_read_values
+_READ_VALUES.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p)
+_READ_VALUES.restype = ctypes.c_long
+_FORMAT_ROWS = _PY_LIBRARY.firmdispatch_format_rows
+_FORMAT_ROWS.argtypes = (
+    ctypes.c_void_p,  # the column addresses
+    ctypes.c_long,  # columns
+    ctypes.c_long,  # first row
+    ctypes.c_long,  # row past the last
+    ctypes.c_void_p,  # the text
+    ctypes.c_void_p,  # PyOS_double_to_string
+    ctypes.c_void_p,  # PyMem_Free
+)
+_FORMAT_ROWS.restype = ctypes.c_long
+_PARSE, _REPR, _RELEASE = (
+    ctypes.cast(getattr(ctypes.pythonapi, name), ctypes.c_void_p).value
+    for name in ("PyOS_string_to_double", "PyOS_double_to_string", "PyMem_Free")
+)
+
 _ZERO = array("d", [0.0])
 
 
@@ -204,6 +231,50 @@ def first_outside(n, a, lo, hi):
     """The index of the first of the ``n`` doubles at address ``a`` outside
     ``[lo, hi]`` (a NaN is outside every range), or ``n``."""
     return _FIRST_OUTSIDE(a, n, lo, hi)
+
+
+def read_values(text):
+    r"""The numbers of ``text``, bytes of one number a line, as a new
+    ``array('d')``, each ``float`` of its line bit for bit; or None.
+
+    Empty lines are skipped.  Every other line must be ASCII blanks (space,
+    ``\t``, ``\v``, ``\f``), one decimal ``[+-]?(d+(\.d*)?|\.d+)([eE][+-]?d+)?``,
+    blanks, then ``\n``, ``\r\n`` or the end of the text.  Any other text
+    gives None, as does a decimal the parser does not end where the line's
+    does.  The values may be infinite.
+    """
+    values = _new_doubles(text.count(b"\n") + 1)
+    try:
+        count = _READ_VALUES(text, len(text), values.buffer_info()[0], _PARSE)
+    except ValueError:  # the parser refused a whole decimal, and said so
+        return None
+    if count < 0:
+        return None
+    del values[count:]
+    return values
+
+
+def row_bytes(ncols):
+    """The most bytes ``format_rows`` writes for one row of ``ncols`` columns:
+    a step of up to 20, then per column a comma and a ``repr`` of up to 24
+    ("-2.2250738585072014e-308"), then the newline."""
+    return 21 + 25 * ncols
+
+
+def format_rows(addresses, start, stop, out):
+    """Rows ``start`` to ``stop - 1`` of the columns of doubles at
+    ``addresses`` as CSV lines into the ``array('B')`` ``out``, which holds
+    ``row_bytes`` per row; the number of bytes written.
+
+    A line is the step, then per column a comma and the ``repr`` of its
+    value, made by the routine ``float.__repr__`` calls.
+    """
+    if len(out) < (stop - start) * row_bytes(len(addresses)):
+        raise ValueError(f"{len(out)} bytes cannot hold {stop - start} rows")
+    columns = (ctypes.c_void_p * len(addresses))(*addresses)
+    return _FORMAT_ROWS(
+        columns, len(addresses), start, stop, out.buffer_info()[0], _REPR, _RELEASE
+    )
 
 
 def as_ndarray(view):

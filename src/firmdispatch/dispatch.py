@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
@@ -182,14 +183,19 @@ class DispatchTrace:
         row = _COLUMN_ROWS[name]
         return self._ledger[row * self._n : (row + 1) * self._n]
 
+    def _address(self, name: str) -> int:
+        """The address of the first double of the column ``name``."""
+        if name == "demand_gw":
+            return _kernels.address(self._demand)
+        return self._base + 8 * self._n * _COLUMN_ROWS[name]
+
     def peak(self, name: str) -> float:
         """``np.max`` of the ledger column ``name``; a zero of both signs gives +0.0."""
-        return _kernels.peak(self._n, self._base + 8 * self._n * _COLUMN_ROWS[name])
+        return _kernels.peak(self._n, self._address(name))
 
     def energy_twh(self, name: str) -> float:
         """The energy of the GW ledger column ``name`` over the pass, in TWh."""
-        at = self._base + 8 * self._n * _COLUMN_ROWS[name]
-        return _kernels.total(self._n, at) * (self.dt_hours / 1000.0)
+        return _kernels.total(self._n, self._address(name)) * (self.dt_hours / 1000.0)
 
     @property
     def unserved_energy_twh(self) -> float:
@@ -282,6 +288,7 @@ def simulate(
     """Run the merit-order balance for one capacity mix over one dataset.
 
     Deterministic and side-effect free: equal inputs give equal results.
+    ``ValueError`` where the wind and PV energy over the dataset overflows.
 
     Parameters
     ----------
@@ -307,11 +314,23 @@ def simulate_trace(
 
 
 def _summarize(mix: CapacityMix, data: AlignedDataset, trace: DispatchTrace) -> DispatchResult:
-    """Energy totals of one balance pass of ``mix`` over ``data``, its ledger ``trace`` attached."""
+    """Energy totals of one balance pass of ``mix`` over ``data``, its ledger ``trace`` attached.
+
+    ``ValueError`` unless the renewable energy over the dataset, ``wind_gw``
+    times the wind capacity factors' sum plus ``pv_gw`` times PV's, is
+    finite: an infinite total would print as ``inf`` and its curtailed
+    share as ``nan``.  No step's output exceeds that total, so none
+    overflows either.
+    """
     dt = data.dt_hours
     to_twh = dt / 1000.0
     wind_cf_sum = data.wind_cf.total()
     pv_cf_sum = data.pv_cf.total()
+    if not math.isfinite(mix.wind_gw * wind_cf_sum + mix.pv_gw * pv_cf_sum):
+        raise ValueError(
+            f"the renewable energy of wind_gw {mix.wind_gw!r} and pv_gw {mix.pv_gw!r} "
+            "over the dataset is not finite"
+        )
     wind_energy = mix.wind_gw * wind_cf_sum * to_twh
     pv_energy = mix.pv_gw * pv_cf_sum * to_twh
     dispatch_energy = trace.dispatch_energy_twh
@@ -494,16 +513,17 @@ class SizingTable:
 def write_trace_csv(trace: DispatchTrace, path) -> None:
     """Write a per-step ledger to CSV with full float precision.
 
-    Cells are the ``repr`` of the column values as Python floats.  Each
-    column is formatted ``TRACE_CHUNK_ROWS`` rows at a time from its
-    ``tolist``, which holds only a chunk of cells at once.
+    Cells are the ``repr`` of the column values as Python floats.  The rows
+    are formatted in C, ``TRACE_CHUNK_ROWS`` at a time into one reused
+    buffer, by ``_kernels.format_rows`` with the routine ``float.__repr__``
+    calls, so each cell is its ``repr`` by construction.
     """
-    columns = [trace.column(name) for name in TRACE_COLUMNS[1:]]
-    n = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
+    addresses = [trace._address(name) for name in TRACE_COLUMNS[1:]]
+    n = trace._n
+    text = array("B", bytes(TRACE_CHUNK_ROWS * _kernels.row_bytes(len(addresses))))
+    view = memoryview(text)
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRACE_COLUMNS).encode() + b"\n")
         for start in range(0, n, TRACE_CHUNK_ROWS):
             stop = min(start + TRACE_CHUNK_ROWS, n)
-            cells = [map(str, range(start, stop))]
-            cells += [list(map(repr, col[start:stop].tolist())) for col in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            fh.write(view[: _kernels.format_rows(addresses, start, stop, text)])

@@ -16,14 +16,12 @@ synthesize a dataset, and where a caller reads ``TimeSeries.values``.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import math
 import os
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import IO, TYPE_CHECKING, Sequence
 
 from . import _kernels
@@ -237,11 +235,13 @@ def load_series(
     to the bound; demand gets no such tolerance.
 
     The shape ``dump_series`` writes, a lone ``value`` header over one
-    ASCII number per line with LF or CRLF endings and no ``"``, is read
-    without csv, by one ``float`` per undecoded line.  Any other shape, and
-    any such text with a fault in it, is decoded and read row by row with
-    ``csv.reader``; both give every value as ``float`` of its cell, bit
-    for bit.
+    ASCII decimal per line with LF or CRLF endings, is read without csv
+    and undecoded, in one C call (``_kernels.read_values``) that parses
+    each decimal with the routine ``float`` itself calls.  Blanks (space,
+    tab, vertical tab, form feed) may stand around a decimal there.  Any
+    other shape, and any such text with a fault in it, is decoded and read
+    row by row with ``csv.reader``; both give every value as ``float`` of
+    its cell, bit for bit.
 
     Parameters
     ----------
@@ -296,30 +296,21 @@ def _clamp_rounding_noise(cf: float) -> float:
     return cf
 
 
-_BLANK_LINES = frozenset((b"\n", b"\r\n"))
-
-
 def _read_value_only(raw: bytes) -> array | None:
     r"""The values of CSV bytes with a lone ``value`` header, or None.
 
     None leaves the text to ``_read_rows``: a text of another shape, a line
-    ``float`` cannot read (a quoted or non-ASCII cell among them), a
-    non-finite value or no rows.  A ``\r`` outside ``\r\n`` ends a csv row
-    but not a ``float``, so it is left there too.
+    ``_kernels.read_values`` declines (a quoted, non-ASCII or blank cell, an
+    underscore, a ``\r`` outside ``\r\n`` among them), a non-finite value
+    or no rows.
     """
-    body = raw.removeprefix(codecs.BOM_UTF8)
-    if not body.startswith((b"value\n", b"value\r\n")) or (
-        b"\r" in body and body.count(b"\r") != body.count(b"\r\n")
-    ):
+    header, _, body = raw.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    if header not in (b"value", b"value\r"):
         return None
-    lines = io.BytesIO(body)
-    next(lines)  # the header
-    try:
-        values = array("d", map(float, filterfalse(_BLANK_LINES.__contains__, lines)))
-    except ValueError:
+    values = _kernels.read_values(body)
+    if not values or _first_outside(values, -_FLOAT_MAX, _FLOAT_MAX) < len(values):
         return None
-    finite = _first_outside(values, -_FLOAT_MAX, _FLOAT_MAX) == len(values)
-    return values if values and finite else None
+    return values
 
 
 def _decode_utf8(raw: bytes, name: str, error: type[ValueError] = ValueError) -> str:
@@ -334,6 +325,8 @@ def _decode_utf8(raw: bytes, name: str, error: type[ValueError] = ValueError) ->
 
 def _read_rows(text: str, name: str) -> list[float]:
     """The ``value`` cells of CSV ``text``, checked row by row."""
+    import csv
+
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)

@@ -11,6 +11,9 @@ until one fails, where ``run_rigidity`` may double and bisect.
 
 ``load_series`` reads every series row by row with ``csv.reader``, where
 ``profiles.load_series`` reads the value-only shape without csv.
+
+``write_trace_csv`` writes a ledger with one ``repr`` per cell and a
+``join`` per row, where ``dispatch.write_trace_csv`` formats the rows in C.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from firmdispatch import (
     size_dispatch,
 )
 from firmdispatch.costing import DEFAULT_BOOK, cost_from_energy
-from firmdispatch.dispatch import DEFAULT_PARAMS
+from firmdispatch.dispatch import DEFAULT_PARAMS, TRACE_COLUMNS, DispatchTrace
 from firmdispatch.optimizer import Evaluation
 from firmdispatch.profiles import (
     CF_CLAMP_TOL,
@@ -151,3 +154,17 @@ def load_series(raw: bytes, kind: str, dt_hours: float = 1.0, label: str = "") -
         high = (arr > 1.0) & (arr <= 1.0 + CF_CLAMP_TOL)
         arr = np.where(low, 0.0, np.where(high, 1.0, arr))
     return TimeSeries(values=arr, dt_hours=dt_hours, kind=kind, label=label or name)
+
+
+def write_trace_csv(trace: DispatchTrace, path, chunk_rows: int = 1024) -> None:
+    """Write a per-step ledger to CSV, each cell the ``repr`` of its value
+    as a Python float, ``chunk_rows`` rows at a time."""
+    columns = [trace.column(name) for name in TRACE_COLUMNS[1:]]
+    n = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for start in range(0, n, chunk_rows):
+            stop = min(start + chunk_rows, n)
+            cells = [map(str, range(start, stop))]
+            cells += [list(map(repr, col[start:stop].tolist())) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -505,6 +506,23 @@ def test_cli_series_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys):
     )
 
 
+def test_cli_renewable_energy_that_overflows_exits_two_and_writes_nothing(tmp_path, capsys):
+    conf = _write_conf(tmp_path, "synthetic_hours: 48\nwind_gw: 1e308\npv_gw: 1e308\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: the renewable energy of wind_gw 1e+308 and pv_gw 1e+308 "
+        "over the dataset is not finite\n"
+    )
+    assert not out.exists()
+    # a hundredth of each stands, and its report is finite throughout
+    conf = _write_conf(tmp_path, "synthetic_hours: 48\nwind_gw: 1e306\npv_gw: 1e306\n")
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    values = [float(row.split(",")[1]) for row in rows]
+    assert values and all(math.isfinite(x) for x in values), rows
+
+
 def test_cli_config_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys):
     conf = tmp_path / "latin.conf"
     conf.write_bytes(SMALL_SYNTH.encode() + "# café\nwind_gw: 10\n".encode("latin-1"))
@@ -530,12 +548,16 @@ def test_cli_synthetic_hours_past_the_bound_exit_two_before_any_allocation(
     assert not out.exists()
 
 
-def test_cli_import_leaves_numpy_typing_unloaded():
-    code = "import sys, firmdispatch.cli; print('numpy.typing' in sys.modules)"
+def test_cli_import_leaves_numpy_typing_platform_and_csv_unloaded():
+    # platform and csv cost start-up time that a CSV run does not need
+    code = (
+        "import sys, firmdispatch.cli; "
+        "print([name for name in ('numpy.typing', 'platform', 'csv') if name in sys.modules])"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (run.returncode, run.stdout) == (0, "False\n")
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 # Runs in a fresh interpreter: the set-up sequence of perfbench/probe.py,

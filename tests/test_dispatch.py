@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import pickle
+import struct
+from array import array
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -29,8 +31,9 @@ from firmdispatch.dispatch import (
     sized_simulation,
     write_trace_csv,
 )
-from firmdispatch.profiles import scale_demand
+from firmdispatch.profiles import scale_demand, synthesize_dataset
 
+import oracle
 from conftest import random_dataset, random_mix, random_params, stepped_passes
 
 
@@ -577,6 +580,96 @@ def test_write_trace_csv_matches_per_cell_repr(tmp_path, monkeypatch, chunk_rows
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
     cells = {cell for line in expected[1:] for cell in line.split(",")}
     assert {"-0.0", "5e-324", "1e+300", "0.30000000000000004"} <= cells
+
+
+# Doubles whose text is an edge of repr: zeros of both signs, the least and
+# the largest subnormal, the least normal, 1e16 (the first whole number
+# written with an exponent) and the double below it, 1e-05 (the largest
+# written with one) and 0.0001, 1e22, the largest double, and the
+# non-finite values.
+_EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e16, 9999999999999998.0, 1e-05, 0.0001, 1e22, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+def _formatted_rows(values, start=0):
+    """The cells of the lines ``format_rows`` writes for rows ``start`` on of
+    one column holding ``values``."""
+    column = array("d", values)
+    out = array("B", bytes((len(values) - start) * _kernels.row_bytes(1)))
+    count = _kernels.format_rows([column.buffer_info()[0]], start, len(values), out)
+    lines = out[:count].tobytes().decode("ascii").split("\n")
+    assert lines.pop() == ""
+    return [line.split(",") for line in lines]
+
+
+def test_format_rows_writes_edge_doubles_as_repr():
+    rows = _formatted_rows(_EDGE_DOUBLES)
+    assert rows == [[str(t), repr(x)] for t, x in enumerate(_EDGE_DOUBLES)]
+    assert [cell for _, cell in rows[:8]] == [
+        "0.0", "-0.0", "5e-324", "-5e-324", "2.225073858507201e-308",
+        "2.2250738585072014e-308", "1e+16", "9999999999999998.0",
+    ]
+    assert [cell for _, cell in rows[-3:]] == ["inf", "-inf", "nan"]
+    # rows from the middle of the columns carry their own steps
+    assert _formatted_rows(_EDGE_DOUBLES, 13) == rows[13:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40), st.data())
+def test_format_rows_writes_any_double_as_repr(patterns, data):
+    values = struct.unpack(f"{len(patterns)}d", struct.pack(f"{len(patterns)}Q", *patterns))
+    start = data.draw(st.integers(0, len(values) - 1))
+    expected = [[str(t), repr(values[t])] for t in range(start, len(values))]
+    assert _formatted_rows(values, start) == expected
+
+
+def test_format_rows_refuses_a_buffer_too_small():
+    column = array("d", [1.0, 2.0])
+    out = array("B", bytes(2 * _kernels.row_bytes(1) - 1))
+    with pytest.raises(ValueError, match="cannot hold 2 rows"):
+        _kernels.format_rows([column.buffer_info()[0]], 0, 2, out)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_write_trace_csv_matches_the_python_writer(tmp_path, extra):
+    n = dispatch.TRACE_CHUNK_ROWS + extra
+    rng = np.random.default_rng(34 + extra)
+    # every 64-bit pattern may be a cell, NaNs and infinities included
+    bits = rng.integers(0, 2**64 - 1, size=(_kernels.N_ROWS + 1) * n, dtype=np.uint64)
+    values = bits.view(np.float64)
+    data = random_dataset(rng, n_steps=n)
+    traces = [
+        DispatchTrace(values[:n], values[n:], 1.0),
+        simulate(random_mix(rng), data, random_params(rng)).trace,
+    ]
+    for trace in traces:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        oracle.write_trace_csv(trace, tmp_path / "oracle.csv")
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert written.count(b"\n") == n + 1
+
+
+def test_renewable_energy_that_overflows_is_refused():
+    data = synthesize_dataset(1, 48)
+    message = (
+        r"^the renewable energy of wind_gw 1e\+308 and pv_gw 1e\+308 over the dataset is not finite$"
+    )
+    mix = CapacityMix(wind_gw=1e308, pv_gw=1e308, dispatch_gw=10.0)
+    with pytest.raises(ValueError, match=message):
+        simulate(mix, data)
+    with pytest.raises(ValueError, match=message):
+        sized_simulation(mix, data)
+    # one capacity alone overflows too, and the message names both
+    with pytest.raises(ValueError, match=r"wind_gw 0\.0 and pv_gw 1e\+308 "):
+        simulate(CapacityMix(pv_gw=1e308), data)
+    # two hundredths of that stand, and every total is finite
+    result = simulate(CapacityMix(wind_gw=1e306, pv_gw=1e306, dispatch_gw=10.0), data)
+    totals = [getattr(result, f.name) for f in fields(result) if f.name != "trace"]
+    assert all(math.isfinite(x) for x in totals), totals
 
 
 def test_every_simulate_carries_the_ledger_of_its_pass():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import os
 import pickle
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ from firmdispatch import (
     KIND_DEMAND,
     AlignedDataset,
     TimeSeries,
+    _kernels,
     align,
     load_series,
 )
@@ -208,6 +211,94 @@ def test_load_series_reads_other_shapes_and_faults_row_by_row(monkeypatch):
     with pytest.raises(ValueError, match="missing value on line 3"):
         load_series(b"value\n1\n  \n", KIND_DEMAND)
     assert len(calls) == 4
+
+
+def _bits(values):
+    return [struct.unpack("<q", struct.pack("<d", x))[0] for x in values]
+
+
+_DIGITS = "0123456789"
+# decimals at the edges of the doubles: the largest, the first that rounds
+# to it and the first past it; the halfway point below the least subnormal
+# and the first decimal above it; the largest subnormal and the least normal
+_EDGE_DECIMALS = [
+    "1.7976931348623157e308", "1.7976931348623158e+308", "1.7976931348623159e308",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654E-324",
+    "2.2250738585072009e-308", "2.2250738585072014e-308", "1e-400", "1e400",
+    "123456789012345678901234567890", "0.30000000000000000555111512312578270211815834045",
+]
+
+
+@st.composite
+def _decimals(draw):
+    """A decimal of the reader's grammar, ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``."""
+    if not draw(st.integers(0, 5)):
+        return draw(st.sampled_from(["", "+", "-"])) + draw(st.sampled_from(_EDGE_DECIMALS))
+    digits = st.text(_DIGITS, min_size=1, max_size=40)  # 17 digits and far more
+    zeros = st.sampled_from(["", "0", "000"])  # leading zeros
+    mantissa = draw(
+        st.one_of(
+            st.builds(str.__add__, zeros, digits),
+            st.builds(lambda z, a, b: f"{z}{a}.{b}", zeros, digits, st.text(_DIGITS, max_size=40)),
+            st.builds(lambda b: f".{b}", digits),
+        )
+    )
+    exponent = ""
+    if draw(st.booleans()):
+        # at the overflow and underflow edges, and in between
+        power = draw(st.one_of(st.integers(-345, -280), st.integers(270, 330), st.integers(-30, 30)))
+        sign = "-" if power < 0 else draw(st.sampled_from(["", "+"]))
+        marker = draw(st.sampled_from("eE"))
+        exponent = f"{marker}{sign}{draw(zeros)}{abs(power)}"
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa + exponent
+
+
+_BLANKS = st.text(" \t\v\f", max_size=3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_BLANKS, _decimals(), _BLANKS, st.sampled_from(["\n", "\r\n"])),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from(["\n", "\r\n"]), max_size=2), st.booleans())
+def test_read_values_gives_the_bits_float_gives(lines, empty, last_ended):
+    text = "".join(empty + ["".join(line) for line in lines])
+    if not last_ended:
+        text = text.removesuffix(lines[-1][3])
+    values = _kernels.read_values(text.encode("ascii"))
+    expected = [float(before + decimal + after) for before, decimal, after, _ in lines]
+    assert values is not None
+    assert _bits(values) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"1_0", b"inf", b"-inf", b"nan", b"0x1p3", b".", b"e5", b"1e", b"1e+", b"+", b"-.e1",
+     b"1.5.", b"1 2", b'"1"', b"1,5", b"  ", b"1\x00", b"\x00", "١".encode(),
+     "\u00a01".encode(), b"1\r", b"\r1", b"1\r2", b"\xef\xbb\xbf1"],
+)
+def test_read_values_declines_every_other_line(line):
+    for text in (line, b"2\n" + line, b"2\n" + line + b"\r\n3"):
+        assert _kernels.read_values(text) is None, text
+    # the row walk reads what was declined, as the oracle does
+    raw = b"value\n2\n" + line
+    assert _outcome(load_series, raw, KIND_DEMAND) == _outcome(oracle.load_series, raw, KIND_DEMAND)
+
+
+def test_read_values_reads_nothing_past_the_length():
+    text = ctypes.create_string_buffer(b"12\n345", 6)  # no NUL after the text
+    out = _kernels._new_doubles(3)
+    address = out.buffer_info()[0]
+    for size, values in ((6, [12.0, 345.0]), (5, [12.0, 34.0]), (2, [12.0]), (0, [])):
+        count = _kernels._READ_VALUES(text, size, address, _kernels._PARSE)
+        assert out[:count].tolist() == values
+
+
+def test_load_series_reads_blanks_around_a_value_without_csv(monkeypatch):
+    calls = _count_csv_readers(monkeypatch)
+    raw = b"value\n\v1.5\f\r\n \t2e-3 \n\n+.5\t"
+    assert load_series(raw, KIND_DEMAND).values.tolist() == [1.5, 0.002, 0.5]
+    assert calls == []
+    assert _outcome(load_series, raw, KIND_DEMAND) == _outcome(oracle.load_series, raw, KIND_DEMAND)
 
 
 def test_load_series_names_the_line_of_a_cell_csv_cannot_hold():
